@@ -160,11 +160,6 @@ def backward(loss):
             backward_fn(out.grad)
 
 
-def zero_grads(tensors):
-    for t in tensors:
-        t.zero_grad()
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
@@ -222,15 +217,6 @@ def mul(a, b):
                 b.accumulate_grad(_reduce_to(g * a.values, bcast))
         tp.record(out, bw)
     return out
-
-
-def elementwise(a, b, kind):
-    """Pointwise combination; kind is one of mul, add, sub."""
-    try:
-        op = {"mul": mul, "add": add, "sub": sub}[kind]
-    except KeyError:
-        raise ContractError("unknown elementwise kind %r" % (kind,))
-    return op(a, b)
 
 
 def scale(a, k):
@@ -388,12 +374,6 @@ def tsum(a):
     return out
 
 
-def tmean(a):
-    if a.values.size == 0:
-        raise DimensionError("mean of an empty tensor")
-    return scale(tsum(a), 1.0 / a.values.size)
-
-
 def reshape(a, shape):
     out = _fresh(a.values.reshape(shape))
     tp = _track(a)
@@ -498,34 +478,6 @@ def row_cosine(a, b):
                 b.accumulate_grad(gv * (av / denom[:, None]
                                         - c[:, None] * bv / np.where(
                                             valid, nb * nb, 1.0)[:, None]))
-        tp.record(out, bw)
-    return out
-
-
-def cosine_similarity(a, b):
-    """dot(a,b)/(|a||b|) for 1-D vectors; exactly 0 if either norm < 1e-12.
-
-    The zero-vector case is defined (not an error) so that degenerate
-    feature-change directions contribute a neutral value.
-    """
-    if a.values.ndim != 1 or b.values.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(
-            "cosine_similarity expects equal-length vectors, got %r and %r"
-            % (a.shape, b.shape))
-    na = float(np.linalg.norm(a.values))
-    nb = float(np.linalg.norm(b.values))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        return _fresh(np.asarray(0.0))
-    c = float(a.values @ b.values) / (na * nb)
-    out = _fresh(np.asarray(c))
-    tp = _track(a, b)
-    if tp:
-        def bw(g):
-            g = float(g)
-            if a.requires_grad:
-                a.accumulate_grad(g * (b.values / (na * nb) - c * a.values / (na * na)))
-            if b.requires_grad:
-                b.accumulate_grad(g * (a.values / (na * nb) - c * b.values / (nb * nb)))
         tp.record(out, bw)
     return out
 

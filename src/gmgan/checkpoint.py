@@ -13,8 +13,10 @@ import zlib
 
 import numpy as np
 
+from .corpus import Vocabulary
 from .encoder import ModelProfile
 from .errors import CheckpointError
+from .trainer import Models, Optimizers, TrainConfig
 
 MAGIC = b"GMG1"
 VERSION = 1
@@ -129,9 +131,6 @@ def load_models(path):
 
     Returns (models, vocab, optimizers_or_None, config_blob).
     """
-    from .corpus import Vocabulary
-    from .trainer import Models, Optimizers, TrainConfig
-
     blob, sections = read_checkpoint(path)
     cfg = dict(blob["train_config"])
     if isinstance(cfg.get("profile"), dict):

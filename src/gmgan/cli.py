@@ -11,14 +11,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_models, save_models
-from .corpus import (GrammarSpec, Vocabulary, load_corpus, save_corpus,
-                     sample_grammar, sample_grammar_styled, style_oracle)
+from .corpus import (EOS, UNK, GrammarSpec, Vocabulary, load_corpus,
+                     save_corpus, sample_grammar, sample_grammar_styled,
+                     style_oracle)
 from .errors import CheckpointError, ContractError, TrainingDiverged
 from .generator import teacher_force_trace
-from .metrics import bleu_report, validity_rate
+from .metrics import bleu_report, strip_eos, validity_rate
 from .rewards import feature_matching_reward
 from .style import run_style_transfer, transfer_greedy
 from .trainer import (Models, Optimizers, TrainConfig, pretrain_mle,
@@ -130,8 +129,11 @@ def _make_evaluator(grammar, vocab, val_sentences, config):
         samples = sample_from_noise(models, config.eval_samples,
                                     seed=config.seed * 1000003 + epoch)
         out = {"validity": validity_rate(samples, grammar, vocab)}
-        if len(samples) >= 2 and val_sentences:
-            report = bleu_report(samples, val_sentences, test_ks=(3,),
+        # BLEU needs non-empty candidates: EOS-only samples count toward
+        # validity but not toward BLEU, as in `gmgan eval`
+        scored = [s for s in samples if strip_eos(s)]
+        if len(scored) >= 2 and val_sentences:
+            report = bleu_report(scored, val_sentences, test_ks=(3,),
                                  self_ks=(3,))
             out["test_bleu_3"] = report.test_bleu[3]
             out["self_bleu_3"] = report.self_bleu[3]
@@ -226,14 +228,8 @@ def cmd_generate(args):
                      for src in sources[: args.num]]
     elif args.mode == "greedy":
         # greedy decoding is deterministic per initial state: one noise draw
-        from .encoder import draw_initial_noise
-        from .generator import sample_sequence
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        noise = draw_initial_noise(rng, models.profile.feature_dim,
-                                   scale=models.feature_norm)
-        trace = sample_sequence(noise, models.generator, models.guider,
-                                models.encoder, seed=0, mode="greedy")
-        out_sents = [trace.sentence(models.profile.max_len)] * args.num
+        out_sents = (sample_from_noise(models, 1, seed, mode="greedy")
+                     * args.num)
     else:
         out_sents = sample_from_noise(models, args.num, seed=seed)
     save_corpus(args.out, out_sents, vocab)
@@ -276,8 +272,7 @@ def cmd_inspect_rewards(args):
         print("error: empty sentence", file=sys.stderr)
         return 2
     ids = vocab.encode(words, models.profile.max_len)
-    from .corpus import UNK
-    if all(t in (UNK, 2) for t in ids):
+    if all(t in (UNK, EOS) for t in ids):
         print("error: sentence is entirely out of vocabulary", file=sys.stderr)
         return 2
     trace = teacher_force_trace(ids, models.encoder, models.generator,

@@ -77,20 +77,6 @@ class Vocabulary:
         return cls(payload["tokens"])
 
 
-def sentence_length(ids):
-    """Token count of an encoded sentence including its EOS."""
-    return len(ids)
-
-
-def validate_sentence(ids, max_len):
-    if not ids or ids[-1] != EOS or EOS in ids[:-1]:
-        raise ContractError("sentence must end with exactly one EOS")
-    if PAD in ids:
-        raise ContractError("sentence contains PAD")
-    if len(ids) > max_len:
-        raise ContractError("sentence longer than max_len")
-
-
 def build_vocabulary(token_lines, min_freq=1):
     counts = Counter()
     for toks in token_lines:

@@ -163,24 +163,6 @@ def encode(prefix, params, stop_gradient=False):
     return ad.reshape(out, (params.profile.feature_dim,))
 
 
-def encode_initial(sentence=None, params=None, noise=None, feature_dim=None):
-    """Initial feature: Enc of a full sentence in training, noise in sampling.
-
-    Noise vectors are ReLU-clipped so they live in the encoder's nonnegative
-    output range; pass one drawn from draw_initial_noise for matched scale.
-    """
-    if (sentence is None) == (noise is None):
-        raise ContractError("provide exactly one of sentence or noise")
-    if sentence is not None:
-        return encode(sentence, params)
-    noise = np.asarray(noise, dtype=np.float64)
-    dim = feature_dim or (params.profile.feature_dim if params else None)
-    if dim is not None and noise.shape != (dim,):
-        raise DimensionError("noise must have shape (%d,), got %r"
-                             % (dim, noise.shape))
-    return ad.Tensor(np.maximum(noise, 0.0))
-
-
 def draw_initial_noise(rng, feature_dim, scale=1.0):
     """ReLU(standard normal) rescaled to the given norm (mean feature norm)."""
     z = np.maximum(rng.standard_normal(feature_dim), 0.0)

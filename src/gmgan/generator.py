@@ -78,12 +78,6 @@ def gated_logits(dec_hidden, guider_pred, params):
     return ad.add(logits, params.action_mask)
 
 
-def step_distribution(dec_state, guider_pred, params):
-    """Next-token probability vector for the current decoder state."""
-    hidden, _ = dec_state
-    return ad.softmax(gated_logits(hidden, guider_pred, params))
-
-
 @dataclass
 class GenerationTrace:
     """One rollout: tokens, per-step log-probs, prefix features f_0..f_T and
@@ -129,27 +123,37 @@ def sample_sequence(init_feature, gen, gui, enc, seed=None, rng=None,
         raise ContractError("mode must be sample or greedy")
     if rng is None:
         rng = np.random.default_rng(seed)
+    init_t = (init_feature if isinstance(init_feature, ad.Tensor)
+              else ad.constant(init_feature))
+
+    def choose(t, logits):
+        return _draw(ad.softmax(logits).values, rng, mode)
+
+    return _decode(init_t, gen, gui, enc, style_label,
+                   max_len or enc.profile.max_len, choose)
+
+
+def _decode(init_t, gen, gui, enc, label, steps, choose):
+    """The per-sentence loop shared by sampling and teacher forcing: encode
+    the prefix, step the guider, gate the logits, take token choose(t, logits)
+    and advance the decoder, for at most `steps` tokens or until EOS."""
     prof = enc.profile
-    max_len = max_len or prof.max_len
     with ad.no_grad():
-        init_t = (init_feature if isinstance(init_feature, ad.Tensor)
-                  else ad.constant(init_feature))
         s0 = initial_hidden(init_t, gen)
         dec_h, dec_c = s0, ad.constant(np.zeros(prof.hidden_dim))
-        if style_label is None:
+        if label is None:
             gui_state = initial_state(s0)
         else:
-            gui_state = initial_state_for_labels(gui, style_label)
+            gui_state = initial_state_for_labels(gui, label)
         prefix = [BOS]
         tokens, log_probs, features, predictions = [], [], [], []
-        for _ in range(max_len):
+        for t in range(steps):
             f = encode(prefix, enc)
             features.append(f.values.copy())
-            pred, gui_state = guider_step(gui_state, f, gui, labels=style_label)
+            pred, gui_state = guider_step(gui_state, f, gui, labels=label)
             predictions.append(pred.values.copy())
             logits = gated_logits(dec_h, pred, gen)
-            probs = ad.softmax(logits).values
-            token = _draw(probs, rng, mode)
+            token = choose(t, logits)
             log_probs.append(float(ad.log_softmax(logits).values[token]))
             tokens.append(token)
             prefix.append(token)
@@ -162,7 +166,7 @@ def sample_sequence(init_feature, gen, gui, enc, seed=None, rng=None,
         features.append(encode(prefix, enc).values.copy())
     return GenerationTrace(tokens, log_probs, features, predictions,
                            np.asarray(init_t.values, dtype=np.float64).copy(),
-                           style_label)
+                           label)
 
 
 def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
@@ -207,8 +211,13 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
         dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
                                     gen.dec_w_x, gen.dec_w_h, gen.dec_b)
     logp_mat = ad.concat(cols, axis=1)
-    mask = (tgt != PAD) & (tgt != UNK)
-    return logp_mat, mask, tgt
+    return logp_mat, scored_tokens(tgt), tgt
+
+
+def scored_tokens(tokens):
+    """Mask of the target tokens a likelihood scores: all but PAD and UNK."""
+    tokens = np.asarray(tokens)
+    return (tokens != PAD) & (tokens != UNK)
 
 
 def mle_loss(batch, enc, gen, gui, labels=None, teacher_forcing=True):
@@ -226,30 +235,10 @@ def mle_loss(batch, enc, gen, gui, labels=None, teacher_forcing=True):
 def teacher_force_trace(sentence, enc, gen, gui, label=None):
     """Trace of a real sentence under teacher forcing (features, predictions,
     per-step log-probs of the actual tokens); used for reward inspection."""
+    sentence = list(sentence)
+    if EOS in sentence[:-1]:
+        raise ContractError("EOS may only end the sentence")
     with ad.no_grad():
-        init_f = encode([BOS] + list(sentence), enc)
-        s0 = initial_hidden(init_f, gen)
-        dec_h = s0
-        dec_c = ad.constant(np.zeros(enc.profile.hidden_dim))
-        if label is None:
-            gui_state = initial_state(s0)
-        else:
-            gui_state = initial_state_for_labels(gui, label)
-        prefix = [BOS]
-        log_probs, features, predictions = [], [], []
-        for tok in sentence:
-            f = encode(prefix, enc)
-            features.append(f.values.copy())
-            pred, gui_state = guider_step(gui_state, f, gui, labels=label)
-            predictions.append(pred.values.copy())
-            logits = gated_logits(dec_h, pred, gen)
-            log_probs.append(float(ad.log_softmax(logits).values[tok]))
-            prefix.append(tok)
-            if tok != EOS:
-                emb = ad.gather_rows(gen.embedding, np.array([tok]))
-                dec_h, dec_c = ad.lstm_cell(
-                    ad.reshape(emb, (enc.profile.embed_dim,)), dec_h, dec_c,
-                    gen.dec_w_x, gen.dec_w_h, gen.dec_b)
-        features.append(encode(prefix, enc).values.copy())
-    return GenerationTrace(list(sentence), log_probs, features, predictions,
-                           init_f.values.copy(), label)
+        init_f = encode([BOS] + sentence, enc)
+    return _decode(init_f, gen, gui, enc, label, len(sentence),
+                   lambda t, logits: sentence[t])

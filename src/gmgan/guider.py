@@ -96,72 +96,16 @@ def guider_step(state, f, params, labels=None):
     return pred, GuiderState(new_h, new_c)
 
 
-def replay_predictions(features, params, init_state, labels=None):
-    """Run the guider over a feature sequence; prediction i is made after
-    consuming features[i] and aims at features[i + c]."""
-    state = init_state
-    preds = []
-    for f in features:
-        pred, state = guider_step(state, f, params, labels=labels)
-        preds.append(pred)
-    return preds
-
-
-def predict_ahead(prefix_features, c, params, init_state, labels=None):
-    """Replay the guider over a stored prefix and return its last prediction,
-    i.e. the feature expected c steps after the end of the prefix."""
-    if not prefix_features:
-        raise ContractError("predict_ahead needs a non-empty prefix")
-    if c < 1:
-        raise ContractError("lookahead c must be >= 1")
-    return replay_predictions(prefix_features, params, init_state, labels)[-1]
-
-
-def matching_terms(features, predictions, c):
-    """Per-position dual cosine objective: match the feature c steps ahead and
-    the direction of change. Returns a list of scalar tensors, one per valid t.
-    """
-    if c < 1:
-        raise ContractError("lookahead c must be >= 1")
-    n = len(features)
-    if n <= c:
-        raise ContractError("need at least c+1 features, got %d" % n)
-    terms = []
-    for t in range(n - c):
-        target, pred, anchor = features[t + c], predictions[t], features[t]
-        direct = ad.cosine_similarity(target, pred)
-        direction = ad.cosine_similarity(ad.sub(target, anchor),
-                                         ad.sub(pred, anchor))
-        terms.append(ad.add(direct, direction))
-    return terms
-
-
-def guider_loss(features, c, params, init_state, labels=None):
-    """Negated mean dual-cosine objective over a real feature sequence.
-
-    Features beyond position T-c have no lookahead target and contribute no
-    term. Minimizing this trains the guider to predict ahead.
-    """
-    n = len(features)
-    if c < 1:
-        raise ContractError("lookahead c must be >= 1")
-    if n <= c:
-        raise ContractError("need at least c+1 features, got %d" % n)
-    preds = replay_predictions(features[:n - c], params, init_state, labels)
-    terms = matching_terms(features, preds, c)
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.scale(total, -1.0 / len(terms))
-
-
 def guider_loss_batch(step_features, lengths, c, params, init_state,
                       labels=None):
     """Pooled guider loss over a padded batch.
 
     step_features[t] is the (B, feature_dim) feature of every sequence's
     length-t prefix; sequence b contributes terms for t with t + c <= lengths[b].
-    Equivalent to the per-sequence loss weighted by term counts.
+    Each term is the dual cosine objective: the prediction made after
+    consuming step_features[t] is matched against step_features[t + c], and
+    its movement from step_features[t] against the real movement. The loss is
+    the negated mean over all valid terms, so a single sequence is a B=1 call.
     """
     if c < 1:
         raise ContractError("lookahead c must be >= 1")
@@ -188,14 +132,23 @@ def guider_loss_batch(step_features, lengths, c, params, init_state,
 
 
 def objective_cosines(features, params, init_state, c, labels=None):
-    """Mean of each cosine term separately (diagnostics / acceptance)."""
-    preds = replay_predictions(features, params, init_state, labels)
-    n = len(features)
-    direct, direction = [], []
+    """Mean of each cosine term separately (diagnostics / acceptance).
+
+    features are the (feature_dim,) tensors f_0..f_T of one sequence.
+    """
+    n_terms = len(features) - c
+    if c < 1 or n_terms < 1:
+        raise ContractError("need c >= 1 and at least c+1 features")
+    state = init_state
+    preds = []
     with ad.no_grad():
-        for t in range(n - c):
-            target, pred, anchor = features[t + c], preds[t], features[t]
-            direct.append(ad.cosine_similarity(target, pred).item())
-            direction.append(ad.cosine_similarity(
-                ad.sub(target, anchor), ad.sub(pred, anchor)).item())
-    return float(np.mean(direct)), float(np.mean(direction))
+        for f in features[:n_terms]:
+            pred, state = guider_step(state, f, params, labels=labels)
+            preds.append(pred.values)
+    target = np.stack([f.values for f in features[c:]])
+    anchor = np.stack([f.values for f in features[:n_terms]])
+    pred = np.stack(preds)
+    direct = ad.row_cosine(ad.constant(target), ad.constant(pred)).values
+    direction = ad.row_cosine(ad.constant(target - anchor),
+                              ad.constant(pred - anchor)).values
+    return float(direct.mean()), float(direction.mean())

@@ -12,11 +12,13 @@ from .errors import ContractError
 SMOOTH_EPS = 1e-9
 
 
-def _ngrams(tokens, n):
+def ngrams(tokens, n):
+    """Counter of the n-grams (as tuples) of a token list."""
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _strip_eos(tokens):
+def strip_eos(tokens):
+    """Copy of a token list without its trailing EOS, if it has one."""
     toks = list(tokens)
     if toks and toks[-1] == EOS:
         toks.pop()
@@ -34,13 +36,13 @@ def bleu(candidate, references, k):
     log_sum = 0.0
     orders = 0
     for n in range(1, k + 1):
-        cand = _ngrams(candidate, n)
+        cand = ngrams(candidate, n)
         total = sum(cand.values())
         if total == 0:
             continue  # candidate too short for this order: vacuous
         best = Counter()
         for ref in references:
-            ref_counts = _ngrams(ref, n)
+            ref_counts = ngrams(ref, n)
             for gram, cnt in ref_counts.items():
                 if cnt > best[gram]:
                     best[gram] = cnt
@@ -60,15 +62,15 @@ def test_bleu(samples, references, k):
     """Mean BLEU of each sample against the whole reference set."""
     if not samples or not references:
         raise ContractError("samples and references must be non-empty")
-    refs = [_strip_eos(r) for r in references]
-    return sum(bleu(_strip_eos(s), refs, k) for s in samples) / len(samples)
+    refs = [strip_eos(r) for r in references]
+    return sum(bleu(strip_eos(s), refs, k) for s in samples) / len(samples)
 
 
 def self_bleu(samples, k):
     """Mean leave-one-out BLEU of each sample against the other samples."""
     if len(samples) < 2:
         raise ContractError("self-BLEU needs at least two samples")
-    stripped = [_strip_eos(s) for s in samples]
+    stripped = [strip_eos(s) for s in samples]
     total = 0.0
     for i, s in enumerate(stripped):
         total += bleu(s, stripped[:i] + stripped[i + 1:], k)

@@ -18,9 +18,10 @@ from .encoder import (ConvStack, encode, encode_batch, encode_embeddings,
 from .errors import ContractError
 from .generator import gated_logits, initial_hidden, mle_loss, sample_sequence
 from .guider import guider_loss_batch, guider_step, initial_state_for_labels
-from .metrics import _ngrams, _strip_eos
+from .metrics import ngrams, strip_eos
 from .optim import Adam
-from .trainer import Optimizers, _batches, _check_finite, stream_rng
+from .trainer import (Optimizers, check_finite, mle_step,
+                      prefix_features_by_step, shuffled_batches, stream_rng)
 
 
 def check_binary_labels(labelled):
@@ -72,7 +73,7 @@ def train_style_classifier(labelled, vocab_size, profile, seed, epochs=4,
                frozen_rows={"classifier.embedding": [PAD]})
     for epoch in range(epochs):
         rng = stream_rng(seed, "classifier_batch", epoch)
-        for idx in _batches(len(labelled), batch_size, rng):
+        for idx in shuffled_batches(len(labelled), batch_size, rng):
             batch = [labelled[i] for i in idx]
             rows = pad_rows([list(s) for s, _ in batch], profile.pad_width)
             labels = np.array([l for _, l in batch])
@@ -81,7 +82,7 @@ def train_style_classifier(labelled, vocab_size, profile, seed, epochs=4,
                 picked = ad.pick(logp, np.arange(len(batch)), labels)
                 loss = ad.scale(ad.tsum(picked), -1.0 / len(batch))
                 ad.backward(loss)
-            _check_finite(loss)
+            check_finite(loss)
             opt.step()
             opt.zero_grad()
     return classifier
@@ -108,7 +109,7 @@ def train_latent_probe(labelled, models, seed, epochs=6, lr=0.01,
     opt = Adam(probe.tensors(), lr=lr)
     for epoch in range(epochs):
         rng = stream_rng(seed, "probe_batch", epoch)
-        for idx in _batches(len(labelled), batch_size, rng):
+        for idx in shuffled_batches(len(labelled), batch_size, rng):
             batch = [labelled[i] for i in idx]
             rows = pad_rows([[BOS] + list(s) for s, _ in batch],
                             models.profile.pad_width)
@@ -213,11 +214,11 @@ def transfer_greedy(source, target_label, models):
 
 def unigram_precision(candidate, source):
     """Clipped unigram overlap of a transfer with its source (EOS ignored)."""
-    cand = _strip_eos(candidate)
-    src = _ngrams(_strip_eos(source), 1)
+    cand = strip_eos(candidate)
+    src = ngrams(strip_eos(source), 1)
     if not cand:
         return 0.0
-    cand_counts = _ngrams(cand, 1)
+    cand_counts = ngrams(cand, 1)
     matches = sum(min(cnt, src[g]) for g, cnt in cand_counts.items())
     return matches / len(cand)
 
@@ -261,16 +262,11 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
     for epoch in range(config.mle_epochs):
         rng = stream_rng(config.seed, "style_mle", epoch)
         losses = []
-        for idx in _batches(len(labelled_train), config.batch_size, rng):
+        for idx in shuffled_batches(len(labelled_train), config.batch_size,
+                                    rng):
             batch = [sentences[i] for i in idx]
             labs = np.array([labels_all[i] for i in idx])
-            with ad.tape():
-                loss = mle_loss(batch, models.encoder, models.generator,
-                                models.guider, labels=labs)
-                ad.backward(loss)
-            losses.append(_check_finite(loss))
-            optimizers.generator.step()
-            optimizers.zero_all()
+            losses.append(mle_step(batch, models, optimizers, labels=labs))
         _style_guider_phase(labelled_train, models, optimizers, config, epoch)
         entry = {"stage": "style_mle", "epoch": epoch,
                  "train_loss": float(np.mean(losses))}
@@ -285,7 +281,8 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
     for epoch in range(config.style_epochs):
         rng = stream_rng(config.seed, "style_joint", epoch)
         stats = {"rec": [], "cls": [], "ent": []}
-        for idx in _batches(len(labelled_train), config.batch_size, rng):
+        for idx in shuffled_batches(len(labelled_train), config.batch_size,
+                                    rng):
             batch = [sentences[i] for i in idx]
             labs = np.array([labels_all[i] for i in idx])
             flipped = 1 - labs
@@ -303,7 +300,7 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
                            ad.scale(cls_loss, config.weight_classifier)),
                     ad.scale(ent, -config.weight_entropy))
                 ad.backward(total)
-            _check_finite(total)
+            check_finite(total)
             optimizers.generator.step()
             optimizers.zero_all()
             stats["rec"].append(rec.item())
@@ -325,9 +322,8 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
 
 
 def _style_guider_phase(labelled, models, optimizers, config, epoch):
-    from .trainer import prefix_features_by_step
     rng = stream_rng(config.seed, "style_guider", epoch)
-    for idx in _batches(len(labelled), config.batch_size, rng):
+    for idx in shuffled_batches(len(labelled), config.batch_size, rng):
         batch = [labelled[i][0] for i in idx]
         labs = np.array([labelled[i][1] for i in idx])
         lengths = np.array([len(s) for s in batch])
@@ -339,6 +335,6 @@ def _style_guider_phase(labelled, models, optimizers, config, epoch):
             loss = guider_loss_batch(feats, lengths, config.c, models.guider,
                                      init, labels=labs)
             ad.backward(loss)
-        _check_finite(loss)
+        check_finite(loss)
         optimizers.guider.step()
         optimizers.zero_all()

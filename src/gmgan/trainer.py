@@ -25,7 +25,8 @@ from .encoder import (EncoderParams, draw_initial_noise, encode_batch,
                       get_profile, mean_feature_norm, pad_rows)
 from .errors import ContractError, TrainingDiverged
 from .generator import (GeneratorParams, initial_hidden, mle_loss,
-                        sample_sequence, teacher_forced_log_probs)
+                        sample_sequence, scored_tokens,
+                        teacher_forced_log_probs)
 from .guider import GuiderParams, guider_loss_batch, initial_state
 from .optim import Adam
 from .rewards import RewardBaseline, compute_reward_trace
@@ -136,16 +137,30 @@ class Optimizers:
         self.discriminator.zero_grad()
 
 
-def _check_finite(loss):
+def check_finite(loss):
+    """The loss value; raises TrainingDiverged when it is not finite."""
     val = loss.item()
     if not math.isfinite(val):
         raise TrainingDiverged("loss became %r" % (val,))
     return val
 
 
-def _batches(n, batch_size, rng):
+def shuffled_batches(n, batch_size, rng):
+    """Index batches covering range(n) once, in an rng-drawn order."""
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
+
+
+def mle_step(batch, models, optimizers, labels=None):
+    """One generator update on the teacher-forced MLE loss; returns the loss."""
+    with ad.tape():
+        loss = mle_loss(batch, models.encoder, models.generator, models.guider,
+                        labels=labels)
+        ad.backward(loss)
+    val = check_finite(loss)
+    optimizers.generator.step()
+    optimizers.zero_all()
+    return val
 
 
 def prefix_features_by_step(batch, enc):
@@ -163,7 +178,7 @@ def prefix_features_by_step(batch, enc):
 def _guider_phase(sentences, models, optimizer, config, epoch):
     rng = stream_rng(config.seed, "guider_batch", epoch)
     losses = []
-    for idx in _batches(len(sentences), config.batch_size, rng):
+    for idx in shuffled_batches(len(sentences), config.batch_size, rng):
         batch = [sentences[i] for i in idx]
         feats = prefix_features_by_step(batch, models.encoder)
         lengths = np.array([len(s) for s in batch])
@@ -175,18 +190,20 @@ def _guider_phase(sentences, models, optimizer, config, epoch):
             loss = guider_loss_batch(feats, lengths, config.c, models.guider,
                                      initial_state(init_hidden.detach()))
             ad.backward(loss)
-        losses.append(_check_finite(loss))
+        losses.append(check_finite(loss))
         optimizer.guider.step()
         optimizer.zero_all()
     return float(np.mean(losses)) if losses else float("nan")
 
 
 def validation_mle_loss(sentences, models, batch_size=64):
+    """mle_loss over all sentences, computed in chunks; each chunk's mean is
+    weighted by its scored tokens, so the result matches one pooled batch."""
     total, count = 0.0, 0
     with ad.no_grad():
         for i in range(0, len(sentences), batch_size):
             chunk = sentences[i:i + batch_size]
-            n_tokens = sum(len(s) for s in chunk)
+            n_tokens = sum(int(scored_tokens(s).sum()) for s in chunk)
             total += mle_loss(chunk, models.encoder, models.generator,
                               models.guider).item() * n_tokens
             count += n_tokens
@@ -210,15 +227,10 @@ def pretrain_mle(train_sentences, val_sentences, models, config,
         epoch = start_epoch + i
         rng = stream_rng(config.seed, "mle_batch", epoch)
         gen_losses = []
-        for idx in _batches(len(train_sentences), config.batch_size, rng):
+        for idx in shuffled_batches(len(train_sentences), config.batch_size,
+                                    rng):
             batch = [train_sentences[i] for i in idx]
-            with ad.tape():
-                loss = mle_loss(batch, models.encoder, models.generator,
-                                models.guider)
-                ad.backward(loss)
-            gen_losses.append(_check_finite(loss))
-            optimizers.generator.step()
-            optimizers.zero_all()
+            gen_losses.append(mle_step(batch, models, optimizers))
         guider_loss_val = None
         if include_guider:
             guider_loss_val = _guider_phase(train_sentences, models,
@@ -254,6 +266,26 @@ def rollout_traces(init_sentences, models, rng, max_len=None):
                                       models.guider, models.encoder,
                                       rng=rng, max_len=max_len))
     return traces
+
+
+def _scored_rollouts(train_sentences, models, config, rng):
+    """Roll out from rollout_batch random real sentences, score the samples
+    with the discriminator and build their reward traces.
+
+    Returns (traces, reward traces, discriminator scores).
+    """
+    init_idx = rng.integers(len(train_sentences), size=config.rollout_batch)
+    traces = rollout_traces([train_sentences[k] for k in init_idx], models,
+                            rng)
+    with ad.no_grad():
+        finals = score_batch(
+            [t.sentence(models.profile.max_len) for t in traces],
+            models.discriminator).values
+    rtraces = [compute_reward_trace(t, float(finals[k]), config.c,
+                                    config.gamma, config.discount_convention,
+                                    mode=config.ablation)
+               for k, t in enumerate(traces)]
+    return traces, rtraces, finals
 
 
 def sample_from_noise(models, n, seed, mode="sample"):
@@ -317,7 +349,7 @@ def policy_gradient_step(traces, reward_traces, models, optimizers,
         else:
             total = pg
         ad.backward(total)
-    _check_finite(total)
+    check_finite(total)
     assert all(t.grad is None or not t.grad.any()
                for _, t in models.guider.tensors()), "guider must stay frozen"
     optimizers.generator.step()
@@ -358,49 +390,22 @@ def run_gmgan(train_sentences, val_sentences, models, config,
         warm_baseline = (lam == 0.0 and config.rl_mix == "ramp"
                          and baseline is not None)
         gen_stats = []
-        for idx in _batches(len(train_sentences), config.batch_size,
-                            rng_batches):
+        for idx in shuffled_batches(len(train_sentences), config.batch_size,
+                                    rng_batches):
             batch = [train_sentences[i] for i in idx]
             if lam == 0.0:
-                with ad.tape():
-                    loss = mle_loss(batch, models.encoder, models.generator,
-                                    models.guider)
-                    ad.backward(loss)
-                _check_finite(loss)
-                optimizers.generator.step()
-                optimizers.zero_all()
-                gen_stats.append({"mle_loss": loss.item(), "pg_loss": 0.0})
+                loss = mle_step(batch, models, optimizers)
+                gen_stats.append({"mle_loss": loss, "pg_loss": 0.0})
                 if warm_baseline:
                     # pre-ramp epochs feed the EMA baseline so the first real
                     # policy updates see centered advantages
-                    init_idx = rng_roll.integers(len(train_sentences),
-                                                 size=config.rollout_batch)
-                    traces = rollout_traces(
-                        [train_sentences[k] for k in init_idx], models, rng_roll)
-                    with ad.no_grad():
-                        finals = score_batch(
-                            [t.sentence(models.profile.max_len) for t in traces],
-                            models.discriminator).values
-                    baseline.advantages(
-                        [compute_reward_trace(t, float(finals[k]), config.c,
-                                              config.gamma,
-                                              config.discount_convention,
-                                              mode=config.ablation).q
-                         for k, t in enumerate(traces)])
+                    _, rtraces, _ = _scored_rollouts(train_sentences, models,
+                                                     config, rng_roll)
+                    baseline.advantages([rt.q for rt in rtraces])
                 continue
             for _ in range(config.g_steps):
-                init_idx = rng_roll.integers(len(train_sentences),
-                                             size=config.rollout_batch)
-                inits = [train_sentences[k] for k in init_idx]
-                traces = rollout_traces(inits, models, rng_roll)
-                with ad.no_grad():
-                    finals = score_batch(
-                        [t.sentence(models.profile.max_len) for t in traces],
-                        models.discriminator).values
-                rtraces = [compute_reward_trace(
-                    t, float(finals[k]), config.c, config.gamma,
-                    config.discount_convention, mode=config.ablation)
-                    for k, t in enumerate(traces)]
+                traces, rtraces, finals = _scored_rollouts(
+                    train_sentences, models, config, rng_roll)
                 advs = ([rt.q for rt in rtraces] if baseline is None
                         else baseline.advantages([rt.q for rt in rtraces]))
                 stats = policy_gradient_step(

@@ -101,7 +101,7 @@ def test_matmul_vector_promotion():
 
 def test_elementwise_mul_identity():
     v = t([2.0, -3.0, 0.5])
-    assert np.array_equal(ad.elementwise(v, t(np.ones(3)), "mul").values, v.values)
+    assert np.array_equal(ad.mul(v, t(np.ones(3))).values, v.values)
 
 
 def test_elementwise_hand_product():
@@ -118,8 +118,9 @@ def test_elementwise_gradients(kind):
     rng = np.random.default_rng(2)
     a = t(rng.normal(size=(2, 3)), grad=True)
     b = t(rng.normal(size=(2, 3)), grad=True)
+    op = {"mul": ad.mul, "add": ad.add, "sub": ad.sub}[kind]
     with ad.tape():
-        loss = ad.tsum(ad.mul(ad.elementwise(a, b, kind), a))
+        loss = ad.tsum(ad.mul(op(a, b), a))
     ad.backward(loss)
     np_op = {"mul": np.multiply, "add": np.add, "sub": np.subtract}[kind]
     def forward():
@@ -333,30 +334,40 @@ def test_conv1d_gradient_vs_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity
+# cosine similarity (row-wise)
 # ---------------------------------------------------------------------------
+
+def cos(a, b):
+    """Cosine of two 1-D vectors through ad.row_cosine on single rows."""
+    return ad.row_cosine(t(np.reshape(a, (1, -1))),
+                         t(np.reshape(b, (1, -1)))).values[0]
+
 
 def test_cosine_self_similarity():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        v = t(rng.normal(size=rng.integers(1, 8)))
-        if np.linalg.norm(v.values) < 1e-6:
+        v = rng.normal(size=rng.integers(1, 8))
+        if np.linalg.norm(v) < 1e-6:
             continue
-        assert abs(ad.cosine_similarity(v, v).item() - 1.0) < 1e-12
+        assert abs(cos(v, v) - 1.0) < 1e-12
 
 
 def test_cosine_orthogonal():
-    assert ad.cosine_similarity(t([1.0, 0.0]), t([0.0, 1.0])).item() == 0.0
+    assert cos([1.0, 0.0], [0.0, 1.0]) == 0.0
 
 
 def test_cosine_hand_value():
-    got = ad.cosine_similarity(t([1.0, 1.0]), t([1.0, 0.0])).item()
+    got = cos([1.0, 1.0], [1.0, 0.0])
     assert abs(got - 0.7071067811865475) < 1e-9
 
 
 def test_cosine_zero_vector_rule():
-    assert ad.cosine_similarity(t([0.0, 0.0]), t([1.0, 2.0])).item() == 0.0
-    assert ad.cosine_similarity(t([1.0, 2.0]), t([1e-13, 0.0])).item() == 0.0
+    assert cos([0.0, 0.0], [1.0, 2.0]) == 0.0
+    assert cos([1.0, 2.0], [1e-13, 0.0]) == 0.0
+    # a zero row gives 0 without disturbing the other rows
+    got = ad.row_cosine(t([[0.0, 0.0], [1.0, 1.0]]),
+                        t([[1.0, 2.0], [1.0, 0.0]])).values
+    assert got[0] == 0.0 and abs(got[1] - 0.7071067811865475) < 1e-9
 
 
 def test_cosine_symmetry_and_scale_invariance():
@@ -365,9 +376,9 @@ def test_cosine_symmetry_and_scale_invariance():
         a = rng.normal(size=5)
         b = rng.normal(size=5)
         alpha = float(rng.uniform(0.1, 10.0))
-        c1 = ad.cosine_similarity(t(a), t(b)).item()
-        c2 = ad.cosine_similarity(t(b), t(a)).item()
-        c3 = ad.cosine_similarity(t(alpha * a), t(b)).item()
+        c1 = cos(a, b)
+        c2 = cos(b, a)
+        c3 = cos(alpha * a, b)
         assert abs(c1 - c2) < 1e-12
         assert abs(c1 - c3) < 1e-12
         assert -1.0 - 1e-12 <= c1 <= 1.0 + 1e-12
@@ -375,20 +386,25 @@ def test_cosine_symmetry_and_scale_invariance():
 
 def test_cosine_gradient():
     rng = np.random.default_rng(11)
-    a = t(rng.normal(size=6), grad=True)
-    b = t(rng.normal(size=6), grad=True)
+    a = t(rng.normal(size=(3, 6)), grad=True)
+    b = t(rng.normal(size=(3, 6)), grad=True)
+    w = rng.normal(size=3)
     with ad.tape():
-        loss = ad.cosine_similarity(a, b)
+        loss = ad.tsum(ad.mul(ad.row_cosine(a, b), t(w)))
     ad.backward(loss)
     def forward():
-        return float(a.values @ b.values /
-                     (np.linalg.norm(a.values) * np.linalg.norm(b.values)))
+        dots = (a.values * b.values).sum(axis=1)
+        norms = (np.linalg.norm(a.values, axis=1)
+                 * np.linalg.norm(b.values, axis=1))
+        return float((dots / norms * w).sum())
     check_grads(forward, [a, b], tol=1e-6)
 
 
 def test_cosine_dimension_error():
     with pytest.raises(DimensionError):
-        ad.cosine_similarity(t([1.0, 2.0]), t([1.0, 2.0, 3.0]))
+        ad.row_cosine(t([[1.0, 2.0]]), t([[1.0, 2.0, 3.0]]))
+    with pytest.raises(DimensionError):
+        ad.row_cosine(t([1.0, 2.0]), t([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +478,9 @@ def test_composite_loss_gradient():
 
     def graph():
         feats = ad.conv1d(x, kernel, bias, 3, 2)
-        pooled = ad.reshape(ad.matmul(t(np.ones((1, feats.shape[0]))), feats), (4,))
-        return ad.cosine_similarity(ad.matmul(pooled, w), t(target))
+        pooled = ad.matmul(t(np.ones((1, feats.shape[0]))), feats)
+        return ad.tsum(ad.row_cosine(ad.matmul(pooled, w),
+                                     t(target.reshape(1, -1))))
 
     with ad.tape():
         loss = graph()
@@ -487,7 +504,7 @@ def test_every_op_matches_finite_differences_randomized():
         a = t(rng.normal(size=(3, 4)), grad=True)
         b = t(rng.normal(size=(3, 4)), grad=True)
         c = t(rng.normal(size=(4, 2)), grad=True)
-        v = t(rng.normal(size=4), grad=True)
+        v = t(rng.normal(size=(1, 4)), grad=True)
         builders = {
             "add": (lambda: ad.tsum(ad.tanh(ad.add(a, b))),
                     lambda: float(np.tanh(a.values + b.values).sum()), [a, b]),
@@ -512,7 +529,7 @@ def test_every_op_matches_finite_differences_randomized():
             "concat": (lambda: ad.tsum(ad.tanh(ad.concat([a, b], axis=1))),
                        lambda: float(np.tanh(np.concatenate(
                            [a.values, b.values], axis=1)).sum()), [a, b]),
-            "cosine": (lambda: ad.cosine_similarity(v, t(np.ones(4))),
+            "cosine": (lambda: ad.tsum(ad.row_cosine(v, t(np.ones((1, 4))))),
                        lambda: float(v.values.sum() /
                                      (np.linalg.norm(v.values) * 2.0)), [v]),
         }

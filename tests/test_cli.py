@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from gmgan import cli
 from gmgan.cli import ConfigError, load_run_config, main
-from gmgan.corpus import desk_grammar, desk_style_grammar
+from gmgan.corpus import EOS, desk_grammar, desk_style_grammar, sample_grammar
 from gmgan.encoder import ModelProfile
+from gmgan.metrics import bleu_report
+from gmgan.trainer import TrainConfig
 
 TINY_PROFILE = {"embed_dim": 6, "feature_dim": 10, "hidden_dim": 8,
                 "conv_channels": [8, 10], "conv_widths": [3, 3],
@@ -97,6 +100,27 @@ def test_generate_deterministic_and_greedy(tmp_path):
                  "3", "--mode", "greedy", "--out", str(greedy)]) == 0
     lines = greedy.read_text().splitlines()
     assert len(lines) == 2 and lines[0] == lines[1]
+
+
+def test_epoch_evaluator_skips_eos_only_samples(monkeypatch):
+    # an EOS-only sample is invalid but has no n-grams: it counts toward
+    # validity and is left out of BLEU, as `gmgan eval` skips empty lines
+    g = desk_grammar()
+    vocab = g.vocabulary()
+    val = sample_grammar(g, 6, seed=1, vocab=vocab, max_len=12)
+    samples = [[EOS], val[0], val[1]]
+    monkeypatch.setattr(cli, "sample_from_noise",
+                        lambda models, n, seed: samples[:n])
+    evaluate = cli._make_evaluator(g, vocab, val, TrainConfig(eval_samples=3))
+    out = evaluate(None, 0)
+    assert out["validity"] == pytest.approx(2.0 / 3.0)
+    report = bleu_report(samples[1:], val, test_ks=(3,), self_ks=(3,))
+    assert out["test_bleu_3"] == report.test_bleu[3]
+    assert out["self_bleu_3"] == report.self_bleu[3]
+
+    # fewer than two non-empty samples: no BLEU at all
+    evaluate = cli._make_evaluator(g, vocab, val, TrainConfig(eval_samples=2))
+    assert set(evaluate(None, 0)) == {"validity"}
 
 
 def test_generate_corrupt_checkpoint_exits_2(tmp_path):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gmgan import corpus
 from gmgan.corpus import (BOS, EOS, PAD, UNK, GrammarSpec, Vocabulary,
                           desk_grammar, desk_style_grammar, grammar_validity,
                           load_corpus, sample_grammar, sample_grammar_styled,
@@ -185,10 +184,13 @@ def test_unigram_entropy_value():
 
 
 def test_validate_sentence_contract():
-    corpus.validate_sentence([4, 5, EOS], 10)
-    with pytest.raises(ContractError):
-        corpus.validate_sentence([4, EOS, 5], 10)
-    with pytest.raises(ContractError):
-        corpus.validate_sentence([4, PAD, EOS], 10)
-    with pytest.raises(ContractError):
-        corpus.validate_sentence([4] * 10 + [EOS], 10)
+    # Vocabulary.encode is the only way text becomes a sentence, and it
+    # guarantees the contract: one trailing EOS, no PAD, at most max_len ids,
+    # even for words spelled like the specials and for overlong input
+    vocab = Vocabulary(["a", "b"])
+    for words in (["a", "b"], ["a", "<eos>", "b"], ["<pad>", "a"],
+                  ["a"] * 20, []):
+        ids = vocab.encode(words, 10)
+        assert ids[-1] == EOS and EOS not in ids[:-1]
+        assert PAD not in ids
+        assert len(ids) <= 10

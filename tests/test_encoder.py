@@ -5,9 +5,12 @@ from gmgan import autodiff as ad
 from gmgan import encoder as enc_mod
 from gmgan.corpus import BOS, PAD, Vocabulary
 from gmgan.encoder import (EncoderParams, ModelProfile, draw_initial_noise,
-                           encode, encode_batch, encode_initial, get_profile,
+                           encode, encode_batch, get_profile,
                            mean_feature_norm, pad_rows)
 from gmgan.errors import ContractError, DimensionError
+from gmgan.generator import (GeneratorParams, sample_sequence,
+                             teacher_force_trace)
+from gmgan.guider import GuiderParams
 from helpers import check_grads, jiggle_params
 
 TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
@@ -99,27 +102,29 @@ def test_stop_gradient_blocks_parameters():
         assert t.grad is None
 
 
+def tiny_decoder(params, seed=1):
+    rng = np.random.default_rng(seed)
+    return (GeneratorParams(params.vocab_size, TINY, rng, params.embedding),
+            GuiderParams(TINY, rng))
+
+
 def test_encode_initial_delegates_in_training_mode():
+    # in training mode the initial feature is the encoded real sentence
     params = tiny_params()
+    gen, gui = tiny_decoder(params)
     sent = [4, 5, 6, 2]
-    a = encode_initial(sentence=sent, params=params)
-    b = encode(sent, params)
-    assert np.array_equal(a.values, b.values)
-
-
-def test_encode_initial_noise_passthrough():
-    z = np.zeros(10)
-    out = encode_initial(noise=z, feature_dim=10)
-    assert np.array_equal(out.values, np.zeros(10))
-    neg = encode_initial(noise=np.array([-1.0] * 9 + [2.0]), feature_dim=10)
-    assert np.array_equal(neg.values, np.array([0.0] * 9 + [2.0]))
+    trace = teacher_force_trace(sent, params, gen, gui)
+    assert np.array_equal(trace.init_feature,
+                          encode([BOS] + sent, params).values)
 
 
 def test_encode_initial_noise_dim_checked():
+    # in testing mode a noise vector of the wrong width is refused
+    params = tiny_params()
+    gen, gui = tiny_decoder(params)
     with pytest.raises(DimensionError):
-        encode_initial(noise=np.zeros(9), feature_dim=10)
-    with pytest.raises(ContractError):
-        encode_initial()
+        sample_sequence(np.zeros(TINY.feature_dim - 1), gen, gui, params,
+                        seed=0)
 
 
 def test_noise_seed_determinism():

@@ -10,8 +10,7 @@ from gmgan.encoder import EncoderParams, ModelProfile, encode
 from gmgan.errors import ContractError
 from gmgan.generator import (GenerationTrace, GeneratorParams, gated_logits,
                              initial_hidden, mle_loss, sample_sequence,
-                             step_distribution, teacher_force_trace,
-                             teacher_forced_log_probs)
+                             teacher_force_trace, teacher_forced_log_probs)
 from gmgan.guider import GuiderParams
 from helpers import check_grads
 
@@ -31,6 +30,11 @@ def zero_models(vocab_size=12):
     for _, t in enc.tensors() + gen.tensors() + gui.tensors():
         t.values[:] = 0.0
     return enc, gen, gui
+
+
+def step_distribution(dec_state, guider_pred, gen):
+    """Next-token probabilities: softmax of the gated logits."""
+    return ad.softmax(gated_logits(dec_state[0], guider_pred, gen))
 
 
 def rand_state(rng, batch=None):
@@ -192,6 +196,8 @@ def test_teacher_forced_trace_consistent_with_batch_path():
     with ad.no_grad():
         loss = mle_loss([sent], enc, gen, gui).item()
     assert abs(-sum(trace.log_probs) / len(sent) - loss) < 1e-12
+    with pytest.raises(ContractError):
+        teacher_force_trace([4, EOS, 5, EOS], enc, gen, gui)
 
 
 def test_trace_invariants_enforced():

@@ -5,11 +5,11 @@ from gmgan import autodiff as ad
 from gmgan import guider as gui_mod
 from gmgan.encoder import ModelProfile
 from gmgan.errors import ContractError
-from gmgan.guider import (GuiderParams, guider_loss, guider_step,
+from gmgan.guider import (GuiderParams, guider_loss_batch, guider_step,
                           initial_state, initial_state_for_labels,
-                          matching_terms, objective_cosines, predict_ahead,
-                          replay_predictions)
+                          objective_cosines)
 from helpers import check_grads
+from test_rewards import np_cos
 
 TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
 
@@ -90,42 +90,64 @@ def test_label_contract():
     assert np.array_equal(st.hidden.values, styled.label_init.values[1])
 
 
-def test_matching_terms_oracle_prediction():
+def one_sequence(feats):
+    """A single feature sequence f_0..f_T as a B=1 guider_loss_batch input:
+    (step features, lengths)."""
+    rows = [ad.constant(np.reshape(f, (1, -1))) for f in feats]
+    return rows, [len(feats) - 1]
+
+
+def zero_init(batch=None):
+    shape = TINY.hidden_dim if batch is None else (batch, TINY.hidden_dim)
+    return initial_state(ad.constant(np.zeros(shape)))
+
+
+def lookup_step(seq, predict):
+    """guider_step stand-in: on consuming seq[k] it predicts predict(k)."""
+    def step(state, f, params, labels=None):
+        for k, stored in enumerate(seq):
+            if np.array_equal(f.values[0], stored):
+                return ad.constant(np.reshape(predict(k), (1, -1))), state
+        raise AssertionError("unknown feature")
+    return step
+
+
+def test_matching_terms_oracle_prediction(monkeypatch):
+    # predicting exactly the feature c steps ahead scores 2 on every term
     rng = np.random.default_rng(6)
     c = 2
-    feats = [ad.constant(np.abs(rng.normal(size=6)) + 0.1) for _ in range(7)]
-    preds = [feats[t + c] for t in range(5)]
-    terms = matching_terms(feats, preds, c)
-    assert len(terms) == 5
-    for term in terms:
-        assert abs(term.item() - 2.0) < 1e-12
+    seq = [np.abs(rng.normal(size=6)) + 0.1 for _ in range(7)]
+    monkeypatch.setattr(gui_mod, "guider_step",
+                        lookup_step(seq, lambda k: seq[k + c]))
+    feats, lengths = one_sequence(seq)
+    loss = gui_mod.guider_loss_batch(feats, lengths, c, None, zero_init(1))
+    assert abs(loss.item() + 2.0) < 1e-12
 
 
-def test_matching_terms_degenerate_direction():
+def test_matching_terms_degenerate_direction(monkeypatch):
     rng = np.random.default_rng(7)
-    feats = [ad.constant(np.abs(rng.normal(size=6)) + 0.1) for _ in range(4)]
+    seq = [np.abs(rng.normal(size=6)) + 0.1 for _ in range(4)]
     c = 2
-    preds = [feats[0], feats[1]]  # prediction equals the anchor: no movement
-    terms = matching_terms(feats, preds, c)
-    for t, term in enumerate(terms):
-        expected = ad.cosine_similarity(feats[t + c], feats[t]).item()
-        assert abs(term.item() - expected) < 1e-12
+    # prediction equals the anchor: no movement, the direction term is 0
+    monkeypatch.setattr(gui_mod, "guider_step",
+                        lookup_step(seq, lambda k: seq[k]))
+    feats, lengths = one_sequence(seq)
+    loss = gui_mod.guider_loss_batch(feats, lengths, c, None, zero_init(1))
+    expected = np.mean([np_cos(seq[t + c], seq[t]) for t in range(len(seq) - c)])
+    assert abs(loss.item() + expected) < 1e-12
 
 
 def test_matching_terms_scale_invariance_per_term():
     rng = np.random.default_rng(8)
-    feats = [np.abs(rng.normal(size=6)) + 0.1 for _ in range(5)]
-    preds = [rng.normal(size=6) for _ in range(3)]
+    feats = np.abs(rng.normal(size=(5, 6))) + 0.1
+    preds = rng.normal(size=(3, 6))
     c = 2
-    for t in range(3):
-        target, pred, anchor = feats[t + c], preds[t], feats[t]
-        for alpha in (0.5, 3.0):
-            base = ad.cosine_similarity(ad.constant(target - anchor),
-                                        ad.constant(pred - anchor)).item()
-            scaled = ad.cosine_similarity(
-                ad.constant(alpha * (target - anchor)),
-                ad.constant(pred - anchor)).item()
-            assert abs(base - scaled) < 1e-12
+    moved, predicted = feats[c:] - feats[:3], preds - feats[:3]
+    base = ad.row_cosine(ad.constant(moved), ad.constant(predicted)).values
+    for alpha in (0.5, 3.0):
+        scaled = ad.row_cosine(ad.constant(alpha * moved),
+                               ad.constant(predicted)).values
+        assert np.max(np.abs(base - scaled)) < 1e-12
 
 
 def test_guider_loss_matches_numpy_oracle():
@@ -133,90 +155,85 @@ def test_guider_loss_matches_numpy_oracle():
     params = tiny_guider(seed=9)
     rng = np.random.default_rng(10)
     feats_np = [np.abs(rng.normal(size=TINY.feature_dim)) for _ in range(6)]
-    feats = [ad.constant(f) for f in feats_np]
     c = 2
-    init = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
-    loss = guider_loss(feats, c, params, init)
+    feats, lengths = one_sequence(feats_np)
+    loss = guider_loss_batch(feats, lengths, c, params, zero_init(1))
 
-    preds = replay_predictions(feats, params,
-                               initial_state(ad.constant(np.zeros(TINY.hidden_dim))))
-    def cos(a, b):
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na < 1e-12 or nb < 1e-12:
-            return 0.0
-        return float(a @ b) / (na * nb)
+    state, preds = zero_init(), []
+    for f in feats_np:
+        pred, state = guider_step(state, ad.constant(f), params)
+        preds.append(pred.values)
 
     terms = []
     for t in range(len(feats_np) - c):
-        p = preds[t].values
-        terms.append(cos(feats_np[t + c], p)
-                     + cos(feats_np[t + c] - feats_np[t], p - feats_np[t]))
+        p = preds[t]
+        terms.append(np_cos(feats_np[t + c], p)
+                     + np_cos(feats_np[t + c] - feats_np[t], p - feats_np[t]))
     assert abs(loss.item() - (-float(np.mean(terms)))) < 1e-10
 
 
 def test_guider_loss_requires_lookahead_room():
     params = tiny_guider()
     rng = np.random.default_rng(11)
-    feats = [feature(rng) for _ in range(3)]
-    init = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
+    feats, lengths = one_sequence([feature(rng).values for _ in range(3)])
     with pytest.raises(ContractError):
-        guider_loss(feats, 3, params, init)
+        guider_loss_batch(feats, lengths, 3, params, zero_init(1))
     with pytest.raises(ContractError):
-        guider_loss(feats, 0, params, init)
+        guider_loss_batch(feats, lengths, 0, params, zero_init(1))
 
 
 def test_guider_loss_trains_guider_params_only():
     params = tiny_guider()
     rng = np.random.default_rng(12)
-    feats = [feature(rng) for _ in range(5)]
-    init = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
+    feats, lengths = one_sequence([feature(rng).values for _ in range(5)])
     with ad.tape():
-        loss = guider_loss(feats, 2, params, init)
+        loss = guider_loss_batch(feats, lengths, 2, params, zero_init(1))
     ad.backward(loss)
     assert any(t.grad is not None and np.abs(t.grad).max() > 0
                for _, t in params.tensors())
 
 
-def test_predict_ahead_matches_manual_composition():
+def test_objective_cosines_matches_manual_composition():
     params = tiny_guider(seed=13)
     rng = np.random.default_rng(14)
-    feats = [feature(rng) for _ in range(4)]
-    init = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
-    got = predict_ahead(feats, 2, params, init)
+    feats = [feature(rng) for _ in range(6)]
+    c = 2
+    direct, direction = objective_cosines(feats, params, zero_init(), c)
 
-    state = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
-    pred = None
+    state, preds = zero_init(), []
     for f in feats:
         pred, state = guider_step(state, f, params)
-    assert np.array_equal(got.values, pred.values)
-    # deterministic under replay
-    again = predict_ahead(feats, 2, params,
-                          initial_state(ad.constant(np.zeros(TINY.hidden_dim))))
-    assert np.array_equal(got.values, again.values)
+        preds.append(pred.values)
+    f_np = [f.values for f in feats]
+    n = len(feats) - c
+    assert abs(direct - np.mean([np_cos(f_np[t + c], preds[t])
+                                 for t in range(n)])) < 1e-12
+    assert abs(direction - np.mean([np_cos(f_np[t + c] - f_np[t],
+                                           preds[t] - f_np[t])
+                                    for t in range(n)])) < 1e-12
 
 
 def test_predict_ahead_oracle_indexing(monkeypatch):
     # a lookup oracle validates that the prediction consuming f[k] targets
-    # f[k+c]: with c=1, replaying f_0..f_{t-1} must answer f_t
+    # f[k+c]: with c=1, a guider answering f[k+1] scores the maximum 2, and
+    # one answering f[k+2] does not
     rng = np.random.default_rng(15)
     seq = [np.abs(rng.normal(size=4)) for _ in range(5)]
-
-    def oracle_step(state, f, params, labels=None):
-        for k, stored in enumerate(seq[:-1]):
-            if np.array_equal(f.values, stored):
-                return ad.constant(seq[k + 1]), state
-        raise AssertionError("unknown feature")
-
-    monkeypatch.setattr(gui_mod, "guider_step", oracle_step)
-    got = gui_mod.predict_ahead([ad.constant(f) for f in seq[:3]], 1, None,
-                                initial_state(ad.constant(np.zeros(2))))
-    assert np.array_equal(got.values, seq[3])
+    feats, lengths = one_sequence(seq)
+    monkeypatch.setattr(gui_mod, "guider_step",
+                        lookup_step(seq, lambda k: seq[k + 1]))
+    loss = gui_mod.guider_loss_batch(feats, lengths, 1, None, zero_init(1))
+    assert abs(loss.item() + 2.0) < 1e-12
+    monkeypatch.setattr(gui_mod, "guider_step",
+                        lookup_step(seq, lambda k: seq[min(k + 2, 4)]))
+    loss = gui_mod.guider_loss_batch(feats, lengths, 1, None, zero_init(1))
+    assert loss.item() > -2.0 + 1e-6
 
 
-def test_predict_ahead_empty_prefix():
+def test_objective_cosines_needs_lookahead_room():
+    feats = [feature(np.random.default_rng(17)) for _ in range(2)]
     with pytest.raises(ContractError):
-        predict_ahead([], 2, tiny_guider(),
-                      initial_state(ad.constant(np.zeros(TINY.hidden_dim))))
+        objective_cosines(feats, tiny_guider(), zero_init(), c=2)
 
 
 def test_objective_cosines_range():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from gmgan import autodiff as ad
-from gmgan.corpus import BOS, EOS, PAD, desk_grammar, sample_grammar
+from gmgan.corpus import BOS, EOS, PAD, UNK, desk_grammar, sample_grammar
 from gmgan.encoder import ModelProfile, encode
 from gmgan.errors import ContractError
 from gmgan.generator import LOGIT_MASK, gated_logits, sample_sequence
-from gmgan.guider import guider_loss, guider_loss_batch, initial_state
+from gmgan.guider import guider_loss_batch, initial_state
 from gmgan.rewards import RewardTrace
 from gmgan.trainer import (Models, Optimizers, TrainConfig,
                            policy_gradient_step, pretrain_mle, rollout_traces,
@@ -92,10 +92,12 @@ def test_guider_loss_batch_matches_per_sequence():
                                    initial_state(init_h)).item()
         total, count = 0.0, 0
         for i, s in enumerate(batch):
-            seq = [ad.constant(f.values[i]) for f in feats[: len(s) + 1]]
-            init = initial_state(ad.constant(init_h.values[i]))
+            # sequence i alone, as a B=1 batch
+            seq = [ad.constant(f.values[i:i + 1]) for f in feats[: len(s) + 1]]
+            init = initial_state(ad.constant(init_h.values[i:i + 1]))
             n_terms = len(s) + 1 - config.c
-            loss_i = guider_loss(seq, config.c, models.guider, init).item()
+            loss_i = guider_loss_batch(seq, [len(s)], config.c, models.guider,
+                                       init).item()
             total += loss_i * n_terms
             count += n_terms
     assert abs(pooled - total / count) < 1e-10
@@ -338,3 +340,14 @@ def test_validation_loss_matches_mle_loss_on_single_batch():
         direct = mle_loss(sents, models.encoder, models.generator,
                           models.guider).item()
     assert abs(validation_mle_loss(sents, models, batch_size=64) - direct) < 1e-12
+    # UNKs are not scored, so chunks must be weighted by their scored tokens
+    # for several chunks to agree with one pooled batch
+    with_unk = [list(s) for s in sents]
+    for s in with_unk[::2]:
+        s[0] = UNK
+    with_unk[1][:2] = [UNK, UNK]
+    with ad.no_grad():
+        pooled = mle_loss(with_unk, models.encoder, models.generator,
+                          models.guider).item()
+    assert abs(validation_mle_loss(with_unk, models, batch_size=3)
+               - pooled) < 1e-12
