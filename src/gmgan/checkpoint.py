@@ -8,6 +8,8 @@ Round-trips are bit-exact.
 
 import dataclasses
 import json
+import math
+import os
 import struct
 import zlib
 
@@ -59,7 +61,9 @@ def _unpack_sections(reader):
         name = reader.take(reader.u32()).decode("utf-8")
         ndim = reader.u32()
         shape = struct.unpack("<%dQ" % ndim, reader.take(8 * ndim)) if ndim else ()
-        size = int(np.prod(shape)) if shape else 1
+        # Python ints: a product past 2**64 must not wrap to a small size;
+        # take() then refuses any size beyond the rest of the payload.
+        size = math.prod(shape)
         data = np.frombuffer(reader.take(8 * size), dtype="<f8").reshape(shape)
         sections.append((name, data.copy()))
     return sections
@@ -81,8 +85,16 @@ def write_checkpoint(path, sections, config_blob):
     header = (MAGIC + struct.pack("<I", VERSION)
               + struct.pack("<Q", len(payload))
               + struct.pack("<I", zlib.crc32(payload)))
-    with open(path, "wb") as f:
-        f.write(header + payload)
+    # Written beside the target and renamed onto it, so a failed write never
+    # leaves a partial checkpoint at `path`.
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header + payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_checkpoint(path):

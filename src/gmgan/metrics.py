@@ -1,8 +1,10 @@
 """BLEU-family evaluation: test-BLEU against references, self-BLEU among
 samples, the F1 combination of quality and diversity, and grammar validity."""
 
+import copy
 import json
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -25,14 +27,89 @@ def strip_eos(tokens):
     return toks
 
 
+class NgramTables:
+    """N-gram statistics of a reference set for orders 1..k, built once so
+    that each candidate's `bleu` costs O(candidate length), not O(total
+    reference length).
+
+    Per order and n-gram it keeps the largest count in any reference, the
+    index of the one reference holding it (-1 when several do) and the
+    largest count below it. With those, `without(i)` gives the statistics of
+    every reference but the i-th (self-BLEU's leave-one-out set) without
+    rebuilding anything."""
+
+    def __init__(self, references, k):
+        if not references or any(not r for r in references):
+            raise ContractError("references must be non-empty")
+        if k < 1:
+            raise ContractError("k must be >= 1")
+        self.k = k
+        self.left_out = None
+        self.sizes = [len(r) for r in references]
+        self.lengths = sorted(self.sizes)
+        self.tops = [{} for _ in range(k)]  # gram -> [top, holder, second]
+        for i, ref in enumerate(references):
+            for n, top in enumerate(self.tops, 1):
+                for gram, cnt in ngrams(ref, n).items():
+                    entry = top.get(gram)
+                    if entry is None:
+                        top[gram] = [cnt, i, 0]
+                    elif cnt > entry[0]:
+                        top[gram] = [cnt, i, entry[0]]
+                    elif cnt == entry[0]:
+                        entry[1] = -1
+                    elif cnt > entry[2]:
+                        entry[2] = cnt
+
+    def without(self, i):
+        """The same tables with reference i left out."""
+        view = copy.copy(self)
+        view.left_out = i
+        return view
+
+    def max_count(self, n, gram):
+        """Largest count of `gram` (an n-gram) in any remaining reference."""
+        entry = self.tops[n - 1].get(gram)
+        if entry is None:
+            return 0
+        top, holder, second = entry
+        return second if holder == self.left_out else top
+
+    def closest_length(self, c):
+        """Remaining reference length closest to c; a tie goes to the shorter
+        one, as min((|r - c|, r)) picks."""
+        lengths = self.lengths
+        removed = None if self.left_out is None else self.sizes[self.left_out]
+        lo, hi = bisect_left(lengths, c), bisect_right(lengths, c)
+        if hi - lo > (removed == c):
+            return c
+        below, above = lo - 1, hi
+        if removed is not None and removed < c and lengths[below] == removed:
+            below -= 1
+        elif removed is not None and removed > c and lengths[above] == removed:
+            above += 1
+        if below < 0 or (above < len(lengths)
+                         and lengths[above] - c < c - lengths[below]):
+            return lengths[above]
+        return lengths[below]
+
+
 def bleu(candidate, references, k):
     """Geometric mean of clipped n-gram precisions (n = 1..k) with a brevity
     penalty against the closest-length reference; zero precisions are smoothed
-    to a tiny epsilon so degenerate candidates stay comparable."""
-    if not candidate or not references or any(not r for r in references):
-        raise ContractError("candidate and references must be non-empty")
-    if k < 1:
-        raise ContractError("k must be >= 1")
+    to a tiny epsilon so degenerate candidates stay comparable.
+
+    `references` is a list of non-empty token lists, or an `NgramTables`
+    built from such a list for orders up to at least k (or a leave-one-out
+    view of one from `NgramTables.without`). Callers that score many
+    candidates against the same references build the tables once and pass
+    them; the scores are the same either way."""
+    if not candidate:
+        raise ContractError("candidate must be non-empty")
+    tables = (references if isinstance(references, NgramTables)
+              else NgramTables(references, k))
+    if not 1 <= k <= tables.k:
+        raise ContractError("k must be >= 1 and within the tables' orders")
     log_sum = 0.0
     orders = 0
     for n in range(1, k + 1):
@@ -40,19 +117,14 @@ def bleu(candidate, references, k):
         total = sum(cand.values())
         if total == 0:
             continue  # candidate too short for this order: vacuous
-        best = Counter()
-        for ref in references:
-            ref_counts = ngrams(ref, n)
-            for gram, cnt in ref_counts.items():
-                if cnt > best[gram]:
-                    best[gram] = cnt
-        matches = sum(min(cnt, best[gram]) for gram, cnt in cand.items())
+        matches = sum(min(cnt, tables.max_count(n, gram))
+                      for gram, cnt in cand.items())
         p = matches / total if matches else SMOOTH_EPS
         log_sum += math.log(p)
         orders += 1
     score = math.exp(log_sum / orders)
     c = len(candidate)
-    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
+    r = tables.closest_length(c)
     if c < r:
         score *= math.exp(1.0 - r / c)
     return score
@@ -62,8 +134,8 @@ def test_bleu(samples, references, k):
     """Mean BLEU of each sample against the whole reference set."""
     if not samples or not references:
         raise ContractError("samples and references must be non-empty")
-    refs = [strip_eos(r) for r in references]
-    return sum(bleu(strip_eos(s), refs, k) for s in samples) / len(samples)
+    tables = NgramTables([strip_eos(r) for r in references], k)
+    return sum(bleu(strip_eos(s), tables, k) for s in samples) / len(samples)
 
 
 def self_bleu(samples, k):
@@ -71,9 +143,10 @@ def self_bleu(samples, k):
     if len(samples) < 2:
         raise ContractError("self-BLEU needs at least two samples")
     stripped = [strip_eos(s) for s in samples]
+    tables = NgramTables(stripped, k)
     total = 0.0
     for i, s in enumerate(stripped):
-        total += bleu(s, stripped[:i] + stripped[i + 1:], k)
+        total += bleu(s, tables.without(i), k)
     return total / len(samples)
 
 

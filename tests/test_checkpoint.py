@@ -1,8 +1,14 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from gmgan.checkpoint import (load_models, read_checkpoint, save_models,
-                              write_checkpoint)
+from gmgan import checkpoint
+from gmgan.checkpoint import (MAGIC, VERSION, load_models, read_checkpoint,
+                              save_models, write_checkpoint)
+from gmgan.cli import main
 from gmgan.corpus import desk_grammar
 from gmgan.encoder import ModelProfile
 from gmgan.errors import CheckpointError
@@ -109,3 +115,55 @@ def test_identical_models_produce_identical_files(tmp_path):
     save_models(a, Models(len(vocab), config), vocab)
     save_models(b, Models(len(vocab), config), vocab)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_oversized_section_shape_refused(tmp_path):
+    """A CRC-valid file whose shape product passes 2**64 (it would wrap to 0
+    in uint64) is refused as corrupt, and the CLI exits 2."""
+    config = json.dumps({}).encode("utf-8")
+    name = b"w"
+    payload = (struct.pack("<I", len(config)) + config + struct.pack("<I", 1)
+               + struct.pack("<I", len(name)) + name + struct.pack("<I", 2)
+               + struct.pack("<2Q", 2 ** 62, 4))
+    path = tmp_path / "huge.gmg"
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION)
+                     + struct.pack("<Q", len(payload))
+                     + struct.pack("<I", zlib.crc32(payload)) + payload)
+    with pytest.raises(CheckpointError):
+        read_checkpoint(path)
+    assert main(["generate", "--checkpoint", str(path), "--num", "1",
+                 "--out", str(tmp_path / "x.txt")]) == 2
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    vocab, models = tiny_setup()
+    path = tmp_path / "m.gmg"
+    save_models(path, models, vocab)
+    before = path.read_bytes()
+
+    class HalfWriter:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode:
+                        HalfWriter(open(p, mode)), raising=False)
+    other = Models(len(vocab), TrainConfig(seed=2, profile=TINY, max_len=12,
+                                           c=2, batch_size=8))
+    with pytest.raises(OSError):
+        save_models(path, other, vocab)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.gmg"]
+    loaded, _, _, _ = load_models(path)
+    for (_, ta), (_, tb) in zip(models.all_tensors(), loaded.all_tensors()):
+        assert ta.values.tobytes() == tb.values.tobytes()

@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import gmgan.metrics
 from gmgan.corpus import EOS, desk_grammar, sample_grammar
 from gmgan.errors import ContractError
-from gmgan.metrics import (BleuReport, bleu, bleu_report, f1_bleu, self_bleu,
+from gmgan.metrics import (SMOOTH_EPS, BleuReport, NgramTables, bleu,
+                           bleu_report, f1_bleu, ngrams, self_bleu, strip_eos,
                            validity_rate)
 from gmgan.metrics import test_bleu as mean_test_bleu
 
@@ -202,3 +205,143 @@ def test_random_token_strings_are_invalid():
         ids = [int(rng.integers(4, 4 + n_words)) for _ in range(8)]
         samples.append(ids + [EOS])
     assert validity_rate(samples, g, vocab) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# exactness against the quadratic definition
+# ---------------------------------------------------------------------------
+
+def oracle_bleu(candidate, references, k):
+    """BLEU by definition: the reference maxima are rebuilt per candidate."""
+    log_sum = 0.0
+    orders = 0
+    for n in range(1, k + 1):
+        cand = ngrams(candidate, n)
+        total = sum(cand.values())
+        if total == 0:
+            continue
+        best = Counter()
+        for ref in references:
+            for gram, cnt in ngrams(ref, n).items():
+                if cnt > best[gram]:
+                    best[gram] = cnt
+        matches = sum(min(cnt, best[gram]) for gram, cnt in cand.items())
+        p = matches / total if matches else SMOOTH_EPS
+        log_sum += math.log(p)
+        orders += 1
+    score = math.exp(log_sum / orders)
+    c = len(candidate)
+    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
+    if c < r:
+        score *= math.exp(1.0 - r / c)
+    return score
+
+
+def oracle_test_bleu(samples, references, k):
+    refs = [strip_eos(r) for r in references]
+    total = sum(oracle_bleu(strip_eos(s), refs, k) for s in samples)
+    return total / len(samples)
+
+
+def oracle_self_bleu(samples, k):
+    stripped = [strip_eos(s) for s in samples]
+    total = 0.0
+    for i, s in enumerate(stripped):
+        total += oracle_bleu(s, stripped[:i] + stripped[i + 1:], k)
+    return total / len(samples)
+
+
+def random_corpus(rng, size):
+    """Short sentences over a 4-word vocabulary, so n-grams repeat and length
+    ties are common; some sentences are copies of earlier ones."""
+    out = []
+    for _ in range(size):
+        if out and rng.random() < 0.2:
+            out.append(list(out[int(rng.integers(len(out)))]))
+        else:
+            size = rng.integers(1, 7)
+            out.append([int(t) for t in rng.integers(4, 8, size=size)])
+    return out
+
+
+def has_length_tie(candidate, references):
+    c = len(candidate)
+    lengths = {len(r) for r in references}
+    return c not in lengths and any(2 * c - r in lengths for r in lengths)
+
+
+def test_bleu_equals_quadratic_oracle_on_random_corpora():
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for _ in range(240):
+        samples = random_corpus(rng, int(rng.integers(2, 10)))
+        refs = random_corpus(rng, int(rng.integers(1, 10)))
+        for k in range(1, 6):
+            tables = NgramTables(refs, k)
+            for s in samples:
+                assert bleu(s, tables, k) == oracle_bleu(s, refs, k)
+                assert bleu(s, refs, k) == oracle_bleu(s, refs, k)
+                seen["tie"] += has_length_tie(s, refs)
+                seen["one_token"] += len(s) == 1
+                seen["k_beyond_length"] += k > len(s)
+            assert mean_test_bleu(samples, refs, k) == oracle_test_bleu(
+                samples, refs, k)
+            assert self_bleu(samples, k) == oracle_self_bleu(samples, k)
+        seen["duplicates"] += len({tuple(s) for s in samples}) < len(samples)
+        seen["loo_tie"] += any(has_length_tie(s, samples[:i] + samples[i + 1:])
+                               for i, s in enumerate(samples))
+    assert all(seen[key] > 0 for key in ("tie", "one_token", "k_beyond_length",
+                                         "duplicates", "loo_tie")), seen
+
+
+def test_leave_one_out_tables_match_rebuilt_tables():
+    refs = [[4, 5, 4, 5], [4, 5], [6, 4, 5, 4, 5], [4, 5, 4, 5], [7]]
+    tables = NgramTables(refs, 3)
+    for i in range(len(refs)):
+        rest = NgramTables(refs[:i] + refs[i + 1:], 3)
+        view = tables.without(i)
+        for n in range(1, 4):
+            grams = set().union(*(ngrams(r, n) for r in refs))
+            for gram in grams:
+                assert view.max_count(n, gram) == rest.max_count(n, gram)
+        for c in range(1, 8):
+            assert view.closest_length(c) == rest.closest_length(c)
+
+
+def test_report_json_equals_oracle_report_on_desk_samples():
+    g = desk_grammar()
+    vocab = g.vocabulary()
+    samples = sample_grammar(g, 40, seed=3, vocab=vocab)
+    refs = sample_grammar(g, 30, seed=4, vocab=vocab)
+    tests = {k: oracle_test_bleu(samples, refs, k) for k in (2, 3, 4, 5)}
+    selfs = {k: oracle_self_bleu(samples, k) for k in (2, 3, 4)}
+    f1s = {k: f1_bleu(tests[k], selfs[k]) for k in (2, 3, 4)}
+    expected = BleuReport(tests, selfs, f1s, len(samples), len(refs))
+    assert bleu_report(samples, refs).to_json() == expected.to_json()
+
+
+def test_tables_must_cover_the_requested_order():
+    tables = NgramTables([words("a b c")], 2)
+    with pytest.raises(ContractError):
+        bleu(words("a b c"), tables, 3)
+    with pytest.raises(ContractError):
+        NgramTables([words("a b c")], 0)
+
+
+def test_reference_tables_are_built_once_per_call(monkeypatch):
+    calls = Counter()
+
+    def counting_ngrams(tokens, n):
+        calls["ngrams"] += 1
+        return ngrams(tokens, n)
+
+    monkeypatch.setattr(gmgan.metrics, "ngrams", counting_ngrams)
+    rng = np.random.default_rng(5)
+    samples, refs = random_corpus(rng, 40), random_corpus(rng, 30)
+    for k in (1, 4):
+        calls.clear()
+        mean_test_bleu(samples, refs, k)
+        assert calls["ngrams"] <= k * (len(samples) + len(refs))
+        calls.clear()
+        self_bleu(samples, k)
+        assert calls["ngrams"] <= 3 * k * len(samples)
