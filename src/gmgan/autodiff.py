@@ -5,8 +5,19 @@ Define-by-run: operations executed while a tape is active append one node
 topological order. backward() walks the list once in reverse and accumulates
 gradients additively into every upstream tensor that requires them.
 
+The network cells are fused nodes with hand-derived backwards: conv1d
+(gather, matmul, bias, ReLU) records one node, and lstm_cell records two
+entries, one per output. new_hidden's entry runs the whole cell backward and
+reads new_cell's gradient; new_cell's entry only makes sure that the first
+fires when the cell alone received a gradient. Every gradient receives its
+terms in the order the composed generic ops gave them, so results are equal
+to theirs bit for bit (tests/test_autodiff.py keeps those compositions as
+oracles).
+
 Values are numpy float64 arrays. Tensors are immutable after construction
-except for gradient accumulation; a tape is single-threaded.
+except for gradient accumulation; a tape is single-threaded. With
+DEBUG_CHECKS on, an op that produces NaN/Inf raises FloatingPointError
+naming the op and the output shape.
 """
 
 import math
@@ -74,15 +85,16 @@ class Tensor:
         return "Tensor(shape=%r, requires_grad=%r)" % (self.shape, self.requires_grad)
 
 
-def _fresh(values):
-    """Build an op output without re-validating (unless debug checks are on)."""
+def _fresh(values, op):
+    """Build the output of op `op`; it is only checked with DEBUG_CHECKS."""
     t = Tensor.__new__(Tensor)
     t.values = values
     t.requires_grad = False
     t.grad = None
     t._tape = None
     if DEBUG_CHECKS and not np.all(np.isfinite(values)):
-        raise FloatingPointError("non-finite values produced by an operation")
+        raise FloatingPointError("%s produced non-finite values, shape %r"
+                                 % (op, values.shape))
     return t
 
 
@@ -179,7 +191,7 @@ def _reduce_to(g, broadcast):
 
 def add(a, b):
     bcast = _broadcast_check(a, b)
-    out = _fresh(a.values + b.values)
+    out = _fresh(a.values + b.values, "add")
     tp = _track(a, b)
     if tp:
         def bw(g):
@@ -193,7 +205,7 @@ def add(a, b):
 
 def sub(a, b):
     bcast = _broadcast_check(a, b)
-    out = _fresh(a.values - b.values)
+    out = _fresh(a.values - b.values, "sub")
     tp = _track(a, b)
     if tp:
         def bw(g):
@@ -207,7 +219,7 @@ def sub(a, b):
 
 def mul(a, b):
     bcast = _broadcast_check(a, b)
-    out = _fresh(a.values * b.values)
+    out = _fresh(a.values * b.values, "mul")
     tp = _track(a, b)
     if tp:
         def bw(g):
@@ -221,7 +233,7 @@ def mul(a, b):
 
 def scale(a, k):
     k = float(k)
-    out = _fresh(a.values * k)
+    out = _fresh(a.values * k, "scale")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -245,7 +257,7 @@ def matmul(a, b):
         res = res.reshape(res.shape[1])
     elif bv.ndim == 1:
         res = res.reshape(res.shape[0])
-    out = _fresh(res)
+    out = _fresh(res, "matmul")
     tp = _track(a, b)
     if tp:
         def bw(g):
@@ -263,7 +275,7 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 
 def relu(a):
-    out = _fresh(np.maximum(a.values, 0.0))
+    out = _fresh(np.maximum(a.values, 0.0), "relu")
     tp = _track(a)
     if tp:
         mask = a.values > 0.0
@@ -273,15 +285,16 @@ def relu(a):
     return out
 
 
+def _sigmoid(x):
+    """Logistic function of an array. exp(-|x|) never overflows; it gives
+    1/(1+e) for x >= 0 and e/(1+e) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
-    # exp-based split avoids overflow for large |x|
-    x = a.values
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    out = _fresh(y)
+    y = _sigmoid(a.values)
+    out = _fresh(y, "sigmoid")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -292,7 +305,7 @@ def sigmoid(a):
 
 def tanh(a):
     y = np.tanh(a.values)
-    out = _fresh(y)
+    out = _fresh(y, "tanh")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -303,7 +316,7 @@ def tanh(a):
 
 def exp(a):
     y = np.exp(a.values)
-    out = _fresh(y)
+    out = _fresh(y, "exp")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -315,7 +328,7 @@ def exp(a):
 def log(a):
     if np.any(a.values <= 0.0):
         raise ContractError("log requires strictly positive values")
-    out = _fresh(np.log(a.values))
+    out = _fresh(np.log(a.values), "log")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -332,7 +345,7 @@ def softmax(a):
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _fresh(y)
+    out = _fresh(y, "softmax")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -350,7 +363,7 @@ def log_softmax(a):
     s = x - m
     lse = np.log(np.exp(s).sum(axis=-1, keepdims=True))
     y = s - lse
-    out = _fresh(y)
+    out = _fresh(y, "log_softmax")
     tp = _track(a)
     if tp:
         soft = np.exp(y)
@@ -365,7 +378,7 @@ def log_softmax(a):
 # ---------------------------------------------------------------------------
 
 def tsum(a):
-    out = _fresh(np.asarray(a.values.sum()))
+    out = _fresh(np.asarray(a.values.sum()), "tsum")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -375,7 +388,7 @@ def tsum(a):
 
 
 def reshape(a, shape):
-    out = _fresh(a.values.reshape(shape))
+    out = _fresh(a.values.reshape(shape), "reshape")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -387,7 +400,8 @@ def reshape(a, shape):
 def concat(tensors, axis=0):
     if not tensors:
         raise DimensionError("concat of an empty list")
-    out = _fresh(np.concatenate([t.values for t in tensors], axis=axis))
+    out = _fresh(np.concatenate([t.values for t in tensors], axis=axis),
+                 "concat")
     tp = _track(*tensors)
     if tp:
         splits = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
@@ -402,7 +416,7 @@ def concat(tensors, axis=0):
 def slice_cols(a, start, stop):
     if a.values.ndim != 2:
         raise DimensionError("slice_cols expects a 2-D tensor")
-    out = _fresh(np.ascontiguousarray(a.values[:, start:stop]))
+    out = _fresh(np.ascontiguousarray(a.values[:, start:stop]), "slice_cols")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -418,7 +432,7 @@ def gather_rows(a, idx):
     if a.values.ndim != 2:
         raise DimensionError("gather_rows expects a 2-D tensor")
     idx = np.array(idx, dtype=np.intp)  # copy: callers may reuse the buffer
-    out = _fresh(a.values[idx])
+    out = _fresh(a.values[idx], "gather_rows")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -435,7 +449,7 @@ def pick(a, rows, cols):
         raise DimensionError("pick expects a 2-D tensor")
     rows = np.array(rows, dtype=np.intp)
     cols = np.array(cols, dtype=np.intp)
-    out = _fresh(a.values[rows, cols])
+    out = _fresh(a.values[rows, cols], "pick")
     tp = _track(a)
     if tp:
         def bw(g):
@@ -465,7 +479,7 @@ def row_cosine(a, b):
     valid = (na >= ZERO_NORM_EPS) & (nb >= ZERO_NORM_EPS)
     denom = np.where(valid, na * nb, 1.0)
     c = np.where(valid, (av * bv).sum(axis=1) / denom, 0.0)
-    out = _fresh(c)
+    out = _fresh(c, "row_cosine")
     tp = _track(a, b)
     if tp:
         def bw(g):
@@ -487,31 +501,74 @@ def row_cosine(a, b):
 # ---------------------------------------------------------------------------
 
 def lstm_cell(x, hidden, cell, w_x, w_h, b):
-    """One standard LSTM step.
+    """One standard LSTM step, fused into one node with two tape entries.
 
     x may be (d_in,) or (B, d_in); hidden/cell match with width H. The fused
     weight layout is w_x: (d_in, 4H), w_h: (H, 4H), b: (4H,) with gate order
     input, forget, output, candidate.
+
+    new_hidden's entry runs the whole backward and reads new_cell's gradient
+    (None counts as zero); new_cell's, recorded after it, only gives
+    new_hidden a zero gradient when the cell alone received one, so that the
+    first entry still fires.
     """
     single = x.values.ndim == 1
+    xv, hv, cv = x.values, hidden.values, cell.values
     if single:
-        x = reshape(x, (1, -1))
-        hidden = reshape(hidden, (1, -1))
-        cell = reshape(cell, (1, -1))
-    h_dim = hidden.shape[1]
-    if (x.shape[1] != w_x.shape[0] or w_x.shape[1] != 4 * h_dim
-            or w_h.shape != (h_dim, 4 * h_dim) or b.shape != (4 * h_dim,)):
-        raise DimensionError("lstm_cell parameter shapes are inconsistent")
-    z = add(add(matmul(x, w_x), matmul(hidden, w_h)), b)
-    i = sigmoid(slice_cols(z, 0, h_dim))
-    f = sigmoid(slice_cols(z, h_dim, 2 * h_dim))
-    o = sigmoid(slice_cols(z, 2 * h_dim, 3 * h_dim))
-    g = tanh(slice_cols(z, 3 * h_dim, 4 * h_dim))
-    new_cell = add(mul(f, cell), mul(i, g))
-    new_hidden = mul(o, tanh(new_cell))
+        xv, hv, cv = xv.reshape(1, -1), hv.reshape(1, -1), cv.reshape(1, -1)
+    h_dim = hv.shape[-1]
+    if (xv.ndim != 2 or hv.ndim != 2 or cv.shape != hv.shape
+            or hv.shape[0] != xv.shape[0] or xv.shape[1] != w_x.shape[0]
+            or w_x.shape[1] != 4 * h_dim or w_h.shape != (h_dim, 4 * h_dim)
+            or b.shape != (4 * h_dim,)):
+        raise DimensionError(
+            "lstm_cell shapes are inconsistent: x %r, hidden %r, cell %r, "
+            "w_x %r, w_h %r, b %r" % (x.shape, hidden.shape, cell.shape,
+                                      w_x.shape, w_h.shape, b.shape))
+    z = xv @ w_x.values + hv @ w_h.values + b.values
+    sig = _sigmoid(z[:, :3 * h_dim])
+    i, f, o = sig[:, :h_dim], sig[:, h_dim:2 * h_dim], sig[:, 2 * h_dim:]
+    g = np.tanh(z[:, 3 * h_dim:])
+    c_new = f * cv + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
     if single:
-        new_hidden = reshape(new_hidden, (h_dim,))
-        new_cell = reshape(new_cell, (h_dim,))
+        h_new, c_new = h_new.reshape(h_dim), c_new.reshape(h_dim)
+    new_hidden = _fresh(h_new, "lstm_cell")
+    new_cell = _fresh(c_new, "lstm_cell")
+    tp = _track(x, hidden, cell, w_x, w_h, b)
+    if tp:
+        def bw(g_h):
+            g_h = g_h.reshape(hv.shape)
+            dc = g_h * o * (1.0 - tc * tc)
+            if new_cell.grad is not None:
+                dc = new_cell.grad.reshape(cv.shape) + dc
+            if cell.requires_grad:
+                cell.accumulate_grad((dc * f).reshape(cell.shape))
+            # each gate gradient is formed in the composed ops' order
+            dz = np.empty((hv.shape[0], 4 * h_dim))
+            dz[:, :h_dim] = dc * g
+            dz[:, h_dim:2 * h_dim] = dc * cv
+            dz[:, 2 * h_dim:3 * h_dim] = g_h * tc
+            dz[:, :3 * h_dim] = dz[:, :3 * h_dim] * sig * (1.0 - sig)
+            dz[:, 3 * h_dim:] = dc * i * (1.0 - g * g)
+            if b.requires_grad:
+                b.accumulate_grad(dz.sum(axis=0))
+            if hidden.requires_grad:
+                hidden.accumulate_grad(
+                    (dz @ w_h.values.T).reshape(hidden.shape))
+            if w_h.requires_grad:
+                w_h.accumulate_grad(hv.T @ dz)
+            if x.requires_grad:
+                x.accumulate_grad((dz @ w_x.values.T).reshape(x.shape))
+            if w_x.requires_grad:
+                w_x.accumulate_grad(xv.T @ dz)
+        tp.record(new_hidden, bw)
+
+        def bw_cell(_):
+            if new_hidden.grad is None:
+                new_hidden.grad = np.zeros_like(new_hidden.values)
+        tp.record(new_cell, bw_cell)
     return new_hidden, new_cell
 
 
@@ -527,28 +584,52 @@ def conv1d(x, kernel, bias, width, stride, apply_relu=True):
 
     x is (L, in_ch) or (B, L, in_ch); kernel is (width*in_ch, out_ch),
     i.e. each output channel sees a flattened window of `width` positions.
+    Recorded as one fused node: gather, matmul, bias and ReLU.
     """
-    single = x.values.ndim == 2
+    xv = x.values
+    single = xv.ndim == 2
     if single:
-        x = reshape(x, (1,) + x.shape)
-    batch, length, in_ch = x.shape
-    if kernel.shape[0] != width * in_ch:
+        xv = xv.reshape((1,) + xv.shape)
+    batch, length, in_ch = xv.shape
+    if kernel.values.ndim != 2 or kernel.shape[0] != width * in_ch:
         raise DimensionError(
-            "kernel rows %d != width*in_ch %d" % (kernel.shape[0], width * in_ch))
+            "kernel shape %r is not (width*in_ch=%d, out_ch)"
+            % (kernel.shape, width * in_ch))
+    out_ch = kernel.shape[1]
+    if bias.shape != (out_ch,):
+        raise DimensionError("conv bias shape %r != (%d,)"
+                             % (bias.shape, out_ch))
     n_win = conv_output_length(length, width, stride)
     # window row indices into the (B*L, in_ch) flattening
     starts = np.arange(n_win) * stride
     win = starts[:, None] + np.arange(width)[None, :]            # (n_win, width)
     offs = (np.arange(batch) * length)[:, None, None]
     idx = (offs + win[None, :, :]).reshape(-1)                   # B*n_win*width
-    flat = reshape(x, (batch * length, in_ch))
-    windows = reshape(gather_rows(flat, idx), (batch * n_win, width * in_ch))
-    out = add(matmul(windows, kernel), bias)
+    windows = xv.reshape(batch * length, in_ch)[idx].reshape(
+        batch * n_win, width * in_ch)
+    y = windows @ kernel.values + bias.values
     if apply_relu:
-        out = relu(out)
-    out = reshape(out, (batch, n_win, kernel.shape[1]))
-    if single:
-        out = reshape(out, (n_win, kernel.shape[1]))
+        y = np.maximum(y, 0.0)
+    out = _fresh(y.reshape((n_win, out_ch) if single
+                           else (batch, n_win, out_ch)), "conv1d")
+    tp = _track(x, kernel, bias)
+    if tp:
+        def bw(g):
+            g = g.reshape(y.shape)
+            if apply_relu:
+                g = g * (y > 0.0)
+            if bias.requires_grad:
+                bias.accumulate_grad(g.sum(axis=0))
+            if kernel.requires_grad:
+                kernel.accumulate_grad(windows.T @ g)
+            if x.requires_grad:
+                gw = (g @ kernel.values.T).reshape(batch, n_win, width, in_ch)
+                # the latest window first, as np.add.at over idx would add
+                full = np.zeros((batch, length, in_ch))
+                for k in range(width - 1, -1, -1):
+                    full[:, starts + k] += gw[:, :, k]
+                x.accumulate_grad(full.reshape(x.shape))
+        tp.record(out, bw)
     return out
 
 

@@ -58,7 +58,12 @@ def _unpack_sections(reader):
     count = reader.u32()
     sections = []
     for _ in range(count):
-        name = reader.take(reader.u32()).decode("utf-8")
+        raw_name = reader.take(reader.u32())
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError("section name %r is not UTF-8"
+                                  % raw_name) from e
         ndim = reader.u32()
         shape = struct.unpack("<%dQ" % ndim, reader.take(8 * ndim)) if ndim else ()
         # Python ints: a product past 2**64 must not wrap to a small size;
@@ -114,7 +119,11 @@ def read_checkpoint(path):
     if zlib.crc32(payload) != crc:
         raise CheckpointError("checkpoint CRC mismatch")
     reader = _Reader(payload)
-    config_blob = json.loads(reader.take(reader.u32()).decode("utf-8"))
+    try:
+        config_blob = json.loads(reader.take(reader.u32()).decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise CheckpointError("checkpoint config is not UTF-8 JSON: %s"
+                              % e) from e
     sections = dict(_unpack_sections(reader))
     return config_blob, sections
 
@@ -144,29 +153,16 @@ def load_models(path):
     Returns (models, vocab, optimizers_or_None, config_blob).
     """
     blob, sections = read_checkpoint(path)
-    cfg = dict(blob["train_config"])
-    if isinstance(cfg.get("profile"), dict):
-        cfg["profile"] = ModelProfile(
-            embed_dim=cfg["profile"]["embed_dim"],
-            feature_dim=cfg["profile"]["feature_dim"],
-            hidden_dim=cfg["profile"]["hidden_dim"],
-            conv_channels=tuple(cfg["profile"]["conv_channels"]),
-            conv_widths=tuple(cfg["profile"]["conv_widths"]),
-            conv_strides=tuple(cfg["profile"]["conv_strides"]),
-            max_len=cfg["profile"]["max_len"])
-    config = TrainConfig(**cfg)
-    vocab = Vocabulary(blob["vocab_tokens"])
-    models = Models(len(vocab), config, style_labels=blob.get("style_labels", 0))
+    config, vocab, style_labels = _config_from_blob(blob)
+    models = Models(len(vocab), config, style_labels=style_labels)
     for name, t in models.all_tensors():
-        if name not in sections:
-            raise CheckpointError("checkpoint missing section %r" % name)
-        arr = sections[name]
+        arr = _section(sections, name)
         if arr.shape != t.values.shape:
             raise CheckpointError("section %r has shape %r, expected %r"
                                   % (name, arr.shape, t.values.shape))
         t.values[...] = arr
-    models.feature_norm = float(sections["meta.feature_norm"][0])
-    models.pretrained = bool(sections["meta.pretrained"][0])
+    models.feature_norm = float(_section(sections, "meta.feature_norm")[0])
+    models.pretrained = bool(_section(sections, "meta.pretrained")[0])
 
     optimizers = None
     if any(name.startswith("optim.") for name in sections):
@@ -176,5 +172,35 @@ def load_models(path):
             arrays = [(name[len(prefix):], arr)
                       for name, arr in sections.items()
                       if name.startswith(prefix)]
-            getattr(optimizers, group).load_state_arrays(arrays)
+            try:
+                getattr(optimizers, group).load_state_arrays(arrays)
+            except (KeyError, ValueError) as e:
+                raise CheckpointError("%s optimizer state is incomplete or "
+                                      "misshapen: %s" % (group, e)) from e
     return models, vocab, optimizers, blob
+
+
+def _section(sections, name):
+    if name not in sections:
+        raise CheckpointError("checkpoint missing section %r" % name)
+    return sections[name]
+
+
+def _config_from_blob(blob):
+    """(TrainConfig, Vocabulary, style label count) from a config blob."""
+    try:
+        cfg = dict(blob["train_config"])
+        if isinstance(cfg.get("profile"), dict):
+            prof = cfg["profile"]
+            cfg["profile"] = ModelProfile(
+                embed_dim=prof["embed_dim"],
+                feature_dim=prof["feature_dim"],
+                hidden_dim=prof["hidden_dim"],
+                conv_channels=tuple(prof["conv_channels"]),
+                conv_widths=tuple(prof["conv_widths"]),
+                conv_strides=tuple(prof["conv_strides"]),
+                max_len=prof["max_len"])
+        return (TrainConfig(**cfg), Vocabulary(blob["vocab_tokens"]),
+                blob.get("style_labels", 0))
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError("checkpoint config is malformed: %r" % e) from e

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from gmgan import autodiff as ad
+from gmgan.corpus import desk_grammar, sample_grammar
+from gmgan.encoder import ModelProfile
 from gmgan.errors import ContractError, DimensionError, TapeError
+from gmgan.generator import mle_loss
+from gmgan.trainer import Models, TrainConfig
 from helpers import check_grads, rel_err
 
 
@@ -24,8 +28,17 @@ def test_rejects_non_finite():
 def test_debug_checks_catch_overflow():
     try:
         ad.set_debug_checks(True)
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            ad.exp(t([1000.0]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match=r"^exp produced non-finite values, "
+                                     r"shape \(2,\)$"):
+                ad.exp(t([1.0, 1000.0]))
+            x = t(np.full((2, 5, 1), 1e308))
+            kernel = t(np.full((3, 1), 1e308))
+            with pytest.raises(FloatingPointError,
+                               match=r"^conv1d produced non-finite values, "
+                                     r"shape \(2, 3, 1\)$"):
+                ad.conv1d(x, kernel, t(np.zeros(1)), 3, 1)
     finally:
         ad.set_debug_checks(False)
     # release mode: ops run unchecked, backward still rejects a bad loss
@@ -331,6 +344,243 @@ def test_conv1d_gradient_vs_finite_differences():
         return total
 
     check_grads(forward, [x, kernel, bias], tol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# fused cells against the composed ops they replace (exactness oracle)
+# ---------------------------------------------------------------------------
+
+def oracle_lstm_cell(x, hidden, cell, w_x, w_h, b):
+    """lstm_cell built from generic ops, 17 nodes per batched step."""
+    single = x.values.ndim == 1
+    if single:
+        x = ad.reshape(x, (1, -1))
+        hidden = ad.reshape(hidden, (1, -1))
+        cell = ad.reshape(cell, (1, -1))
+    h_dim = hidden.shape[1]
+    z = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(hidden, w_h)), b)
+    i = ad.sigmoid(ad.slice_cols(z, 0, h_dim))
+    f = ad.sigmoid(ad.slice_cols(z, h_dim, 2 * h_dim))
+    o = ad.sigmoid(ad.slice_cols(z, 2 * h_dim, 3 * h_dim))
+    g = ad.tanh(ad.slice_cols(z, 3 * h_dim, 4 * h_dim))
+    new_cell = ad.add(ad.mul(f, cell), ad.mul(i, g))
+    new_hidden = ad.mul(o, ad.tanh(new_cell))
+    if single:
+        new_hidden = ad.reshape(new_hidden, (h_dim,))
+        new_cell = ad.reshape(new_cell, (h_dim,))
+    return new_hidden, new_cell
+
+
+def oracle_conv1d(x, kernel, bias, width, stride, apply_relu=True):
+    """conv1d built from generic ops: gather, matmul, bias, ReLU."""
+    single = x.values.ndim == 2
+    if single:
+        x = ad.reshape(x, (1,) + x.shape)
+    batch, length, in_ch = x.shape
+    n_win = ad.conv_output_length(length, width, stride)
+    starts = np.arange(n_win) * stride
+    win = starts[:, None] + np.arange(width)[None, :]
+    offs = (np.arange(batch) * length)[:, None, None]
+    idx = (offs + win[None, :, :]).reshape(-1)
+    flat = ad.reshape(x, (batch * length, in_ch))
+    windows = ad.reshape(ad.gather_rows(flat, idx),
+                         (batch * n_win, width * in_ch))
+    out = ad.add(ad.matmul(windows, kernel), bias)
+    if apply_relu:
+        out = ad.relu(out)
+    out = ad.reshape(out, (batch, n_win, kernel.shape[1]))
+    if single:
+        out = ad.reshape(out, (n_win, kernel.shape[1]))
+    return out
+
+
+def _lstm_chain(cell_fn, data, steps, loss_on):
+    """Run `steps` cells from fresh copies of `data`; returns the final
+    (hidden, cell) values and every input's gradient."""
+    ts = {k: t(v, grad=True) for k, v in data.items()}
+    with ad.tape():
+        hid, cel = ts["hidden"], ts["cell"]
+        for s in range(steps):
+            hid, cel = cell_fn(ts["x%d" % s], hid, cel,
+                               ts["w_x"], ts["w_h"], ts["b"])
+        terms = []
+        if "hidden" in loss_on:
+            terms.append(ad.tsum(ad.mul(hid, t(data["p_h"]))))
+        if "cell" in loss_on:
+            terms.append(ad.tsum(ad.mul(cel, t(data["p_c"]))))
+        loss = terms[0] if len(terms) == 1 else ad.add(*terms)
+    ad.backward(loss)
+    return hid.values, cel.values, {k: v.grad for k, v in ts.items()}
+
+
+@pytest.mark.parametrize("batch,steps,loss_on,d_in,h", [
+    (None, 1, ("hidden", "cell"), 5, 6),   # 1-D single path
+    (5, 1, ("hidden", "cell"), 5, 6),
+    (5, 1, ("hidden",), 5, 6),
+    (None, 3, ("hidden",), 5, 6),
+    (4, 3, ("hidden", "cell"), 5, 6),
+    (4, 3, ("cell",), 5, 6),               # only the final cell is read
+    (1, 3, ("cell",), 5, 6),
+    (32, 2, ("hidden", "cell"), 64, 64),   # the DESK decoder's sizes
+])
+def test_fused_lstm_cell_equals_composed_ops(batch, steps, loss_on, d_in, h):
+    rng = np.random.default_rng(31 + steps)
+    lead = () if batch is None else (batch,)
+    data = {"hidden": rng.normal(size=lead + (h,)),
+            "cell": rng.normal(size=lead + (h,)),
+            "w_x": rng.normal(scale=0.5, size=(d_in, 4 * h)),
+            "w_h": rng.normal(scale=0.5, size=(h, 4 * h)),
+            "b": rng.normal(size=4 * h),
+            "p_h": rng.normal(size=lead + (h,)),
+            "p_c": rng.normal(size=lead + (h,))}
+    for s in range(steps):
+        data["x%d" % s] = rng.normal(scale=2.0, size=lead + (d_in,))
+    fh, fc, fgrads = _lstm_chain(ad.lstm_cell, data, steps, loss_on)
+    oh, oc, ograds = _lstm_chain(oracle_lstm_cell, data, steps, loss_on)
+    assert np.array_equal(fh, oh) and np.array_equal(fc, oc)
+    for name in ograds:
+        if ograds[name] is None:
+            assert fgrads[name] is None, name
+        else:
+            assert np.array_equal(fgrads[name], ograds[name]), name
+
+
+def _conv_grads(conv_fn, data, width, stride, apply_relu):
+    x, kernel, bias = (t(data[k], grad=True) for k in ("x", "kernel", "bias"))
+    with ad.tape():
+        out = conv_fn(x, kernel, bias, width, stride, apply_relu=apply_relu)
+        loss = ad.tsum(ad.mul(out, t(data["proj"][..., :out.shape[-2], :])))
+    ad.backward(loss)
+    return out.values, [x.grad, kernel.grad, bias.grad]
+
+
+@pytest.mark.parametrize("width,stride", [(3, 1), (3, 2), (5, 2), (2, 3)])
+@pytest.mark.parametrize("apply_relu", [True, False])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_fused_conv1d_equals_composed_ops(width, stride, apply_relu, batch):
+    rng = np.random.default_rng(41 + width + stride)
+    length, in_ch, out_ch = 11, 4, 3
+    lead = () if batch is None else (batch,)
+    data = {"x": rng.normal(size=lead + (length, in_ch)),
+            "kernel": rng.normal(size=(width * in_ch, out_ch)),
+            "bias": rng.normal(size=out_ch),
+            "proj": rng.normal(size=lead + (length, out_ch))}
+    f_out, f_grads = _conv_grads(ad.conv1d, data, width, stride, apply_relu)
+    o_out, o_grads = _conv_grads(oracle_conv1d, data, width, stride, apply_relu)
+    assert np.array_equal(f_out, o_out)
+    if apply_relu:
+        assert (f_out == 0.0).any()   # the ReLU mask is exercised
+    for fg, og in zip(f_grads, o_grads):
+        assert np.array_equal(fg, og)
+
+
+def test_fused_conv1d_equals_composed_ops_at_desk_size():
+    rng = np.random.default_rng(47)
+    data = {"x": rng.normal(size=(32, 17, 64)),
+            "kernel": rng.normal(scale=0.1, size=(5 * 64, 64)),
+            "bias": rng.normal(size=64),
+            "proj": rng.normal(size=(32, 7, 64))}
+    f_out, f_grads = _conv_grads(ad.conv1d, data, 5, 2, True)
+    o_out, o_grads = _conv_grads(oracle_conv1d, data, 5, 2, True)
+    assert np.array_equal(f_out, o_out)
+    for fg, og in zip(f_grads, o_grads):
+        assert np.array_equal(fg, og)
+
+
+def test_sigmoid_equals_masked_formula():
+    x = np.concatenate([np.random.default_rng(5).normal(scale=8.0, size=500),
+                        [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0,
+                         -745.0, 1e308, -1e308]])
+    pos = x >= 0
+    expected = np.empty_like(x)
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    assert np.array_equal(ad.sigmoid(t(x)).values, expected)
+
+
+# ---------------------------------------------------------------------------
+# fused cells: tape size and input gradients
+# ---------------------------------------------------------------------------
+
+def test_fused_cells_record_one_node_each():
+    rng = np.random.default_rng(51)
+    w_x, w_h, b = _lstm_params(rng, 3, 4)
+    with ad.tape() as tp:
+        ad.lstm_cell(t(rng.normal(size=(2, 3))), t(np.zeros((2, 4))),
+                     t(np.zeros((2, 4))), w_x, w_h, b)
+    assert len(tp.nodes) <= 2
+    with ad.tape() as tp:
+        ad.lstm_cell(t(rng.normal(size=3)), t(np.zeros(4)), t(np.zeros(4)),
+                     w_x, w_h, b)
+    assert len(tp.nodes) <= 2
+    kernel = t(rng.normal(size=(6, 2)), grad=True)
+    for x in (t(rng.normal(size=(7, 2)), grad=True),
+              t(rng.normal(size=(2, 7, 2)), grad=True)):
+        with ad.tape() as tp:
+            ad.conv1d(x, kernel, t(np.zeros(2), grad=True), 3, 2)
+        assert len(tp.nodes) == 1
+
+
+def test_desk_mle_batch_tape_size():
+    desk = ModelProfile(64, 128, 64, (64, 128), (5, 5), (2, 2), max_len=16)
+    grammar = desk_grammar()
+    batch = sample_grammar(grammar, 64, seed=7, max_len=16)[:32]
+    models = Models(len(grammar.vocabulary()),
+                    TrainConfig(seed=7, profile=desk, max_len=16, c=4,
+                                batch_size=32))
+    with ad.tape() as tp:
+        mle_loss(batch, models.encoder, models.generator, models.guider)
+    assert len(tp.nodes) <= 160   # 306 with the composed cells
+
+
+def test_lstm_input_gradients_batched_vs_finite_differences():
+    rng = np.random.default_rng(52)
+    d_in, h, batch = 3, 4, 3
+    w_x, w_h, b = _lstm_params(rng, d_in, h)
+    b.values[:] = rng.normal(size=4 * h)
+    x = t(rng.normal(size=(batch, d_in)), grad=True)
+    hid = t(rng.normal(size=(batch, h)), grad=True)
+    cel = t(rng.normal(size=(batch, h)), grad=True)
+    p_h, p_c = rng.normal(size=(batch, h)), rng.normal(size=(batch, h))
+
+    def graph():
+        new_h, new_c = ad.lstm_cell(x, hid, cel, w_x, w_h, b)
+        return ad.add(ad.tsum(ad.mul(new_h, t(p_h))),
+                      ad.tsum(ad.mul(new_c, t(p_c))))
+
+    with ad.tape():
+        loss = graph()
+    ad.backward(loss)
+
+    def forward():
+        with ad.no_grad():
+            return graph().item()
+
+    check_grads(forward, [x, hid, cel], tol=1e-5)
+
+
+def test_conv1d_input_gradient_batched_vs_finite_differences():
+    rng = np.random.default_rng(53)
+    batch, length, width, stride, in_ch, out_ch = 2, 9, 3, 2, 2, 3
+    x = t(rng.normal(size=(batch, length, in_ch)), grad=True)
+    kernel = t(rng.normal(size=(width * in_ch, out_ch)))
+    bias = t(rng.normal(size=out_ch))
+    w = rng.normal(size=(batch, 4, out_ch))
+
+    def graph():
+        return ad.tsum(ad.mul(ad.conv1d(x, kernel, bias, width, stride),
+                              t(w)))
+
+    with ad.tape():
+        loss = graph()
+    ad.backward(loss)
+
+    def forward():
+        with ad.no_grad():
+            return graph().item()
+
+    check_grads(forward, [x], tol=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -167,3 +167,64 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     loaded, _, _, _ = load_models(path)
     for (_, ta), (_, tb) in zip(models.all_tensors(), loaded.all_tensors()):
         assert ta.values.tobytes() == tb.values.tobytes()
+
+
+def _crc_valid_file(path, config_bytes, sections):
+    """A GMG1 file with a correct CRC, from raw config bytes and
+    (raw name bytes, array) sections."""
+    body = [struct.pack("<I", len(config_bytes)), config_bytes,
+            struct.pack("<I", len(sections))]
+    for name, arr in sections:
+        arr = np.asarray(arr, dtype="<f8")
+        body += [struct.pack("<I", len(name)), name,
+                 struct.pack("<I", arr.ndim),
+                 struct.pack("<%dQ" % arr.ndim, *arr.shape), arr.tobytes()]
+    payload = b"".join(body)
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION)
+                     + struct.pack("<Q", len(payload))
+                     + struct.pack("<I", zlib.crc32(payload)) + payload)
+
+
+def _not_json(blob, sections):
+    return b"{not json", sections
+
+
+def _no_train_config(blob, sections):
+    del blob["train_config"]
+    return json.dumps(blob).encode("utf-8"), sections
+
+
+def _unknown_train_config_key(blob, sections):
+    blob["train_config"]["bogus"] = 1
+    return json.dumps(blob).encode("utf-8"), sections
+
+
+def _missing_moment(blob, sections):
+    drop = next(name for name, _ in sections
+                if name.startswith(b"optim.guider.") and name.endswith(b".v"))
+    return (json.dumps(blob).encode("utf-8"),
+            [(name, arr) for name, arr in sections if name != drop])
+
+
+def _name_not_utf8(blob, sections):
+    return (json.dumps(blob).encode("utf-8"),
+            [(b"\xff\xfe" + sections[0][0], sections[0][1])] + sections[1:])
+
+
+@pytest.mark.parametrize("corrupt", [_not_json, _no_train_config,
+                                     _unknown_train_config_key,
+                                     _missing_moment, _name_not_utf8])
+def test_malformed_checkpoint_refused_with_exit_2(tmp_path, corrupt):
+    vocab, models = tiny_setup()
+    good = tmp_path / "good.gmg"
+    save_models(good, models, vocab, optimizers=Optimizers(models,
+                                                          models.config))
+    blob, sections = read_checkpoint(good)
+    config_bytes, raw_sections = corrupt(
+        blob, [(name.encode("utf-8"), arr) for name, arr in sections.items()])
+    path = tmp_path / "bad.gmg"
+    _crc_valid_file(path, config_bytes, raw_sections)
+    with pytest.raises(CheckpointError):
+        load_models(path)
+    assert main(["generate", "--checkpoint", str(path), "--num", "1",
+                 "--out", str(tmp_path / "x.txt")]) == 2
