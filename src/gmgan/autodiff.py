@@ -118,7 +118,11 @@ _ACTIVE_TAPE = None
 
 @contextmanager
 def tape():
-    """Activate a fresh tape for the duration of the block; yields it."""
+    """Activate a fresh tape for the duration of the block; yields it.
+
+    Recorded outputs refer back to their tape. A tape that backward walked
+    inside the block drops its nodes when the block ends, so the graph is
+    freed with its last reference, not when the cyclic GC next runs."""
     global _ACTIVE_TAPE
     prev = _ACTIVE_TAPE
     t = Tape()
@@ -127,6 +131,8 @@ def tape():
         yield t
     finally:
         _ACTIVE_TAPE = prev
+        if t.consumed:
+            t.nodes = []
 
 
 @contextmanager

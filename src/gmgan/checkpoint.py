@@ -60,10 +60,10 @@ def _unpack_sections(reader):
     for _ in range(count):
         raw_name = reader.take(reader.u32())
         try:
-            name = raw_name.decode("utf-8")
+            name = str(raw_name, "utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError("section name %r is not UTF-8"
-                                  % raw_name) from e
+                                  % bytes(raw_name)) from e
         ndim = reader.u32()
         shape = struct.unpack("<%dQ" % ndim, reader.take(8 * ndim)) if ndim else ()
         # Python ints: a product past 2**64 must not wrap to a small size;
@@ -113,14 +113,14 @@ def read_checkpoint(path):
         raise CheckpointError("unsupported checkpoint version %d" % version)
     length = struct.unpack("<Q", raw[8:16])[0]
     crc = struct.unpack("<I", raw[16:20])[0]
-    payload = raw[20:]
+    payload = memoryview(raw)[20:]  # sliced below without copies
     if len(payload) != length:
         raise CheckpointError("checkpoint payload length mismatch")
     if zlib.crc32(payload) != crc:
         raise CheckpointError("checkpoint CRC mismatch")
     reader = _Reader(payload)
     try:
-        config_blob = json.loads(reader.take(reader.u32()).decode("utf-8"))
+        config_blob = json.loads(str(reader.take(reader.u32()), "utf-8"))
     except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
         raise CheckpointError("checkpoint config is not UTF-8 JSON: %s"
                               % e) from e

@@ -46,6 +46,13 @@ def load_run_config(path):
         raise ConfigError("unknown config keys: %s" % ", ".join(sorted(unknown)))
     paths = raw.pop("paths", {})
     data = raw.pop("data", {})
+    if not (isinstance(paths, dict)
+            and all(isinstance(v, str) for v in paths.values())):
+        raise ConfigError("paths must be an object of path strings")
+    if not (isinstance(data, dict)
+            and all(isinstance(v, int) and not isinstance(v, bool) and v > 0
+                    for v in data.values())):
+        raise ConfigError("data must be an object of positive integers")
     if set(paths) - _PATH_KEYS:
         raise ConfigError("unknown path keys: %s"
                           % ", ".join(sorted(set(paths) - _PATH_KEYS)))
@@ -63,9 +70,10 @@ def _apply_seed_override(config):
     env = os.environ.get("GMG_SEED")
     if env is not None:
         try:
-            config = dataclasses.replace(config, seed=int(env))
+            seed = int(env)
         except ValueError:
             raise ConfigError("GMG_SEED must be an integer, got %r" % env)
+        config = dataclasses.replace(config, seed=seed)
     return config
 
 
@@ -122,7 +130,7 @@ def _snapshot_fn(out_dir, vocab):
 
 
 def _make_evaluator(grammar, vocab, val_sentences, config):
-    if grammar is None:
+    if grammar is None or config.eval_samples == 0:
         return None
 
     def evaluate(models, epoch):

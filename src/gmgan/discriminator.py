@@ -7,32 +7,20 @@ single sigmoid output, so scores live strictly in (0, 1).
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import PAD
-from .encoder import ConvStack, pad_rows
+from .encoder import TokenCNN, pad_rows
 from .errors import ContractError
 
 
-class DiscriminatorParams:
+class DiscriminatorParams(TokenCNN):
     def __init__(self, vocab_size, profile, rng):
-        self.profile = profile
-        self.vocab_size = vocab_size
-        emb = rng.normal(0.0, 0.1, size=(vocab_size, profile.embed_dim))
-        emb[PAD] = 0.0
-        self.embedding = ad.Tensor(emb, requires_grad=True)
-        self.stack = ConvStack(profile, 1, rng, "discriminator")
-
-    def tensors(self):
-        return ([("discriminator.embedding", self.embedding)]
-                + self.stack.tensors())
+        super().__init__(vocab_size, profile, 1, rng, "discriminator",
+                         final_relu=False)
 
 
 def score_batch(sentences, params):
     """Probability-of-real for each sentence; (B,) tensor in (0, 1)."""
     rows = pad_rows([list(s) for s in sentences], params.profile.pad_width)
-    flat = ad.gather_rows(params.embedding, rows.reshape(-1))
-    emb = ad.reshape(flat, (rows.shape[0], params.profile.pad_width,
-                            params.profile.embed_dim))
-    raw = params.stack.apply(emb, final_relu=False)
+    raw = params.apply_rows(rows)
     return ad.sigmoid(ad.reshape(raw, (rows.shape[0],)))
 
 

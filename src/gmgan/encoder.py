@@ -59,12 +59,22 @@ def get_profile(name, max_len=None):
     return prof
 
 
-class ConvStack:
-    """Strided ReLU conv layers followed by a ReLU MLP head."""
+class TokenCNN:
+    """Embedding table with a zero PAD row, strided ReLU conv layers and an
+    MLP head: the encoder, the discriminator and the style classifier.
 
-    def __init__(self, profile, out_dim, rng, prefix):
+    The embedding is drawn before the kernels and listed first, as
+    `<prefix>.embedding`."""
+
+    def __init__(self, vocab_size, profile, out_dim, rng, prefix,
+                 final_relu=True):
         self.profile = profile
+        self.vocab_size = vocab_size
         self.prefix = prefix
+        self.final_relu = final_relu
+        emb = rng.normal(0.0, 0.1, size=(vocab_size, profile.embed_dim))
+        emb[PAD] = 0.0
+        self.embedding = ad.Tensor(emb, requires_grad=True)
         self.layers = []
         in_ch = profile.embed_dim
         for w, s, out_ch in zip(profile.conv_widths, profile.conv_strides,
@@ -76,10 +86,9 @@ class ConvStack:
         flat = profile.conv_lengths()[-1] * profile.conv_channels[-1]
         self.mlp_w = ad.init_matrix(rng, flat, out_dim)
         self.mlp_b = ad.init_vector(out_dim)
-        self.out_dim = out_dim
 
     def tensors(self):
-        out = []
+        out = [("%s.embedding" % self.prefix, self.embedding)]
         for i, (kernel, bias, _, _) in enumerate(self.layers):
             out.append(("%s.conv%d.kernel" % (self.prefix, i), kernel))
             out.append(("%s.conv%d.bias" % (self.prefix, i), bias))
@@ -87,30 +96,32 @@ class ConvStack:
         out.append(("%s.mlp.b" % self.prefix, self.mlp_b))
         return out
 
-    def apply(self, emb, final_relu=True):
+    def apply(self, emb):
         """emb: (B, pad_width, embed_dim) -> (B, out_dim)."""
+        if emb.values.ndim != 3 or emb.shape[1] != self.profile.pad_width:
+            raise DimensionError("expected width %d, got shape %r"
+                                 % (self.profile.pad_width, emb.shape))
         x = emb
         for kernel, bias, w, s in self.layers:
             x = ad.conv1d(x, kernel, bias, w, s, apply_relu=True)
         batch = x.shape[0]
         flat = ad.reshape(x, (batch, x.shape[1] * x.shape[2]))
         out = ad.add(ad.matmul(flat, self.mlp_w), self.mlp_b)
-        return ad.relu(out) if final_relu else out
+        return ad.relu(out) if self.final_relu else out
+
+    def apply_rows(self, rows):
+        """rows: (B, pad_width) token ids -> (B, out_dim)."""
+        flat = ad.gather_rows(self.embedding, rows.reshape(-1))
+        emb = ad.reshape(flat, rows.shape + (self.profile.embed_dim,))
+        return self.apply(emb)
 
 
-class EncoderParams:
-    """Embedding table plus the feature conv stack."""
+class EncoderParams(TokenCNN):
+    """The sentence encoder: a token CNN whose output is the feature."""
 
     def __init__(self, vocab_size, profile, rng):
-        self.profile = profile
-        self.vocab_size = vocab_size
-        emb = rng.normal(0.0, 0.1, size=(vocab_size, profile.embed_dim))
-        emb[PAD] = 0.0
-        self.embedding = ad.Tensor(emb, requires_grad=True)
-        self.stack = ConvStack(profile, profile.feature_dim, rng, "encoder")
-
-    def tensors(self):
-        return [("encoder.embedding", self.embedding)] + self.stack.tensors()
+        super().__init__(vocab_size, profile, profile.feature_dim, rng,
+                         "encoder")
 
 
 def pad_rows(prefixes, pad_width):
@@ -124,34 +135,17 @@ def pad_rows(prefixes, pad_width):
     return rows
 
 
-def embed_rows(rows, embedding, pad_width):
-    flat = ad.gather_rows(embedding, rows.reshape(-1))
-    return ad.reshape(flat, (rows.shape[0], pad_width, embedding.shape[1]))
+def sentence_rows(sentences, pad_width):
+    """The encoder's view of whole sentences: [BOS] + sentence, PAD-padded."""
+    return pad_rows([[BOS] + list(s) for s in sentences], pad_width)
 
 
 def encode_batch(rows, params, stop_gradient=False):
     """Encode a (B, pad_width) id matrix to (B, feature_dim) features."""
-    if rows.ndim != 2 or rows.shape[1] != params.profile.pad_width:
-        raise DimensionError("expected (B, %d) ids, got %r"
-                             % (params.profile.pad_width, rows.shape))
     if stop_gradient:
         with ad.no_grad():
-            return _encode_rows(rows, params)
-    return _encode_rows(rows, params)
-
-
-def _encode_rows(rows, params):
-    emb = embed_rows(rows, params.embedding, params.profile.pad_width)
-    return params.stack.apply(emb)
-
-
-def encode_embeddings(emb, params):
-    """Feature of an already-embedded (B, pad_width, embed_dim) input; used by
-    differentiable soft-token rollouts."""
-    if emb.shape[1] != params.profile.pad_width:
-        raise DimensionError("expected width %d, got %r"
-                             % (params.profile.pad_width, emb.shape))
-    return params.stack.apply(emb)
+            return params.apply_rows(rows)
+    return params.apply_rows(rows)
 
 
 def encode(prefix, params, stop_gradient=False):
@@ -176,9 +170,8 @@ def mean_feature_norm(sentences, params, batch=64):
     """Average ||Enc(X)|| over a corpus; used to scale sampling noise."""
     total, count = 0.0, 0
     for i in range(0, len(sentences), batch):
-        chunk = [[BOS] + list(s) for s in sentences[i:i + batch]]
-        rows = pad_rows(chunk, params.profile.pad_width)
+        rows = sentence_rows(sentences[i:i + batch], params.profile.pad_width)
         feats = encode_batch(rows, params, stop_gradient=True)
         total += float(np.linalg.norm(feats.values, axis=1).sum())
-        count += len(chunk)
+        count += len(rows)
     return total / count

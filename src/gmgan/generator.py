@@ -5,6 +5,13 @@ transform of the guider's lookahead prediction before the vocabulary softmax.
 The decoder never consumes a BOS embedding; BOS only anchors the encoder's
 view of the empty prefix. PAD, BOS and UNK are masked out of the action
 space, so the usable vocabulary is the word set plus EOS.
+
+One batched loop, `decode`, runs that step for every caller: sampling,
+greedy decoding, teacher forcing and reward traces differ only in how it
+picks each step's tokens. Sampling and reward traces call it with one row
+per sentence, so that the benchmark's per-sentence counters (one
+`sample_sequence` call per sentence, one `guider_step` call per token) still
+describe the work done.
 """
 
 from dataclasses import dataclass
@@ -13,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import BOS, EOS, PAD, UNK
-from .encoder import encode, encode_batch, pad_rows
+from .encoder import encode_batch, sentence_rows
 from .errors import ContractError, DimensionError
 from .guider import guider_step, initial_state, initial_state_for_labels
 
@@ -87,7 +94,6 @@ class GenerationTrace:
     features: list
     predictions: list
     init_feature: np.ndarray
-    style_label: int = None
 
     def __post_init__(self):
         if len(self.log_probs) != len(self.tokens):
@@ -115,6 +121,79 @@ def _draw(probs, rng, mode):
                    len(probs) - 1))
 
 
+def decode(init_feats, gen, gui, enc, labels, steps, choose):
+    """The plan-ahead loop over a batch: encode each row's prefix, step the
+    guider, gate the decoder's logits, take the (B,) tokens
+    choose(t, logits) and advance the decoder on them.
+
+    The prefix matrix starts as BOS + PAD and receives each step's tokens.
+    The loop runs at most `steps` steps and stops once every row has emitted
+    EOS, before the decoder step whose output nothing reads. Gradients flow
+    from init_feats (B, F) through the decoder; the encoder and guider run
+    as constants. Returns (log-probs (B, T) tensor of the chosen tokens,
+    tokens (B, T), final prefix matrix, per-step (B, F) features and guider
+    predictions as arrays).
+    """
+    n, prof = init_feats.shape[0], enc.profile
+    if not 1 <= steps <= prof.max_len:
+        raise DimensionError("cannot decode %d steps with max_len %d"
+                             % (steps, prof.max_len))
+    s0 = initial_hidden(init_feats, gen)
+    dec_h, dec_c = s0, ad.constant(np.zeros((n, prof.hidden_dim)))
+    with ad.no_grad():
+        gui_state = (initial_state(s0.detach()) if labels is None
+                     else initial_state_for_labels(gui, labels))
+    rows = np.full((n, prof.pad_width), PAD, dtype=np.intp)
+    rows[:, 0] = BOS
+    alive = np.ones(n, dtype=bool)
+    step_logps, features, predictions = [], [], []
+    for t in range(steps):
+        with ad.no_grad():
+            f_t = encode_batch(rows, enc)
+            pred, gui_state = guider_step(gui_state, f_t, gui, labels=labels)
+        logits = gated_logits(dec_h, pred, gen)
+        tok = choose(t, logits)
+        step_logps.append(ad.log_softmax(logits))
+        features.append(f_t.values)
+        predictions.append(pred.values)
+        rows[:, t + 1] = tok
+        alive &= tok != EOS
+        if t + 1 == steps or not np.count_nonzero(alive):
+            break
+        emb = ad.gather_rows(gen.embedding, tok)  # PAD row embeds to zero
+        dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
+                                    gen.dec_w_x, gen.dec_w_h, gen.dec_b)
+    width = len(step_logps)
+    tokens = rows[:, 1:width + 1]
+    picked = ad.pick(ad.concat(step_logps, axis=1),
+                     np.repeat(np.arange(n), width),
+                     (np.arange(width) * gen.vocab_size + tokens).reshape(-1))
+    return (ad.reshape(picked, (n, width)), tokens, rows, features,
+            predictions)
+
+
+def _targets(sentences):
+    """PAD-padded (B, T_max) token matrix; EOS may only end a sentence."""
+    if not sentences:
+        raise ContractError("empty batch")
+    tgt = np.full((len(sentences), max(len(s) for s in sentences)), PAD,
+                  dtype=np.intp)
+    for i, s in enumerate(sentences):
+        if EOS in list(s)[:-1]:
+            raise ContractError("EOS may only end the sentence")
+        tgt[i, :len(s)] = s
+    return tgt
+
+
+def _trace(init, decoded, enc):
+    """GenerationTrace of row 0 of a B=1 decode, plus its final feature."""
+    logp, tokens, rows, features, predictions = decoded
+    final = encode_batch(rows, enc, stop_gradient=True).values
+    return GenerationTrace(tokens[0].tolist(), logp.values[0].tolist(),
+                           [f[0] for f in features] + [final[0]],
+                           [p[0] for p in predictions], init.values[0].copy())
+
+
 def sample_sequence(init_feature, gen, gui, enc, seed=None, rng=None,
                     mode="sample", style_label=None, max_len=None):
     """Roll out encode-prefix -> guider step -> gated distribution -> draw,
@@ -123,50 +202,18 @@ def sample_sequence(init_feature, gen, gui, enc, seed=None, rng=None,
         raise ContractError("mode must be sample or greedy")
     if rng is None:
         rng = np.random.default_rng(seed)
-    init_t = (init_feature if isinstance(init_feature, ad.Tensor)
-              else ad.constant(init_feature))
+    if isinstance(init_feature, ad.Tensor):
+        init_feature = init_feature.values
+    init = ad.constant(np.reshape(init_feature, (1, -1)))
+    labels = None if style_label is None else np.array([style_label])
 
     def choose(t, logits):
-        return _draw(ad.softmax(logits).values, rng, mode)
+        return np.array([_draw(ad.softmax(logits).values[0], rng, mode)])
 
-    return _decode(init_t, gen, gui, enc, style_label,
-                   max_len or enc.profile.max_len, choose)
-
-
-def _decode(init_t, gen, gui, enc, label, steps, choose):
-    """The per-sentence loop shared by sampling and teacher forcing: encode
-    the prefix, step the guider, gate the logits, take token choose(t, logits)
-    and advance the decoder, for at most `steps` tokens or until EOS."""
-    prof = enc.profile
     with ad.no_grad():
-        s0 = initial_hidden(init_t, gen)
-        dec_h, dec_c = s0, ad.constant(np.zeros(prof.hidden_dim))
-        if label is None:
-            gui_state = initial_state(s0)
-        else:
-            gui_state = initial_state_for_labels(gui, label)
-        prefix = [BOS]
-        tokens, log_probs, features, predictions = [], [], [], []
-        for t in range(steps):
-            f = encode(prefix, enc)
-            features.append(f.values.copy())
-            pred, gui_state = guider_step(gui_state, f, gui, labels=label)
-            predictions.append(pred.values.copy())
-            logits = gated_logits(dec_h, pred, gen)
-            token = choose(t, logits)
-            log_probs.append(float(ad.log_softmax(logits).values[token]))
-            tokens.append(token)
-            prefix.append(token)
-            if token == EOS:
-                break
-            emb = ad.gather_rows(gen.embedding, np.array([token]))
-            dec_h, dec_c = ad.lstm_cell(ad.reshape(emb, (prof.embed_dim,)),
-                                        dec_h, dec_c,
-                                        gen.dec_w_x, gen.dec_w_h, gen.dec_b)
-        features.append(encode(prefix, enc).values.copy())
-    return GenerationTrace(tokens, log_probs, features, predictions,
-                           np.asarray(init_t.values, dtype=np.float64).copy(),
-                           label)
+        decoded = decode(init, gen, gui, enc, labels,
+                         max_len or enc.profile.max_len, choose)
+        return _trace(init, decoded, enc)
 
 
 def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
@@ -177,41 +224,13 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     flow through the decoder path and the encoder via the initial state; the
     guider rollout and its feature inputs are held constant.
     """
-    if not batch:
-        raise ContractError("empty batch")
-    n = len(batch)
-    t_max = max(len(s) for s in batch)
-    prof = enc.profile
-    tgt = np.full((n, t_max), PAD, dtype=np.intp)
-    for i, s in enumerate(batch):
-        tgt[i, : len(s)] = s
-    full_rows = pad_rows([[BOS] + list(s) for s in batch], prof.pad_width)
-
+    tgt = _targets(batch)
     if init_features is None:
-        init_features = encode_batch(full_rows, enc)   # gradients flow
-    s0 = initial_hidden(init_features, gen)
-    dec_h = s0
-    dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
-    with ad.no_grad():
-        if labels is None:
-            gui_state = initial_state(s0.detach())
-        else:
-            gui_state = initial_state_for_labels(gui, labels)
-
-    cols = []
-    rows_t = np.full_like(full_rows, PAD)
-    for t in range(t_max):
-        rows_t[:, : t + 1] = full_rows[:, : t + 1]
-        f_t = encode_batch(rows_t, enc, stop_gradient=True)
-        with ad.no_grad():
-            pred, gui_state = guider_step(gui_state, f_t, gui, labels=labels)
-        logp = ad.log_softmax(gated_logits(dec_h, pred.detach(), gen))
-        cols.append(ad.reshape(ad.pick(logp, np.arange(n), tgt[:, t]), (n, 1)))
-        emb = ad.gather_rows(gen.embedding, tgt[:, t])  # PAD row embeds to zero
-        dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
-                                    gen.dec_w_x, gen.dec_w_h, gen.dec_b)
-    logp_mat = ad.concat(cols, axis=1)
-    return logp_mat, scored_tokens(tgt), tgt
+        rows = sentence_rows(batch, enc.profile.pad_width)
+        init_features = encode_batch(rows, enc)   # gradients flow
+    logp = decode(init_features, gen, gui, enc, labels, tgt.shape[1],
+                  lambda t, logits: tgt[:, t])[0]
+    return logp, scored_tokens(tgt), tgt
 
 
 def scored_tokens(tokens):
@@ -220,10 +239,8 @@ def scored_tokens(tokens):
     return (tokens != PAD) & (tokens != UNK)
 
 
-def mle_loss(batch, enc, gen, gui, labels=None, teacher_forcing=True):
+def mle_loss(batch, enc, gen, gui, labels=None):
     """Mean negative log-likelihood per token under teacher forcing."""
-    if not teacher_forcing:
-        raise ContractError("only teacher-forced MLE is supported")
     logp_mat, mask, _ = teacher_forced_log_probs(batch, enc, gen, gui, labels)
     count = int(mask.sum())
     if count == 0:
@@ -235,10 +252,10 @@ def mle_loss(batch, enc, gen, gui, labels=None, teacher_forcing=True):
 def teacher_force_trace(sentence, enc, gen, gui, label=None):
     """Trace of a real sentence under teacher forcing (features, predictions,
     per-step log-probs of the actual tokens); used for reward inspection."""
-    sentence = list(sentence)
-    if EOS in sentence[:-1]:
-        raise ContractError("EOS may only end the sentence")
+    tgt = _targets([sentence])
+    labels = None if label is None else np.array([label])
     with ad.no_grad():
-        init_f = encode([BOS] + sentence, enc)
-    return _decode(init_f, gen, gui, enc, label, len(sentence),
-                   lambda t, logits: sentence[t])
+        init = encode_batch(sentence_rows(tgt, enc.profile.pad_width), enc)
+        decoded = decode(init, gen, gui, enc, labels, tgt.shape[1],
+                         lambda t, logits: tgt[:, t])
+        return _trace(init, decoded, enc)

@@ -7,8 +7,6 @@ return of those rewards, scaled by the discriminator's final reward, is the
 Q-value the policy gradient uses.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +32,6 @@ class RewardTrace:
     q: np.ndarray         # returns scaled by the final reward
     gamma: float
     c: int
-
-    def to_json_line(self):
-        return json.dumps({"r_f": self.r_f, "gamma": self.gamma, "c": self.c,
-                           "r_g": self.r_g.tolist(),
-                           "R": self.returns.tolist(), "Q": self.q.tolist()})
-
-    def write_csv(self, fileobj):
-        writer = csv.writer(fileobj)
-        writer.writerow(["t", "r_g", "R", "Q"])
-        for t in range(len(self.r_g)):
-            writer.writerow([t + 1, repr(self.r_g[t]), repr(self.returns[t]),
-                             repr(self.q[t])])
 
 
 def feature_matching_reward(trace, c):

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import BOS, EOS, PAD
-from .encoder import (ConvStack, encode, encode_batch, encode_embeddings,
-                      mean_feature_norm, pad_rows)
+from .encoder import (TokenCNN, encode_batch, mean_feature_norm, pad_rows,
+                      sentence_rows)
 from .errors import ContractError
 from .generator import gated_logits, initial_hidden, mle_loss, sample_sequence
 from .guider import guider_loss_batch, guider_step, initial_state_for_labels
@@ -35,31 +35,16 @@ def check_binary_labels(labelled):
 # frozen style classifier (CNN over sentences) and latent probe
 # ---------------------------------------------------------------------------
 
-class StyleClassifierParams:
+class StyleClassifierParams(TokenCNN):
     def __init__(self, vocab_size, profile, rng):
-        self.profile = profile
-        emb = rng.normal(0.0, 0.1, size=(vocab_size, profile.embed_dim))
-        emb[PAD] = 0.0
-        self.embedding = ad.Tensor(emb, requires_grad=True)
-        self.stack = ConvStack(profile, 2, rng, "classifier")
-
-    def tensors(self):
-        return [("classifier.embedding", self.embedding)] + self.stack.tensors()
-
-    def logits_for_rows(self, rows):
-        flat = ad.gather_rows(self.embedding, rows.reshape(-1))
-        emb = ad.reshape(flat, (rows.shape[0], self.profile.pad_width,
-                                self.profile.embed_dim))
-        return self.stack.apply(emb, final_relu=False)
-
-    def logits_for_embeddings(self, emb):
-        return self.stack.apply(emb, final_relu=False)
+        super().__init__(vocab_size, profile, 2, rng, "classifier",
+                         final_relu=False)
 
 
 def classifier_accuracy(classifier, labelled):
     rows = pad_rows([list(s) for s, _ in labelled], classifier.profile.pad_width)
     with ad.no_grad():
-        pred = classifier.logits_for_rows(rows).values.argmax(axis=1)
+        pred = classifier.apply_rows(rows).values.argmax(axis=1)
     return float(np.mean(pred == np.array([l for _, l in labelled])))
 
 
@@ -78,7 +63,7 @@ def train_style_classifier(labelled, vocab_size, profile, seed, epochs=4,
             rows = pad_rows([list(s) for s, _ in batch], profile.pad_width)
             labels = np.array([l for _, l in batch])
             with ad.tape():
-                logp = ad.log_softmax(classifier.logits_for_rows(rows))
+                logp = ad.log_softmax(classifier.apply_rows(rows))
                 picked = ad.pick(logp, np.arange(len(batch)), labels)
                 loss = ad.scale(ad.tsum(picked), -1.0 / len(batch))
                 ad.backward(loss)
@@ -111,8 +96,8 @@ def train_latent_probe(labelled, models, seed, epochs=6, lr=0.01,
         rng = stream_rng(seed, "probe_batch", epoch)
         for idx in shuffled_batches(len(labelled), batch_size, rng):
             batch = [labelled[i] for i in idx]
-            rows = pad_rows([[BOS] + list(s) for s, _ in batch],
-                            models.profile.pad_width)
+            rows = sentence_rows([s for s, _ in batch],
+                                 models.profile.pad_width)
             feats = encode_batch(rows, models.encoder, stop_gradient=True)
             labels = np.array([l for _, l in batch])
             with ad.tape():
@@ -149,14 +134,14 @@ def soft_argmax_embedding(logits, table, temperature):
 
 def soft_transfer_rollout(sources, target_labels, models, classifier, config):
     """Generate with soft tokens under the target label; returns the
-    classifier cross-entropy toward that label plus the argmax token rows."""
+    classifier cross-entropy toward that label."""
     n = len(sources)
     prof = models.profile
     width = prof.pad_width
     tau = config.soft_argmax_temperature
     target_labels = np.asarray(target_labels, dtype=np.intp)
 
-    init_rows = pad_rows([[BOS] + list(s) for s in sources], width)
+    init_rows = sentence_rows(sources, width)
     init_feats = encode_batch(init_rows, models.encoder)  # gradients flow
     dec_h = initial_hidden(init_feats, models.generator)
     dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
@@ -167,11 +152,10 @@ def soft_transfer_rollout(sources, target_labels, models, classifier, config):
     enc_prefix[:, 0, :] = bos_emb
 
     cls_steps = []
-    hard_tokens = np.full((n, prof.max_len), PAD, dtype=np.intp)
     alive = np.ones(n)
     for t in range(prof.max_len):
         with ad.no_grad():
-            f_t = encode_embeddings(ad.constant(enc_prefix), models.encoder)
+            f_t = models.encoder.apply(ad.constant(enc_prefix))
             pred, gui_state = guider_step(gui_state, f_t, models.guider,
                                           labels=target_labels)
         logits = gated_logits(dec_h, pred.detach(), models.generator)
@@ -183,7 +167,6 @@ def soft_transfer_rollout(sources, target_labels, models, classifier, config):
                                                 tau), alive_mask)
         cls_steps.append(ad.reshape(soft_cls, (n, 1, prof.embed_dim)))
         picked = logits.values.argmax(axis=1)
-        hard_tokens[:, t] = np.where(alive > 0, picked, PAD)
         if t + 1 < width:
             enc_prefix[:, t + 1, :] = soft_gen.values
         dec_h, dec_c = ad.lstm_cell(soft_gen, dec_h, dec_c,
@@ -196,16 +179,15 @@ def soft_transfer_rollout(sources, target_labels, models, classifier, config):
     pad_cols = width - len(cls_steps)
     cls_steps.append(ad.constant(np.zeros((n, pad_cols, prof.embed_dim))))
     cls_input = ad.concat(cls_steps, axis=1)
-    logp = ad.log_softmax(classifier.logits_for_embeddings(cls_input))
-    loss = ad.scale(ad.tsum(ad.pick(logp, np.arange(n), target_labels)),
+    logp = ad.log_softmax(classifier.apply(cls_input))
+    return ad.scale(ad.tsum(ad.pick(logp, np.arange(n), target_labels)),
                     -1.0 / n)
-    return loss, hard_tokens
 
 
 def transfer_greedy(source, target_label, models):
     """Hard transfer at inference: greedy decode under the flipped label."""
-    with ad.no_grad():
-        init = encode([BOS] + list(source), models.encoder)
+    rows = sentence_rows([source], models.profile.pad_width)
+    init = encode_batch(rows, models.encoder, stop_gradient=True)
     trace = sample_sequence(init, models.generator, models.guider,
                             models.encoder, seed=0, mode="greedy",
                             style_label=int(target_label))
@@ -289,10 +271,9 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
             with ad.tape():
                 rec = mle_loss(batch, models.encoder, models.generator,
                                models.guider, labels=labs)
-                cls_loss, _ = soft_transfer_rollout(batch, flipped, models,
-                                                    classifier, config)
-                rows = pad_rows([[BOS] + list(s) for s in batch],
-                                models.profile.pad_width)
+                cls_loss = soft_transfer_rollout(batch, flipped, models,
+                                                 classifier, config)
+                rows = sentence_rows(batch, models.profile.pad_width)
                 feats = encode_batch(rows, models.encoder)
                 ent = probe_entropy(feats, probe)
                 total = ad.add(

@@ -14,15 +14,16 @@ import copy
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import BOS, PAD
+from .corpus import PAD
 from .discriminator import DiscriminatorParams, score_batch, train_step
-from .encoder import (EncoderParams, draw_initial_noise, encode_batch,
-                      get_profile, mean_feature_norm, pad_rows)
+from .encoder import (EncoderParams, ModelProfile, draw_initial_noise,
+                      encode_batch, get_profile, mean_feature_norm,
+                      sentence_rows)
 from .errors import ContractError, TrainingDiverged
 from .generator import (GeneratorParams, initial_hidden, mle_loss,
                         sample_sequence, scored_tokens,
@@ -32,6 +33,8 @@ from .optim import Adam
 from .rewards import RewardBaseline, compute_reward_trace
 
 VALID_C = (2, 3, 4, 5, 8)
+# a field takes the JSON kinds of its default's type (bools apart)
+_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 @dataclass
@@ -68,6 +71,22 @@ class TrainConfig:
     soft_argmax_temperature: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            if f.name == "rl_mix" or (f.name == "profile"
+                                      and isinstance(value, ModelProfile)):
+                continue
+            if (isinstance(value, bool) != isinstance(default, bool)
+                    or not isinstance(value, _KINDS[type(default)])):
+                raise ContractError("%s must be of type %s, got %r"
+                                    % (f.name, type(default).__name__, value))
+        if min(self.batch_size, self.max_len, self.rollout_batch) < 1:
+            raise ContractError("batch_size, max_len and rollout_batch must "
+                                "be positive")
+        if min(self.seed, self.mle_epochs, self.rl_epochs, self.g_steps,
+               self.d_steps, self.guider_extra_epochs, self.eval_samples,
+               self.style_epochs, self.classifier_epochs) < 0:
+            raise ContractError("seed and counts must be >= 0")
         if min(self.lr_generator, self.lr_guider, self.lr_discriminator) <= 0:
             raise ContractError("learning rates must be positive")
         if not 0.0 <= self.gamma < 1.0:
@@ -166,7 +185,7 @@ def mle_step(batch, models, optimizers, labels=None):
 def prefix_features_by_step(batch, enc):
     """Constant (B, F) features of every [BOS]+prefix, for t = 0..T_max."""
     t_max = max(len(s) for s in batch)
-    full_rows = pad_rows([[BOS] + list(s) for s in batch], enc.profile.pad_width)
+    full_rows = sentence_rows(batch, enc.profile.pad_width)
     feats = []
     rows_t = np.full_like(full_rows, PAD)
     for t in range(t_max + 1):
@@ -180,10 +199,10 @@ def _guider_phase(sentences, models, optimizer, config, epoch):
     losses = []
     for idx in shuffled_batches(len(sentences), config.batch_size, rng):
         batch = [sentences[i] for i in idx]
-        feats = prefix_features_by_step(batch, models.encoder)
         lengths = np.array([len(s) for s in batch])
         if lengths.max() < config.c:
             continue
+        feats = prefix_features_by_step(batch, models.encoder)
         with ad.no_grad():
             init_hidden = initial_hidden(feats[-1], models.generator)
         with ad.tape():
@@ -257,8 +276,7 @@ def pretrain_mle(train_sentences, val_sentences, models, config,
 
 def rollout_traces(init_sentences, models, rng, max_len=None):
     """Sample one trace per initial sentence (training-mode initial states)."""
-    rows = pad_rows([[BOS] + list(s) for s in init_sentences],
-                    models.profile.pad_width)
+    rows = sentence_rows(init_sentences, models.profile.pad_width)
     init_feats = encode_batch(rows, models.encoder, stop_gradient=True).values
     traces = []
     for i in range(len(init_sentences)):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -699,6 +702,25 @@ def test_backward_off_tape_raises():
     y = ad.tsum(x)  # no active tape
     with pytest.raises(ContractError):
         ad.backward(y)
+
+
+def test_walked_tape_is_freed_without_the_cyclic_gc():
+    # the node list is still there for whoever reads it right after
+    # backward; once the block ends the graph goes with the last reference
+    x = t(np.ones(10 ** 6), grad=True)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        with ad.tape() as tp:
+            loss = ad.tsum(ad.mul(ad.mul(x, x), x))
+            ad.backward(loss)
+            assert len(tp.nodes) == 3
+        del loss
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 2 * 8 * 10 ** 6   # x.grad; the products and their grads went
 
 
 def test_detach_blocks_gradient():

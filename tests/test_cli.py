@@ -45,6 +45,37 @@ def test_config_rejects_bad_values(tmp_path):
                  str(write_config(tmp_path, gamma=2.0))]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"data": {"train_samples": "abc", "val_samples": 4}},
+    {"paths": ["grammar"]},
+    {"batch_size": 0},
+    {"max_len": "12"},
+], ids=["data-string", "paths-list", "batch-size-zero", "max-len-string"])
+def test_malformed_config_exits_2(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_negative_gmg_seed_exits_2_naming_the_range(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setenv("GMG_SEED", "-1")
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ">= 0" in err
+
+
+def test_zero_eval_samples_skips_epoch_evaluation(tmp_path):
+    cfg = write_config(tmp_path, eval_samples=0)
+    assert main(["train", "--config", str(cfg), "--stage", "all"]) == 0
+    log = (tmp_path / "out" / "train.log.jsonl").read_text().splitlines()
+    adversarial = [json.loads(l) for l in log
+                   if json.loads(l)["stage"] == "adversarial"]
+    assert adversarial and "validity" not in adversarial[0]
+
+
 def test_train_mle_writes_loadable_checkpoint(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 0

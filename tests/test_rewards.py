@@ -1,11 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
 from gmgan.errors import ContractError
 from gmgan.generator import GenerationTrace
-from gmgan.rewards import (RewardBaseline, RewardTrace, compute_reward_trace,
+from gmgan.rewards import (RewardBaseline, compute_reward_trace,
                            discounted_cumulative, feature_matching_reward,
                            q_values)
 
@@ -209,18 +207,3 @@ def test_baseline_converges_on_constant_stream():
     for _ in range(200):
         last = base.advantages([np.full(3, 2.0)])[0]
     assert np.max(np.abs(last)) < 1e-8
-
-
-def test_csv_and_json_export():
-    trace = RewardTrace(np.array([0.5, 0.25]), 0.8,
-                        np.array([0.5625, 0.25]), np.array([0.45, 0.2]),
-                        0.25, 4)
-    buf = io.StringIO()
-    trace.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,r_g,R,Q"
-    assert len(lines) == 3
-    import json
-    payload = json.loads(trace.to_json_line())
-    assert payload["r_g"] == [0.5, 0.25]
-    assert payload["r_f"] == 0.8

@@ -72,11 +72,9 @@ def test_soft_rollout_produces_gradients():
     sources = [s for s, _ in labelled[:4]]
     targets = 1 - np.array([l for _, l in labelled[:4]])
     with ad.tape():
-        loss, hard = soft_transfer_rollout(sources, targets, models, clf,
-                                           config)
+        loss = soft_transfer_rollout(sources, targets, models, clf, config)
         ad.backward(loss)
     assert math.isfinite(loss.item())
-    assert hard.shape == (4, TINY.max_len)
     gen_grads = [t.grad for _, t in models.generator.tensors()]
     assert any(g is not None and np.abs(g).max() > 0 for g in gen_grads)
     for _, t in models.guider.tensors():
