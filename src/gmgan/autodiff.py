@@ -17,7 +17,8 @@ oracles).
 Values are numpy float64 arrays. Tensors are immutable after construction
 except for gradient accumulation; a tape is single-threaded. With
 DEBUG_CHECKS on, an op that produces NaN/Inf raises FloatingPointError
-naming the op and the output shape.
+naming the op and the output shape, and so does backward when it reaches a
+node whose output gradient holds NaN/Inf.
 """
 
 import math
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, TapeError
 
-# When True, every op output is checked for NaN/Inf. Off by default; backward()
-# always checks the loss value.
+# When True, every op output and every output gradient is checked for NaN/Inf.
+# Off by default; backward() always checks the loss value.
 DEBUG_CHECKS = False
 
 
@@ -75,8 +76,12 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # a copy, not zeros + g: equal except that it keeps a -0.0
+            self.grad = np.array(g, dtype=np.float64, order="C")
+            assert self.grad.shape == self.values.shape, (self.grad.shape,
+                                                          self.values.shape)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -173,9 +178,23 @@ def backward(loss):
         raise TapeError("backward already ran on this tape")
     tp.consumed = True
     loss.accumulate_grad(np.ones_like(loss.values))
-    for out, backward_fn in reversed(tp.nodes):
+    nodes = reversed(tp.nodes)
+    if DEBUG_CHECKS:
+        nodes = _checked_grads(nodes)
+    for out, backward_fn in nodes:
         if out.grad is not None:
             backward_fn(out.grad)
+
+
+def _checked_grads(nodes):
+    """The nodes, each checked as the walk reaches it: by then every later
+    node has added its part to the output gradient."""
+    for out, backward_fn in nodes:
+        if out.grad is not None and not np.all(np.isfinite(out.grad)):
+            raise FloatingPointError(
+                "%s output gradient is non-finite, shape %r"
+                % (backward_fn.__qualname__.split(".")[0], out.grad.shape))
+        yield out, backward_fn
 
 
 # ---------------------------------------------------------------------------

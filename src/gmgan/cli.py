@@ -66,15 +66,18 @@ def load_run_config(path):
     return config, paths, data
 
 
-def _apply_seed_override(config):
+def _seed(default, name):
+    """GMG_SEED when it is set, else `default` (named `name` in errors); a
+    non-negative integer either way."""
     env = os.environ.get("GMG_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError("GMG_SEED must be an integer, got %r" % env)
-        config = dataclasses.replace(config, seed=seed)
-    return config
+    value, name = (default, name) if env is None else (env, "GMG_SEED")
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    if seed < 0:
+        raise ConfigError("%s must be >= 0, got %d" % (name, seed))
+    return seed
 
 
 def _load_training_data(config, paths, data):
@@ -152,7 +155,7 @@ def _make_evaluator(grammar, vocab, val_sentences, config):
 
 def cmd_train(args):
     config, paths, data = load_run_config(args.config)
-    config = _apply_seed_override(config)
+    config = dataclasses.replace(config, seed=_seed(config.seed, "seed"))
     if args.stage == "style" and not config.style_mode:
         config = dataclasses.replace(config, style_mode=True)
     train, val, vocab, grammar, labelled = _load_training_data(config, paths,
@@ -220,8 +223,10 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
+    seed = _seed(args.seed, "--seed")
+    if args.num < 1:
+        raise ConfigError("--num must be >= 1, got %d" % args.num)
     models, vocab, _, _ = load_models(args.checkpoint)
-    seed = int(os.environ.get("GMG_SEED", args.seed))
     if args.label is not None:
         if models.guider.num_labels != 2:
             print("error: checkpoint is not a style model", file=sys.stderr)
@@ -349,7 +354,7 @@ def main(argv=None):
     except (ConfigError, ContractError, CheckpointError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except TrainingDiverged as e:
+    except (TrainingDiverged, FloatingPointError) as e:
         print("numerical failure: %s" % e, file=sys.stderr)
         return 3
 

@@ -4,6 +4,15 @@ A prefix is right-padded with PAD to a fixed width (max_len + 1, so a
 BOS-bearing prefix of a maximal sentence still fits) before convolution,
 letting one parameter set serve every prefix length. The PAD embedding row
 is zero and stays zero, so padding never influences the feature.
+
+Two paths compute features. `encode_batch` runs the network on a prefix
+matrix and may record gradients; sampling calls it once per step because
+its next prefix is not known until the step's token is drawn.
+`prefix_features` serves prefixes known in advance (teacher forcing, the
+guider's training targets): it computes each distinct conv window of all
+prefixes of a batch once, forward only, with the same bits as per-step
+`encode_batch` calls wherever a row subset of a product equals the full
+product (every shape of the DESK encoder).
 """
 
 from dataclasses import dataclass
@@ -146,6 +155,62 @@ def encode_batch(rows, params, stop_gradient=False):
         with ad.no_grad():
             return params.apply_rows(rows)
     return params.apply_rows(rows)
+
+
+def _distinct_windows(ids, base):
+    """Distinct rows of an (M, k) id matrix whose entries lie in [0, base):
+    (distinct rows (D, k), inverse (M,)). Columns fold into one integer key,
+    compacted through np.unique whenever the next fold could overflow."""
+    key, bound = ids[:, 0], base
+    for col in ids.T[1:]:
+        if bound * base >= 1 << 62:
+            uniq, key = np.unique(key, return_inverse=True)
+            bound = len(uniq)
+        key, bound = key * base + col, bound * base
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return ids[first], inverse
+
+
+def _affine(x, w, b):
+    """x @ w + b. A one-row product goes to gemv, whose bits differ from
+    gemm's, so a single row is computed as the first of two."""
+    if x.shape[0] == 1:
+        return (np.concatenate([x, x]) @ w)[:1] + b
+    return x @ w + b
+
+
+def prefix_features(rows, params, n):
+    """No-grad (n, B, out_dim) features of the prefixes rows[:, :t+1] (PAD
+    after) for t < n, for any TokenCNN; rows is a (B, pad_width) id matrix.
+
+    Each conv layer keys its windows by the ids of their inputs (token ids,
+    then the previous layer's distinct-window ids), runs one product over
+    the distinct windows only and scatters back through the inverse ids.
+    """
+    width = params.profile.pad_width
+    batch = rows.shape[0]
+    if rows.shape != (batch, width) or not 1 <= n <= width:
+        raise DimensionError("cannot take %d prefixes of rows shaped %r"
+                             % (n, rows.shape))
+    known = np.arange(width) <= np.arange(n)[:, None]              # (n, W)
+    ids = np.where(known[:, None, :], rows, PAD).reshape(n * batch, width)
+    table = params.embedding.values
+    for kernel, bias, w, s in params.layers:
+        n_win = ad.conv_output_length(ids.shape[1], w, s)
+        win = ids[:, (np.arange(n_win) * s)[:, None] + np.arange(w)]
+        distinct, inverse = _distinct_windows(win.reshape(-1, w), len(table))
+        x = table[distinct].reshape(len(distinct), -1)
+        table = np.maximum(_affine(x, kernel.values, bias.values), 0.0)
+        ids = inverse.reshape(n * batch, n_win)
+    distinct, inverse = _distinct_windows(ids, len(table))
+    out = _affine(table[distinct].reshape(len(distinct), -1),
+                  params.mlp_w.values, params.mlp_b.values)
+    if params.final_relu:
+        out = np.maximum(out, 0.0)
+    # diverged parameters: callers wrap these as constants, which refuse NaN
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("prefix features are non-finite")
+    return out[inverse].reshape(n, batch, -1)
 
 
 def encode(prefix, params, stop_gradient=False):

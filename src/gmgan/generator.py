@@ -12,6 +12,14 @@ picks each step's tokens. Sampling and reward traces call it with one row
 per sentence, so that the benchmark's per-sentence counters (one
 `sample_sequence` call per sentence, one `guider_step` call per token) still
 describe the work done.
+
+Where each step's prefix feature comes from: teacher forcing knows every
+prefix before the loop starts, so it reads them from one
+`encoder.prefix_features` call, which computes each distinct conv window
+once. Sampling cannot: a step's prefix holds the token drawn at the step
+before, so it encodes the prefix matrix with `encode_batch` at every step.
+`teacher_force_trace` keeps that per-step path too; it serves one sentence
+at a time for reward inspection.
 """
 
 from dataclasses import dataclass
@@ -20,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import BOS, EOS, PAD, UNK
-from .encoder import encode_batch, sentence_rows
+from .encoder import encode_batch, prefix_features, sentence_rows
 from .errors import ContractError, DimensionError
 from .guider import guider_step, initial_state, initial_state_for_labels
 
@@ -121,10 +129,12 @@ def _draw(probs, rng, mode):
                    len(probs) - 1))
 
 
-def decode(init_feats, gen, gui, enc, labels, steps, choose):
+def decode(init_feats, gen, gui, enc, labels, steps, choose, known=None):
     """The plan-ahead loop over a batch: encode each row's prefix, step the
     guider, gate the decoder's logits, take the (B,) tokens
-    choose(t, logits) and advance the decoder on them.
+    choose(t, logits) and advance the decoder on them. When the prefixes
+    are known in advance, `known` holds their (steps, B, F) features and
+    step t reads known[t] instead of encoding.
 
     The prefix matrix starts as BOS + PAD and receives each step's tokens.
     The loop runs at most `steps` steps and stops once every row has emitted
@@ -149,7 +159,8 @@ def decode(init_feats, gen, gui, enc, labels, steps, choose):
     step_logps, features, predictions = [], [], []
     for t in range(steps):
         with ad.no_grad():
-            f_t = encode_batch(rows, enc)
+            f_t = (encode_batch(rows, enc) if known is None
+                   else ad.constant(known[t]))
             pred, gui_state = guider_step(gui_state, f_t, gui, labels=labels)
         logits = gated_logits(dec_h, pred, gen)
         tok = choose(t, logits)
@@ -222,14 +233,17 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
 
     Returns (logp (B,T) tensor, loss mask (B,T), target matrix). Gradients
     flow through the decoder path and the encoder via the initial state; the
-    guider rollout and its feature inputs are held constant.
+    guider rollout and its feature inputs are held constant, so every
+    prefix feature comes from one `prefix_features` call.
     """
     tgt = _targets(batch)
+    rows = sentence_rows(batch, enc.profile.pad_width)
     if init_features is None:
-        rows = sentence_rows(batch, enc.profile.pad_width)
         init_features = encode_batch(rows, enc)   # gradients flow
-    logp = decode(init_features, gen, gui, enc, labels, tgt.shape[1],
-                  lambda t, logits: tgt[:, t])[0]
+    steps = tgt.shape[1]
+    logp = decode(init_features, gen, gui, enc, labels, steps,
+                  lambda t, logits: tgt[:, t],
+                  known=prefix_features(rows, enc, steps))[0]
     return logp, scored_tokens(tgt), tgt
 
 

@@ -14,14 +14,14 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import BOS, EOS, PAD
 from .encoder import (TokenCNN, encode_batch, mean_feature_norm, pad_rows,
-                      sentence_rows)
+                      prefix_features, sentence_rows)
 from .errors import ContractError
 from .generator import gated_logits, initial_hidden, mle_loss, sample_sequence
 from .guider import guider_loss_batch, guider_step, initial_state_for_labels
 from .metrics import ngrams, strip_eos
 from .optim import Adam
-from .trainer import (Optimizers, check_finite, mle_step,
-                      prefix_features_by_step, shuffled_batches, stream_rng)
+from .trainer import (Optimizers, check_finite, mle_step, shuffled_batches,
+                      stream_rng)
 
 
 def check_binary_labels(labelled):
@@ -66,8 +66,8 @@ def train_style_classifier(labelled, vocab_size, profile, seed, epochs=4,
                 logp = ad.log_softmax(classifier.apply_rows(rows))
                 picked = ad.pick(logp, np.arange(len(batch)), labels)
                 loss = ad.scale(ad.tsum(picked), -1.0 / len(batch))
+                check_finite(loss)
                 ad.backward(loss)
-            check_finite(loss)
             opt.step()
             opt.zero_grad()
     return classifier
@@ -280,8 +280,8 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
                     ad.add(ad.scale(rec, config.weight_reconstruction),
                            ad.scale(cls_loss, config.weight_classifier)),
                     ad.scale(ent, -config.weight_entropy))
+                check_finite(total)
                 ad.backward(total)
-            check_finite(total)
             optimizers.generator.step()
             optimizers.zero_all()
             stats["rec"].append(rec.item())
@@ -310,12 +310,14 @@ def _style_guider_phase(labelled, models, optimizers, config, epoch):
         lengths = np.array([len(s) for s in batch])
         if lengths.max() < config.c:
             continue
-        feats = prefix_features_by_step(batch, models.encoder)
+        rows = sentence_rows(batch, models.profile.pad_width)
+        feats = [ad.constant(f) for f in
+                 prefix_features(rows, models.encoder, lengths.max() + 1)]
         with ad.tape():
             init = initial_state_for_labels(models.guider, labs)
             loss = guider_loss_batch(feats, lengths, config.c, models.guider,
                                      init, labels=labs)
+            check_finite(loss)
             ad.backward(loss)
-        check_finite(loss)
         optimizers.guider.step()
         optimizers.zero_all()

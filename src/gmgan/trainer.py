@@ -23,7 +23,7 @@ from .corpus import PAD
 from .discriminator import DiscriminatorParams, score_batch, train_step
 from .encoder import (EncoderParams, ModelProfile, draw_initial_noise,
                       encode_batch, get_profile, mean_feature_norm,
-                      sentence_rows)
+                      prefix_features, sentence_rows)
 from .errors import ContractError, TrainingDiverged
 from .generator import (GeneratorParams, initial_hidden, mle_loss,
                         sample_sequence, scored_tokens,
@@ -175,23 +175,11 @@ def mle_step(batch, models, optimizers, labels=None):
     with ad.tape():
         loss = mle_loss(batch, models.encoder, models.generator, models.guider,
                         labels=labels)
+        val = check_finite(loss)
         ad.backward(loss)
-    val = check_finite(loss)
     optimizers.generator.step()
     optimizers.zero_all()
     return val
-
-
-def prefix_features_by_step(batch, enc):
-    """Constant (B, F) features of every [BOS]+prefix, for t = 0..T_max."""
-    t_max = max(len(s) for s in batch)
-    full_rows = sentence_rows(batch, enc.profile.pad_width)
-    feats = []
-    rows_t = np.full_like(full_rows, PAD)
-    for t in range(t_max + 1):
-        rows_t[:, : t + 1] = full_rows[:, : t + 1]
-        feats.append(encode_batch(rows_t, enc, stop_gradient=True))
-    return feats
 
 
 def _guider_phase(sentences, models, optimizer, config, epoch):
@@ -202,14 +190,17 @@ def _guider_phase(sentences, models, optimizer, config, epoch):
         lengths = np.array([len(s) for s in batch])
         if lengths.max() < config.c:
             continue
-        feats = prefix_features_by_step(batch, models.encoder)
+        # constant features of every [BOS]+prefix, for t = 0..T_max
+        rows = sentence_rows(batch, models.profile.pad_width)
+        feats = [ad.constant(f) for f in
+                 prefix_features(rows, models.encoder, lengths.max() + 1)]
         with ad.no_grad():
             init_hidden = initial_hidden(feats[-1], models.generator)
         with ad.tape():
             loss = guider_loss_batch(feats, lengths, config.c, models.guider,
                                      initial_state(init_hidden.detach()))
+            losses.append(check_finite(loss))
             ad.backward(loss)
-        losses.append(check_finite(loss))
         optimizer.guider.step()
         optimizer.zero_all()
     return float(np.mean(losses)) if losses else float("nan")
@@ -366,8 +357,8 @@ def policy_gradient_step(traces, reward_traces, models, optimizers,
             total = ad.add(ad.scale(mle, 1.0 - lam), ad.scale(pg, lam))
         else:
             total = pg
+        check_finite(total)
         ad.backward(total)
-    check_finite(total)
     assert all(t.grad is None or not t.grad.any()
                for _, t in models.guider.tensors()), "guider must stay frozen"
     optimizers.generator.step()

@@ -55,6 +55,77 @@ def test_debug_checks_catch_overflow():
         ad.backward(bad_loss)
 
 
+def test_debug_checks_name_the_op_of_a_nonfinite_gradient():
+    # log's backward divides by a subnormal conv output: the loss is finite,
+    # the gradient flowing into conv1d is not
+    x = t(np.full((2, 5, 1), 1e-160), grad=True)
+    kernel = t(np.full((3, 1), 1e-160), grad=True)
+    bias = t(np.zeros(1), grad=True)
+
+    def walk():
+        with ad.tape() as tp:
+            loss = ad.tsum(ad.log(ad.conv1d(x, kernel, bias, 3, 1)))
+            assert all(len(node) == 2 for node in tp.nodes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ad.backward(loss)
+
+    try:
+        ad.set_debug_checks(True)
+        with pytest.raises(FloatingPointError,
+                           match=r"^conv1d output gradient is non-finite, "
+                                 r"shape \(2, 3, 1\)$"):
+            walk()
+        assert kernel.grad is None
+    finally:
+        ad.set_debug_checks(False)
+    # release mode: the walk finishes and leaves the damage in the leaves
+    walk()
+    assert not np.all(np.isfinite(kernel.grad))
+
+
+def test_first_gradient_is_a_copy_of_the_right_shape():
+    g = np.ones(3)
+    x = t(np.zeros(3), grad=True)
+    x.accumulate_grad(g)
+    g[0] = 5.0
+    x.accumulate_grad(g)
+    assert x.grad.tolist() == [6.0, 2.0, 2.0]
+    with pytest.raises(AssertionError):
+        t(np.zeros((2, 2)), grad=True).accumulate_grad(np.ones(2))
+
+
+def test_desk_mle_gradients_equal_zeros_plus_g(monkeypatch):
+    desk = ModelProfile(64, 128, 64, (64, 128), (5, 5), (2, 2), max_len=16)
+    grammar = desk_grammar()
+    batch = sample_grammar(grammar, 64, seed=7, max_len=16)[:32]
+    models = Models(len(grammar.vocabulary()),
+                    TrainConfig(seed=7, profile=desk, max_len=16, c=4,
+                                batch_size=32))
+
+    def gradients():
+        with ad.tape():
+            ad.backward(mle_loss(batch, models.encoder, models.generator,
+                                 models.guider))
+        grads = [tensor.grad for _, tensor in models.all_tensors()]
+        for _, tensor in models.all_tensors():
+            tensor.zero_grad()
+        return grads
+
+    got = gradients()
+
+    def zeros_plus_g(self, g):
+        if self.grad is None:
+            self.grad = np.zeros_like(self.values)
+        self.grad += g
+
+    monkeypatch.setattr(ad.Tensor, "accumulate_grad", zeros_plus_g)
+    want = gradients()
+    assert sum(g is not None for g in got) >= 15
+    for (name, _), a, b in zip(models.all_tensors(), got, want):
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+
+
 def test_grad_shape_matches():
     x = t(np.ones((2, 3)), grad=True)
     with ad.tape():

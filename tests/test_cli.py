@@ -190,6 +190,45 @@ def test_training_divergence_exits_3(tmp_path, monkeypatch):
     assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 3
 
 
+def test_nonfinite_training_loss_exits_3(tmp_path, monkeypatch, capsys):
+    class InfModels(cli.Models):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.generator.out_b.values[0] = np.inf
+
+    monkeypatch.setattr(cli, "Models", InfModels)
+    cfg = write_config(tmp_path)
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def untrained_checkpoint(tmp_path_factory):
+    from gmgan.checkpoint import save_models
+    vocab = desk_grammar().vocabulary()
+    path = tmp_path_factory.mktemp("ckpt") / "untrained.gmg"
+    save_models(str(path), cli.Models(len(vocab), TrainConfig(
+        profile=ModelProfile(**TINY_PROFILE), max_len=12)), vocab)
+    return str(path)
+
+
+@pytest.mark.parametrize("env,args", [
+    ("abc", []), ("-1", []), (None, ["--seed", "-1"]), (None, ["--num", "0"]),
+], ids=["env-not-an-integer", "env-negative", "seed-negative", "num-zero"])
+def test_generate_bad_seed_or_count_exits_2(untrained_checkpoint, tmp_path,
+                                            monkeypatch, capsys, env, args):
+    if env is not None:
+        monkeypatch.setenv("GMG_SEED", env)
+    out = tmp_path / "samples.txt"
+    assert main(["generate", "--checkpoint", untrained_checkpoint,
+                 "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_label_on_plain_checkpoint_exits_2(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 0

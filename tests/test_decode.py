@@ -7,13 +7,15 @@ Every comparison is exact: tokens, log-probs, features, predictions and
 every parameter gradient.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from gmgan import autodiff as ad
 from gmgan.corpus import BOS, EOS, PAD
 from gmgan.encoder import (EncoderParams, ModelProfile, encode, encode_batch,
-                           pad_rows)
+                           pad_rows, prefix_features)
 from gmgan.errors import ContractError, DimensionError
 from gmgan.generator import (GenerationTrace, GeneratorParams, _draw,
                              gated_logits, initial_hidden, sample_sequence,
@@ -72,7 +74,8 @@ def oracle_force(sentence, gen, gui, enc, label):
 
 
 def oracle_teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
-                                    init_features=None):
+                                    init_features=None, known=None):
+    """known: (T, B, F) prefix features to read instead of encoding."""
     n = len(batch)
     t_max = max(len(s) for s in batch)
     prof = enc.profile
@@ -94,7 +97,8 @@ def oracle_teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     rows_t = np.full_like(full_rows, PAD)
     for t in range(t_max):
         rows_t[:, : t + 1] = full_rows[:, : t + 1]
-        f_t = encode_batch(rows_t, enc, stop_gradient=True)
+        f_t = (encode_batch(rows_t, enc, stop_gradient=True) if known is None
+               else ad.constant(known[t]))
         with ad.no_grad():
             pred, gui_state = guider_step(gui_state, f_t, gui, labels=labels)
         logp = ad.log_softmax(gated_logits(dec_h, pred.detach(), gen))
@@ -228,9 +232,16 @@ def test_teacher_forced_batch_equals_oracle(profile, vocab_size, batch, init,
                 return out[0], ad.tsum(ad.mul(out[0], weights))
             return run
 
+        oracle = oracle_teacher_forced_log_probs
+        if profile is TINY:
+            # TINY's products are not row-subset exact (tests/test_encoder.py
+            # bounds prefix_features there), so the oracle reads the same
+            # features; at DESK it encodes every prefix itself
+            rows = pad_rows([[BOS] + s for s in sents], profile.pad_width)
+            oracle = functools.partial(
+                oracle, known=prefix_features(rows, enc, t_max))
         got, got_grads = grads_after(loss(teacher_forced_log_probs), tensors)
-        want, want_grads = grads_after(loss(oracle_teacher_forced_log_probs),
-                                       tensors)
+        want, want_grads = grads_after(loss(oracle), tensors)
         assert np.array_equal(got, want)
         for (name, _), a, b in zip(tensors, got_grads, want_grads):
             assert (a is None) == (b is None), name

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from gmgan import autodiff as ad
+from gmgan import encoder, generator, style, trainer
 from gmgan.corpus import BOS, EOS, PAD, UNK, desk_grammar, sample_grammar
-from gmgan.encoder import ModelProfile, encode
+from gmgan.encoder import ModelProfile, encode, prefix_features, sentence_rows
 from gmgan.errors import ContractError
 from gmgan.generator import LOGIT_MASK, gated_logits, sample_sequence
 from gmgan.guider import guider_loss_batch, initial_state
 from gmgan.rewards import RewardTrace
-from gmgan.trainer import (Models, Optimizers, TrainConfig,
+from gmgan.trainer import (Models, Optimizers, TrainConfig, mle_step,
                            policy_gradient_step, pretrain_mle, rollout_traces,
                            run_gmgan, sample_from_noise, stream_rng,
                            validation_mle_loss)
@@ -82,8 +83,9 @@ def test_guider_loss_batch_matches_per_sequence():
     config = tiny_config()
     models = Models(len(vocab), config)
     batch = sents[:5]
-    from gmgan.trainer import prefix_features_by_step
-    feats = prefix_features_by_step(batch, models.encoder)
+    rows = sentence_rows(batch, TINY.pad_width)
+    feats = [ad.constant(f) for f in
+             prefix_features(rows, models.encoder, max(map(len, batch)) + 1)]
     lengths = np.array([len(s) for s in batch])
     with ad.no_grad():
         from gmgan.generator import initial_hidden
@@ -101,6 +103,41 @@ def test_guider_loss_batch_matches_per_sequence():
             total += loss_i * n_terms
             count += n_terms
     assert abs(pooled - total / count) < 1e-10
+
+
+def count_encode_batch(monkeypatch):
+    """Shapes of the row matrices passed to encode_batch through any gmgan
+    module's binding."""
+    calls, original = [], encoder.encode_batch
+
+    def counted(rows, *args, **kwargs):
+        calls.append(rows.shape)
+        return original(rows, *args, **kwargs)
+
+    for mod in (encoder, generator, trainer, style):
+        if getattr(mod, "encode_batch", None) is original:
+            monkeypatch.setattr(mod, "encode_batch", counted)
+    return calls
+
+
+def test_known_prefixes_are_not_encoded_per_step(monkeypatch):
+    _, vocab, sents = tiny_corpus(n=8)
+    config = tiny_config()
+    models = Models(len(vocab), config)
+    optimizers = Optimizers(models, config)
+    calls = count_encode_batch(monkeypatch)
+    mle_step(sents, models, optimizers)
+    # the initial states, encoded with gradients; no prefix goes through it
+    assert calls == [(8, TINY.pad_width)]
+    calls.clear()
+    trainer._guider_phase(sents, models, optimizers, config, 0)
+    assert calls == []
+
+    labelled = [(s, i % 2) for i, s in enumerate(sents)]
+    models = Models(len(vocab), tiny_config(style_mode=True), style_labels=2)
+    style._style_guider_phase(labelled, models, Optimizers(models, config),
+                              config, 0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
