@@ -14,6 +14,10 @@ terms in the order the composed generic ops gave them, so results are equal
 to theirs bit for bit (tests/test_autodiff.py keeps those compositions as
 oracles).
 
+matmul takes 2-D operands, lstm_cell (B, d) rows and conv1d (B, L, C)
+sequences: a single example is a batch of one; other ranks raise
+DimensionError.
+
 Values are numpy float64 arrays. Tensors are immutable after construction
 except for gradient accumulation; a tape is single-threaded. With
 DEBUG_CHECKS on, an op that produces NaN/Inf raises FloatingPointError
@@ -268,29 +272,19 @@ def scale(a, k):
 
 
 def matmul(a, b):
-    """Matrix product. 1-D operands are promoted and the result squeezed."""
+    """Product of two 2-D tensors."""
     av, bv = a.values, b.values
-    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
-        raise DimensionError("matmul expects 1-D or 2-D operands")
-    a2 = av.reshape(1, -1) if av.ndim == 1 else av
-    b2 = bv.reshape(-1, 1) if bv.ndim == 1 else bv
-    if a2.shape[1] != b2.shape[0]:
-        raise DimensionError(
-            "matmul inner extents differ: %r vs %r" % (av.shape, bv.shape))
-    res = a2 @ b2
-    if av.ndim == 1:
-        res = res.reshape(res.shape[1])
-    elif bv.ndim == 1:
-        res = res.reshape(res.shape[0])
-    out = _fresh(res, "matmul")
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise DimensionError("matmul expects 2-D operands with equal inner "
+                             "extents, got %r and %r" % (av.shape, bv.shape))
+    out = _fresh(av @ bv, "matmul")
     tp = _track(a, b)
     if tp:
         def bw(g):
-            g2 = g.reshape(a2.shape[0], b2.shape[1])
             if a.requires_grad:
-                a.accumulate_grad((g2 @ b2.T).reshape(av.shape))
+                a.accumulate_grad(g @ bv.T)
             if b.requires_grad:
-                b.accumulate_grad((a2.T @ g2).reshape(bv.shape))
+                b.accumulate_grad(av.T @ g)
         tp.record(out, bw)
     return out
 
@@ -453,16 +447,18 @@ def slice_cols(a, start, stop):
 
 
 def gather_rows(a, idx):
-    """Select rows of a 2-D tensor; repeated indices accumulate gradient."""
-    if a.values.ndim != 2:
-        raise DimensionError("gather_rows expects a 2-D tensor")
+    """Select rows of a 2-D tensor by a 1-D index array; repeated indices
+    accumulate gradient."""
     idx = np.array(idx, dtype=np.intp)  # copy: callers may reuse the buffer
+    if a.values.ndim != 2 or idx.ndim != 1:
+        raise DimensionError("gather_rows expects a 2-D tensor and 1-D "
+                             "indices, got %r and %r" % (a.shape, idx.shape))
     out = _fresh(a.values[idx], "gather_rows")
     tp = _track(a)
     if tp:
         def bw(g):
             full = np.zeros_like(a.values)
-            np.add.at(full, idx, g.reshape(idx.shape + (a.values.shape[1],)))
+            np.add.at(full, idx, g)
             a.accumulate_grad(full)
         tp.record(out, bw)
     return out
@@ -528,19 +524,16 @@ def row_cosine(a, b):
 def lstm_cell(x, hidden, cell, w_x, w_h, b):
     """One standard LSTM step, fused into one node with two tape entries.
 
-    x may be (d_in,) or (B, d_in); hidden/cell match with width H. The fused
-    weight layout is w_x: (d_in, 4H), w_h: (H, 4H), b: (4H,) with gate order
-    input, forget, output, candidate.
+    x is (B, d_in); hidden and cell are (B, H). The fused weight layout is
+    w_x: (d_in, 4H), w_h: (H, 4H), b: (4H,) with gate order input, forget,
+    output, candidate.
 
     new_hidden's entry runs the whole backward and reads new_cell's gradient
     (None counts as zero); new_cell's, recorded after it, only gives
     new_hidden a zero gradient when the cell alone received one, so that the
     first entry still fires.
     """
-    single = x.values.ndim == 1
     xv, hv, cv = x.values, hidden.values, cell.values
-    if single:
-        xv, hv, cv = xv.reshape(1, -1), hv.reshape(1, -1), cv.reshape(1, -1)
     h_dim = hv.shape[-1]
     if (xv.ndim != 2 or hv.ndim != 2 or cv.shape != hv.shape
             or hv.shape[0] != xv.shape[0] or xv.shape[1] != w_x.shape[0]
@@ -556,20 +549,16 @@ def lstm_cell(x, hidden, cell, w_x, w_h, b):
     g = np.tanh(z[:, 3 * h_dim:])
     c_new = f * cv + i * g
     tc = np.tanh(c_new)
-    h_new = o * tc
-    if single:
-        h_new, c_new = h_new.reshape(h_dim), c_new.reshape(h_dim)
-    new_hidden = _fresh(h_new, "lstm_cell")
+    new_hidden = _fresh(o * tc, "lstm_cell")
     new_cell = _fresh(c_new, "lstm_cell")
     tp = _track(x, hidden, cell, w_x, w_h, b)
     if tp:
         def bw(g_h):
-            g_h = g_h.reshape(hv.shape)
             dc = g_h * o * (1.0 - tc * tc)
             if new_cell.grad is not None:
-                dc = new_cell.grad.reshape(cv.shape) + dc
+                dc = new_cell.grad + dc
             if cell.requires_grad:
-                cell.accumulate_grad((dc * f).reshape(cell.shape))
+                cell.accumulate_grad(dc * f)
             # each gate gradient is formed in the composed ops' order
             dz = np.empty((hv.shape[0], 4 * h_dim))
             dz[:, :h_dim] = dc * g
@@ -580,12 +569,11 @@ def lstm_cell(x, hidden, cell, w_x, w_h, b):
             if b.requires_grad:
                 b.accumulate_grad(dz.sum(axis=0))
             if hidden.requires_grad:
-                hidden.accumulate_grad(
-                    (dz @ w_h.values.T).reshape(hidden.shape))
+                hidden.accumulate_grad(dz @ w_h.values.T)
             if w_h.requires_grad:
                 w_h.accumulate_grad(hv.T @ dz)
             if x.requires_grad:
-                x.accumulate_grad((dz @ w_x.values.T).reshape(x.shape))
+                x.accumulate_grad(dz @ w_x.values.T)
             if w_x.requires_grad:
                 w_x.accumulate_grad(xv.T @ dz)
         tp.record(new_hidden, bw)
@@ -597,24 +585,17 @@ def lstm_cell(x, hidden, cell, w_x, w_h, b):
     return new_hidden, new_cell
 
 
-def conv_output_length(length, width, stride):
-    if length < width:
-        raise DimensionError(
-            "conv input length %d shorter than kernel width %d" % (length, width))
-    return (length - width) // stride + 1
-
-
 def conv1d(x, kernel, bias, width, stride, apply_relu=True):
     """Valid cross-correlation over the time axis, then optional ReLU.
 
-    x is (L, in_ch) or (B, L, in_ch); kernel is (width*in_ch, out_ch),
-    i.e. each output channel sees a flattened window of `width` positions.
-    Recorded as one fused node: gather, matmul, bias and ReLU.
+    x is (B, L, in_ch); kernel is (width*in_ch, out_ch), i.e. each output
+    channel sees a flattened window of `width` positions. Recorded as one
+    fused node: gather, matmul, bias and ReLU.
     """
     xv = x.values
-    single = xv.ndim == 2
-    if single:
-        xv = xv.reshape((1,) + xv.shape)
+    if xv.ndim != 3 or xv.shape[1] < width:
+        raise DimensionError("conv1d expects (B, L, in_ch) input with L >= "
+                             "width %d, got %r" % (width, xv.shape))
     batch, length, in_ch = xv.shape
     if kernel.values.ndim != 2 or kernel.shape[0] != width * in_ch:
         raise DimensionError(
@@ -624,7 +605,7 @@ def conv1d(x, kernel, bias, width, stride, apply_relu=True):
     if bias.shape != (out_ch,):
         raise DimensionError("conv bias shape %r != (%d,)"
                              % (bias.shape, out_ch))
-    n_win = conv_output_length(length, width, stride)
+    n_win = (length - width) // stride + 1
     # window row indices into the (B*L, in_ch) flattening
     starts = np.arange(n_win) * stride
     win = starts[:, None] + np.arange(width)[None, :]            # (n_win, width)
@@ -635,8 +616,7 @@ def conv1d(x, kernel, bias, width, stride, apply_relu=True):
     y = windows @ kernel.values + bias.values
     if apply_relu:
         y = np.maximum(y, 0.0)
-    out = _fresh(y.reshape((n_win, out_ch) if single
-                           else (batch, n_win, out_ch)), "conv1d")
+    out = _fresh(y.reshape(batch, n_win, out_ch), "conv1d")
     tp = _track(x, kernel, bias)
     if tp:
         def bw(g):
@@ -653,7 +633,7 @@ def conv1d(x, kernel, bias, width, stride, apply_relu=True):
                 full = np.zeros((batch, length, in_ch))
                 for k in range(width - 1, -1, -1):
                     full[:, starts + k] += gw[:, :, k]
-                x.accumulate_grad(full.reshape(x.shape))
+                x.accumulate_grad(full)
         tp.record(out, bw)
     return out
 

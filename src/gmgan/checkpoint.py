@@ -74,13 +74,10 @@ def _unpack_sections(reader):
     return sections
 
 
-def config_to_blob(config, vocab_tokens, style_labels=0, extra=None):
+def config_to_blob(config, vocab_tokens, style_labels=0):
     cfg = dataclasses.asdict(config)  # recurses into a ModelProfile profile
-    blob = {"train_config": cfg, "vocab_tokens": list(vocab_tokens),
+    return {"train_config": cfg, "vocab_tokens": list(vocab_tokens),
             "style_labels": style_labels}
-    if extra:
-        blob["extra"] = extra
-    return blob
 
 
 def write_checkpoint(path, sections, config_blob):
@@ -132,7 +129,7 @@ def read_checkpoint(path):
 # model-level save/load
 # ---------------------------------------------------------------------------
 
-def save_models(path, models, vocab, optimizers=None, extra=None):
+def save_models(path, models, vocab, optimizers=None):
     sections = [(name, t.values) for name, t in models.all_tensors()]
     sections.append(("meta.feature_norm", np.array([models.feature_norm])))
     sections.append(("meta.pretrained", np.array([1.0 if models.pretrained
@@ -143,7 +140,7 @@ def save_models(path, models, vocab, optimizers=None, extra=None):
             for name, arr in opt.state_arrays():
                 sections.append(("optim.%s.%s" % (group, name), arr))
     blob = config_to_blob(models.config, vocab.id_to_token,
-                          style_labels=models.guider.num_labels, extra=extra)
+                          style_labels=models.guider.num_labels)
     write_checkpoint(path, sections, blob)
 
 
@@ -154,6 +151,9 @@ def load_models(path):
     """
     blob, sections = read_checkpoint(path)
     config, vocab, style_labels = _config_from_blob(blob)
+    bad = [name for name, arr in sections.items() if not np.isfinite(arr).all()]
+    if bad:
+        raise CheckpointError("non-finite values in %s" % ", ".join(bad))
     models = Models(len(vocab), config, style_labels=style_labels)
     for name, t in models.all_tensors():
         arr = _section(sections, name)
@@ -161,8 +161,11 @@ def load_models(path):
             raise CheckpointError("section %r has shape %r, expected %r"
                                   % (name, arr.shape, t.values.shape))
         t.values[...] = arr
-    models.feature_norm = float(_section(sections, "meta.feature_norm")[0])
-    models.pretrained = bool(_section(sections, "meta.pretrained")[0])
+    meta = [_section(sections, "meta.%s" % n)
+            for n in ("feature_norm", "pretrained")]
+    if any(arr.shape != (1,) for arr in meta):
+        raise CheckpointError("meta sections must hold one value each")
+    models.feature_norm, models.pretrained = float(meta[0][0]), bool(meta[1][0])
 
     optimizers = None
     if any(name.startswith("optim.") for name in sections):
@@ -192,15 +195,15 @@ def _config_from_blob(blob):
         cfg = dict(blob["train_config"])
         if isinstance(cfg.get("profile"), dict):
             prof = cfg["profile"]
-            cfg["profile"] = ModelProfile(
-                embed_dim=prof["embed_dim"],
-                feature_dim=prof["feature_dim"],
-                hidden_dim=prof["hidden_dim"],
-                conv_channels=tuple(prof["conv_channels"]),
-                conv_widths=tuple(prof["conv_widths"]),
-                conv_strides=tuple(prof["conv_strides"]),
-                max_len=prof["max_len"])
-        return (TrainConfig(**cfg), Vocabulary(blob["vocab_tokens"]),
-                blob.get("style_labels", 0))
+            cfg["profile"] = ModelProfile(*(
+                tuple(prof[f.name]) if f.type is tuple else prof[f.name]
+                for f in dataclasses.fields(ModelProfile)))
+        tokens, style_labels = blob["vocab_tokens"], blob.get("style_labels", 0)
+        if not (isinstance(tokens, list)
+                and all(isinstance(t, str) for t in tokens)
+                and type(style_labels) is int and style_labels >= 0):
+            raise CheckpointError("checkpoint needs vocab_tokens strings and "
+                                  "a style_labels int >= 0")
+        return TrainConfig(**cfg), Vocabulary(tokens), style_labels
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError("checkpoint config is malformed: %r" % e) from e

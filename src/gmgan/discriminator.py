@@ -24,12 +24,6 @@ def score_batch(sentences, params):
     return ad.sigmoid(ad.reshape(raw, (rows.shape[0],)))
 
 
-def score(sentence, params):
-    """Probability that one sentence is real."""
-    with ad.no_grad():
-        return float(score_batch([sentence], params).values[0])
-
-
 _CLAMP = 1e-12  # keeps log() finite when sigmoid rounds to exactly 0 or 1
 
 

@@ -15,7 +15,7 @@ prefixes of a batch once, forward only, with the same bits as per-step
 product (every shape of the DESK encoder).
 """
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .corpus import BOS, PAD
 from .errors import ContractError, DimensionError
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ModelProfile:
     """Network dimensions; `paper` is the default, `small` trains in seconds."""
     embed_dim: int
@@ -35,15 +35,33 @@ class ModelProfile:
     conv_strides: tuple = (2, 2)
     max_len: int = 25
 
+    def __post_init__(self):
+        layers = (self.conv_channels, self.conv_widths, self.conv_strides)
+        dims = [self.embed_dim, self.feature_dim, self.hidden_dim, self.max_len]
+        if not (all(isinstance(v, (tuple, list)) for v in layers)
+                and len({len(v) for v in layers}) == 1 and layers[0]
+                and all(type(d) is int and d > 0
+                        for d in dims + [d for v in layers for d in v])):
+            raise ContractError("a profile needs positive int dimensions and "
+                                "one channel count, width and stride per conv "
+                                "layer, got %r" % (self,))
+        self.conv_lengths()
+
     @property
     def pad_width(self):
         return self.max_len + 1
 
     def conv_lengths(self):
-        lengths = []
-        length = self.pad_width
-        for w, s in zip(self.conv_widths, self.conv_strides):
-            length = ad.conv_output_length(length, w, s)
+        """Output length of each conv layer; every layer must get at least
+        its kernel width."""
+        lengths, length = [], self.pad_width
+        for i, (w, s) in enumerate(zip(self.conv_widths, self.conv_strides)):
+            if length < w:
+                raise ContractError(
+                    "max_len %d is too short for the conv stack: layer %d "
+                    "gets %d positions, fewer than its width %d"
+                    % (self.max_len, i + 1, length, w))
+            length = (length - w) // s + 1
             lengths.append(length)
         return lengths
 
@@ -62,9 +80,7 @@ def get_profile(name, max_len=None):
     else:
         raise ContractError("unknown profile %r" % (name,))
     if max_len is not None and max_len != prof.max_len:
-        prof = ModelProfile(prof.embed_dim, prof.feature_dim, prof.hidden_dim,
-                            prof.conv_channels, prof.conv_widths,
-                            prof.conv_strides, max_len)
+        prof = dataclasses.replace(prof, max_len=max_len)
     return prof
 
 
@@ -195,8 +211,8 @@ def prefix_features(rows, params, n):
     known = np.arange(width) <= np.arange(n)[:, None]              # (n, W)
     ids = np.where(known[:, None, :], rows, PAD).reshape(n * batch, width)
     table = params.embedding.values
-    for kernel, bias, w, s in params.layers:
-        n_win = ad.conv_output_length(ids.shape[1], w, s)
+    for (kernel, bias, w, s), n_win in zip(params.layers,
+                                           params.profile.conv_lengths()):
         win = ids[:, (np.arange(n_win) * s)[:, None] + np.arange(w)]
         distinct, inverse = _distinct_windows(win.reshape(-1, w), len(table))
         x = table[distinct].reshape(len(distinct), -1)
@@ -211,15 +227,6 @@ def prefix_features(rows, params, n):
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("prefix features are non-finite")
     return out[inverse].reshape(n, batch, -1)
-
-
-def encode(prefix, params, stop_gradient=False):
-    """Feature of a single token prefix (1 <= length <= pad width)."""
-    if len(prefix) == 0:
-        raise ContractError("cannot encode an empty prefix")
-    rows = pad_rows([list(prefix)], params.profile.pad_width)
-    out = encode_batch(rows, params, stop_gradient=stop_gradient)
-    return ad.reshape(out, (params.profile.feature_dim,))
 
 
 def draw_initial_noise(rng, feature_dim, scale=1.0):

@@ -73,17 +73,15 @@ class GeneratorParams:
                 ("generator.init.b", self.init_b)]
 
 
-def initial_hidden(init_feature, params):
-    """Project an initial feature to the shared decoder/guider hidden state."""
-    single = init_feature.values.ndim == 1
-    x = ad.reshape(init_feature, (1, -1)) if single else init_feature
-    out = ad.add(ad.matmul(x, params.init_w), params.init_b)
-    return ad.reshape(out, (params.profile.hidden_dim,)) if single else out
+def initial_hidden(init_features, params):
+    """Project (B, F) initial features to the shared decoder/guider hidden
+    state (B, H)."""
+    return ad.add(ad.matmul(init_features, params.init_w), params.init_b)
 
 
 def gated_logits(dec_hidden, guider_pred, params):
     """Decoder feature gated element-wise by the transformed prediction, then
-    projected to (masked) vocabulary logits. Shapes (H,)/(F,) or (B,H)/(B,F)."""
+    projected to (masked) vocabulary logits. Shapes (B, H)/(B, F) -> (B, V)."""
     out_feat = ad.add(ad.matmul(dec_hidden, params.out_w), params.out_b)
     gate = ad.add(ad.matmul(guider_pred, params.gate_w), params.gate_b)
     if out_feat.shape != gate.shape:
@@ -213,8 +211,6 @@ def sample_sequence(init_feature, gen, gui, enc, seed=None, rng=None,
         raise ContractError("mode must be sample or greedy")
     if rng is None:
         rng = np.random.default_rng(seed)
-    if isinstance(init_feature, ad.Tensor):
-        init_feature = init_feature.values
     init = ad.constant(np.reshape(init_feature, (1, -1)))
     labels = None if style_label is None else np.array([style_label])
 

@@ -49,50 +49,38 @@ class GuiderParams:
 
 
 def initial_state(hidden):
-    """State seeded with a hidden vector (or batch of them) and zero cell."""
+    """State seeded with a (B, H) batch of hidden rows and a zero cell."""
     return GuiderState(hidden, ad.constant(np.zeros(hidden.shape)))
 
 
 def initial_state_for_labels(params, labels):
-    """Style mode: the label's learned embedding is the initial hidden state."""
+    """Style mode: each row's label embedding is its initial hidden state.
+
+    labels is a 1-D array of label ids, one per row."""
     if params.label_init is None:
         raise ContractError("guider was built without style labels")
-    idx = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    hidden = ad.gather_rows(params.label_init, idx)
-    if np.isscalar(labels) or np.asarray(labels).ndim == 0:
-        hidden = ad.reshape(hidden, (params.profile.hidden_dim,))
-    return initial_state(hidden)
-
-
-def _one_hot(labels, num_labels, batch):
-    oh = np.zeros((batch, num_labels))
-    oh[np.arange(batch), np.asarray(labels, dtype=np.intp)] = 1.0
-    return ad.constant(oh)
+    return initial_state(ad.gather_rows(params.label_init, labels))
 
 
 def guider_step(state, f, params, labels=None):
-    """Advance one step on feature f; returns (predicted feature, new state).
+    """Advance one step on the (B, feature_dim) features f; returns the
+    (B, feature_dim) predictions and the new state.
 
-    f is (feature_dim,) or (B, feature_dim). In style mode labels must be
-    given (scalar or length-B); outside style mode they must not be.
+    In style mode labels must be given (length B); outside style mode they
+    must not be.
     """
     if (labels is not None) != bool(params.num_labels):
         raise ContractError("labels are required exactly in style mode")
-    single = f.values.ndim == 1
-    x = ad.reshape(f, (1, -1)) if single else f
-    hidden = ad.reshape(state.hidden, (1, -1)) if single else state.hidden
-    cell = ad.reshape(state.cell, (1, -1)) if single else state.cell
-    if x.shape[1] != params.profile.feature_dim:
-        raise DimensionError("feature width %d != profile %d"
-                             % (x.shape[1], params.profile.feature_dim))
-    if params.num_labels:
-        x = ad.concat([x, _one_hot(labels, params.num_labels, x.shape[0])], axis=1)
-    new_h, new_c = ad.lstm_cell(x, hidden, cell, params.w_x, params.w_h, params.b)
+    if f.values.ndim != 2 or f.shape[1] != params.profile.feature_dim:
+        raise DimensionError("guider input %r is not (B, %d)"
+                             % (f.shape, params.profile.feature_dim))
+    x = f
+    if params.num_labels:  # each row's label, one-hot, after its feature
+        one_hot = np.eye(params.num_labels)[np.asarray(labels, dtype=np.intp)]
+        x = ad.concat([x, ad.constant(one_hot)], axis=1)
+    new_h, new_c = ad.lstm_cell(x, state.hidden, state.cell,
+                                params.w_x, params.w_h, params.b)
     pred = ad.add(ad.matmul(new_h, params.head_w), params.head_b)
-    if single:
-        pred = ad.reshape(pred, (params.profile.feature_dim,))
-        new_h = ad.reshape(new_h, (params.profile.hidden_dim,))
-        new_c = ad.reshape(new_c, (params.profile.hidden_dim,))
     return pred, GuiderState(new_h, new_c)
 
 
@@ -134,7 +122,8 @@ def guider_loss_batch(step_features, lengths, c, params, init_state,
 def objective_cosines(features, params, init_state, c, labels=None):
     """Mean of each cosine term separately (diagnostics / acceptance).
 
-    features are the (feature_dim,) tensors f_0..f_T of one sequence.
+    features are the (1, feature_dim) tensors f_0..f_T of one sequence,
+    the layout guider_loss_batch takes.
     """
     n_terms = len(features) - c
     if c < 1 or n_terms < 1:
@@ -145,9 +134,9 @@ def objective_cosines(features, params, init_state, c, labels=None):
         for f in features[:n_terms]:
             pred, state = guider_step(state, f, params, labels=labels)
             preds.append(pred.values)
-    target = np.stack([f.values for f in features[c:]])
-    anchor = np.stack([f.values for f in features[:n_terms]])
-    pred = np.stack(preds)
+    target = np.concatenate([f.values for f in features[c:]])
+    anchor = np.concatenate([f.values for f in features[:n_terms]])
+    pred = np.concatenate(preds)
     direct = ad.row_cosine(ad.constant(target), ad.constant(pred)).values
     direction = ad.row_cosine(ad.constant(target - anchor),
                               ad.constant(pred - anchor)).values

@@ -14,14 +14,14 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import BOS, EOS, PAD
 from .encoder import (TokenCNN, encode_batch, mean_feature_norm, pad_rows,
-                      prefix_features, sentence_rows)
+                      sentence_rows)
 from .errors import ContractError
 from .generator import gated_logits, initial_hidden, mle_loss, sample_sequence
-from .guider import guider_loss_batch, guider_step, initial_state_for_labels
+from .guider import guider_step, initial_state_for_labels
 from .metrics import ngrams, strip_eos
 from .optim import Adam
-from .trainer import (Optimizers, check_finite, mle_step, shuffled_batches,
-                      stream_rng)
+from .trainer import (Optimizers, check_finite, guider_update, mle_step,
+                      shuffled_batches, stream_rng)
 
 
 def check_binary_labels(labelled):
@@ -187,7 +187,7 @@ def soft_transfer_rollout(sources, target_labels, models, classifier, config):
 def transfer_greedy(source, target_label, models):
     """Hard transfer at inference: greedy decode under the flipped label."""
     rows = sentence_rows([source], models.profile.pad_width)
-    init = encode_batch(rows, models.encoder, stop_gradient=True)
+    init = encode_batch(rows, models.encoder, stop_gradient=True).values
     trace = sample_sequence(init, models.generator, models.guider,
                             models.encoder, seed=0, mode="greedy",
                             style_label=int(target_label))
@@ -305,19 +305,5 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
 def _style_guider_phase(labelled, models, optimizers, config, epoch):
     rng = stream_rng(config.seed, "style_guider", epoch)
     for idx in shuffled_batches(len(labelled), config.batch_size, rng):
-        batch = [labelled[i][0] for i in idx]
-        labs = np.array([labelled[i][1] for i in idx])
-        lengths = np.array([len(s) for s in batch])
-        if lengths.max() < config.c:
-            continue
-        rows = sentence_rows(batch, models.profile.pad_width)
-        feats = [ad.constant(f) for f in
-                 prefix_features(rows, models.encoder, lengths.max() + 1)]
-        with ad.tape():
-            init = initial_state_for_labels(models.guider, labs)
-            loss = guider_loss_batch(feats, lengths, config.c, models.guider,
-                                     init, labels=labs)
-            check_finite(loss)
-            ad.backward(loss)
-        optimizers.guider.step()
-        optimizers.zero_all()
+        guider_update([labelled[i][0] for i in idx], models, optimizers,
+                      config.c, labels=np.array([labelled[i][1] for i in idx]))

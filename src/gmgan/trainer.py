@@ -28,7 +28,8 @@ from .errors import ContractError, TrainingDiverged
 from .generator import (GeneratorParams, initial_hidden, mle_loss,
                         sample_sequence, scored_tokens,
                         teacher_forced_log_probs)
-from .guider import GuiderParams, guider_loss_batch, initial_state
+from .guider import (GuiderParams, guider_loss_batch, initial_state,
+                     initial_state_for_labels)
 from .optim import Adam
 from .rewards import RewardBaseline, compute_reward_trace
 
@@ -100,6 +101,7 @@ class TrainConfig:
         if self.rl_mix != "ramp" and not (isinstance(self.rl_mix, (int, float))
                                           and 0.0 <= float(self.rl_mix) <= 1.0):
             raise ContractError("rl_mix must be 'ramp' or a float in [0, 1]")
+        get_profile(self.profile, max_len=self.max_len)  # the stack must fit
 
 
 def stream_rng(seed, domain, *indices):
@@ -182,27 +184,41 @@ def mle_step(batch, models, optimizers, labels=None):
     return val
 
 
-def _guider_phase(sentences, models, optimizer, config, epoch):
+def guider_update(batch, models, optimizers, c, labels=None):
+    """One guider step on the dual-cosine loss of a batch of real sentences,
+    seeded from their projected features or, given (B,) style labels, from
+    the labels' embeddings. Returns the loss, or None when no sentence
+    reaches length c."""
+    lengths = np.array([len(s) for s in batch])
+    if lengths.max() < c:
+        return None
+    # constant features of every [BOS]+prefix, for t = 0..T_max
+    rows = sentence_rows(batch, models.profile.pad_width)
+    feats = [ad.constant(f) for f in
+             prefix_features(rows, models.encoder, lengths.max() + 1)]
+    with ad.tape():
+        if labels is None:
+            with ad.no_grad():
+                init = initial_state(initial_hidden(feats[-1],
+                                                    models.generator))
+        else:
+            init = initial_state_for_labels(models.guider, labels)
+        loss = guider_loss_batch(feats, lengths, c, models.guider, init,
+                                 labels=labels)
+        val = check_finite(loss)
+        ad.backward(loss)
+    optimizers.guider.step()
+    optimizers.zero_all()
+    return val
+
+
+def _guider_phase(sentences, models, optimizers, config, epoch):
     rng = stream_rng(config.seed, "guider_batch", epoch)
-    losses = []
-    for idx in shuffled_batches(len(sentences), config.batch_size, rng):
-        batch = [sentences[i] for i in idx]
-        lengths = np.array([len(s) for s in batch])
-        if lengths.max() < config.c:
-            continue
-        # constant features of every [BOS]+prefix, for t = 0..T_max
-        rows = sentence_rows(batch, models.profile.pad_width)
-        feats = [ad.constant(f) for f in
-                 prefix_features(rows, models.encoder, lengths.max() + 1)]
-        with ad.no_grad():
-            init_hidden = initial_hidden(feats[-1], models.generator)
-        with ad.tape():
-            loss = guider_loss_batch(feats, lengths, config.c, models.guider,
-                                     initial_state(init_hidden.detach()))
-            losses.append(check_finite(loss))
-            ad.backward(loss)
-        optimizer.guider.step()
-        optimizer.zero_all()
+    losses = [guider_update([sentences[i] for i in idx], models, optimizers,
+                            config.c)
+              for idx in shuffled_batches(len(sentences), config.batch_size,
+                                          rng)]
+    losses = [loss for loss in losses if loss is not None]
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -265,16 +281,12 @@ def pretrain_mle(train_sentences, val_sentences, models, config,
 # policy gradient
 # ---------------------------------------------------------------------------
 
-def rollout_traces(init_sentences, models, rng, max_len=None):
+def rollout_traces(init_sentences, models, rng):
     """Sample one trace per initial sentence (training-mode initial states)."""
     rows = sentence_rows(init_sentences, models.profile.pad_width)
     init_feats = encode_batch(rows, models.encoder, stop_gradient=True).values
-    traces = []
-    for i in range(len(init_sentences)):
-        traces.append(sample_sequence(init_feats[i], models.generator,
-                                      models.guider, models.encoder,
-                                      rng=rng, max_len=max_len))
-    return traces
+    return [sample_sequence(f, models.generator, models.guider,
+                            models.encoder, rng=rng) for f in init_feats]
 
 
 def _scored_rollouts(train_sentences, models, config, rng):

@@ -16,7 +16,7 @@ from gmgan.corpus import (BOS, EOS, PAD, desk_grammar, desk_style_grammar,
                           sample_grammar, sample_grammar_styled, style_oracle,
                           unigram_entropy)
 from gmgan.checkpoint import read_checkpoint, save_models, write_checkpoint
-from gmgan.encoder import EncoderParams, ModelProfile, encode
+from gmgan.encoder import EncoderParams, ModelProfile, encode_batch, pad_rows
 from gmgan.discriminator import DiscriminatorParams, bce_loss
 from gmgan.generator import (GeneratorParams, gated_logits, initial_hidden,
                              sample_sequence, teacher_force_trace,
@@ -187,11 +187,12 @@ def test_criterion_1_gradient_correctness():
         w_x = ad.Tensor(rng.normal(scale=0.5, size=(d_in, 4 * h)), requires_grad=True)
         w_h = ad.Tensor(rng.normal(scale=0.5, size=(h, 4 * h)), requires_grad=True)
         bias = ad.Tensor(rng.normal(scale=0.1, size=4 * h), requires_grad=True)
-        x = rng.normal(size=d_in)
+        x = rng.normal(size=(1, d_in))
         proj = rng.normal(size=h)
 
         def lstm_loss():
-            hid, cel = ad.constant(np.zeros(h)), ad.constant(np.zeros(h))
+            hid = ad.constant(np.zeros((1, h)))
+            cel = ad.constant(np.zeros((1, h)))
             hid, cel = ad.lstm_cell(ad.constant(x), hid, cel, w_x, w_h, bias)
             return ad.tsum(ad.mul(hid, ad.constant(proj)))
 
@@ -204,8 +205,8 @@ def test_criterion_1_gradient_correctness():
 
         kernel = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         cbias = ad.Tensor(rng.normal(scale=0.1, size=3), requires_grad=True)
-        xc = ad.constant(rng.normal(size=(8, 2)))
-        wc = rng.normal(size=(3, 3))
+        xc = ad.constant(rng.normal(size=(1, 8, 2)))
+        wc = rng.normal(size=(1, 3, 3))
 
         def conv_loss():
             return ad.tsum(ad.mul(ad.conv1d(xc, kernel, cbias, 3, 2),
@@ -235,10 +236,11 @@ def test_criterion_1_gradient_correctness():
         # encoder
         prefix = [BOS] + list(case_rng.integers(4, 10,
                                                 size=case_rng.integers(1, 8)))
+        rows = pad_rows([prefix], TINY.pad_width)
         wvec = case_rng.normal(size=TINY.feature_dim)
 
         def enc_loss():
-            return ad.tsum(ad.mul(encode(prefix, enc), ad.constant(wvec)))
+            return ad.tsum(ad.mul(encode_batch(rows, enc), ad.constant(wvec)))
 
         def enc_forward():
             with ad.no_grad():
@@ -248,11 +250,11 @@ def test_criterion_1_gradient_correctness():
             enc_loss, enc_forward, [t for _, t in enc.tensors()], case_rng))
 
         # guider: three-step unroll
-        feats = [np.abs(case_rng.normal(size=TINY.feature_dim))
+        feats = [np.abs(case_rng.normal(size=(1, TINY.feature_dim)))
                  for _ in range(3)]
 
         def gui_loss():
-            state = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
+            state = initial_state(ad.constant(np.zeros((1, TINY.hidden_dim))))
             pred = None
             for f in feats:
                 pred, state = guider_step(state, ad.constant(f), gui)
@@ -266,17 +268,17 @@ def test_criterion_1_gradient_correctness():
             gui_loss, gui_forward, [t for _, t in gui.tensors()], case_rng))
 
         # gated decoder step: log-prob of one token
-        x_emb = case_rng.normal(size=TINY.embed_dim)
-        pred_vec = case_rng.normal(size=TINY.feature_dim)
+        x_emb = case_rng.normal(size=(1, TINY.embed_dim))
+        pred_vec = case_rng.normal(size=(1, TINY.feature_dim))
         token = int(case_rng.integers(4, 10))
 
         def dec_loss():
-            hid = ad.constant(np.zeros(TINY.hidden_dim))
-            cel = ad.constant(np.zeros(TINY.hidden_dim))
+            hid = ad.constant(np.zeros((1, TINY.hidden_dim)))
+            cel = ad.constant(np.zeros((1, TINY.hidden_dim)))
             hid, cel = ad.lstm_cell(ad.constant(x_emb), hid, cel,
                                     gen.dec_w_x, gen.dec_w_h, gen.dec_b)
             logits = gated_logits(hid, ad.constant(pred_vec), gen)
-            logp = ad.log_softmax(ad.reshape(logits, (1, -1)))
+            logp = ad.log_softmax(logits)
             return ad.tsum(ad.pick(logp, [0], [token]))
 
         def dec_forward():
@@ -428,7 +430,9 @@ def _heldout_cosines(models, sentences, c, n=60):
     direct, direction = [], []
     with ad.no_grad():
         for s in sentences[:n]:
-            feats = [encode([BOS] + list(s)[:t], models.encoder)
+            feats = [encode_batch(pad_rows([[BOS] + list(s)[:t]],
+                                           models.profile.pad_width),
+                                  models.encoder)
                      for t in range(len(s) + 1)]
             init = initial_state(initial_hidden(feats[-1], models.generator))
             d, q = objective_cosines(feats, models.guider, init, c)

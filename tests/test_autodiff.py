@@ -8,7 +8,9 @@ from gmgan import autodiff as ad
 from gmgan.corpus import desk_grammar, sample_grammar
 from gmgan.encoder import ModelProfile
 from gmgan.errors import ContractError, DimensionError, TapeError
-from gmgan.generator import mle_loss
+from gmgan.generator import GeneratorParams, initial_hidden, mle_loss
+from gmgan.guider import (GuiderParams, guider_step, initial_state,
+                          initial_state_for_labels)
 from gmgan.trainer import Models, TrainConfig
 from helpers import check_grads, rel_err
 
@@ -168,20 +170,6 @@ def test_matmul_gradient_vs_finite_differences():
     assert check_grads(forward, [a, b], tol=1e-6) < 1e-6
 
 
-def test_matmul_vector_promotion():
-    rng = np.random.default_rng(1)
-    x = t(rng.normal(size=4), grad=True)
-    w = t(rng.normal(size=(4, 3)), grad=True)
-    with ad.tape():
-        out = ad.matmul(x, w)
-        assert out.shape == (3,)
-        loss = ad.tsum(out)
-    ad.backward(loss)
-    def forward():
-        return float((x.values @ w.values).sum())
-    check_grads(forward, [x, w], tol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 # ---------------------------------------------------------------------------
@@ -304,18 +292,18 @@ def _lstm_params(rng, d_in, h):
 def test_lstm_zero_everything_gives_zero_hidden():
     d_in, h = 3, 4
     zeros = lambda *s: t(np.zeros(s))
-    hid, cell = ad.lstm_cell(zeros(d_in), zeros(h), zeros(h),
+    hid, cell = ad.lstm_cell(zeros(1, d_in), zeros(1, h), zeros(1, h),
                              zeros(d_in, 4 * h), zeros(h, 4 * h), zeros(4 * h))
-    assert np.array_equal(hid.values, np.zeros(h))
-    assert np.array_equal(cell.values, np.zeros(h))
+    assert np.array_equal(hid.values, np.zeros((1, h)))
+    assert np.array_equal(cell.values, np.zeros((1, h)))
 
 
 def test_lstm_repeated_input_converges():
     rng = np.random.default_rng(6)
     d_in, h = 5, 6
     w_x, w_h, b = _lstm_params(rng, d_in, h)
-    x = t(rng.normal(size=d_in))
-    hid, cell = t(np.zeros(h)), t(np.zeros(h))
+    x = t(rng.normal(size=(1, d_in)))
+    hid, cell = t(np.zeros((1, h))), t(np.zeros((1, h)))
     prev = None
     dists = []
     for _ in range(50):
@@ -337,9 +325,9 @@ def test_lstm_gradient_through_three_steps():
     proj = rng.normal(size=h)
 
     with ad.tape():
-        hid, cell = t(np.zeros(h)), t(np.zeros(h))
+        hid, cell = t(np.zeros((1, h))), t(np.zeros((1, h)))
         for x in xs:
-            hid, cell = ad.lstm_cell(t(x), hid, cell, w_x, w_h, b)
+            hid, cell = ad.lstm_cell(t(x[None]), hid, cell, w_x, w_h, b)
         loss = ad.tsum(ad.mul(hid, t(proj)))
     ad.backward(loss)
 
@@ -358,8 +346,9 @@ def test_lstm_gradient_through_three_steps():
 
 def test_lstm_shape_error():
     with pytest.raises(DimensionError):
-        ad.lstm_cell(t(np.zeros(3)), t(np.zeros(4)), t(np.zeros(4)),
-                     t(np.zeros((3, 12))), t(np.zeros((4, 16))), t(np.zeros(16)))
+        ad.lstm_cell(t(np.zeros((1, 3))), t(np.zeros((1, 4))),
+                     t(np.zeros((1, 4))), t(np.zeros((3, 12))),
+                     t(np.zeros((4, 16))), t(np.zeros(16)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +357,30 @@ def test_lstm_shape_error():
 
 def test_conv1d_constant_signal():
     length, width, in_ch, out_ch = 9, 3, 2, 4
-    x = t(np.ones((length, in_ch)))
+    x = t(np.ones((1, length, in_ch)))
     kernel = t(np.full((width * in_ch, out_ch), 1.0 / (width * in_ch)))
     out = ad.conv1d(x, kernel, t(np.zeros(out_ch)), width, 1, apply_relu=False)
-    assert out.shape == (7, out_ch)
+    assert out.shape == (1, 7, out_ch)
     assert np.allclose(out.values, 1.0, atol=1e-14)
 
 
 def test_conv1d_delta_recovers_kernel_column():
     # single input channel, width-3 kernel, delta at position 4 of 8
     length, width = 8, 3
-    x = np.zeros((length, 1))
-    x[4, 0] = 1.0
+    x = np.zeros((1, length, 1))
+    x[0, 4, 0] = 1.0
     kern = np.array([[2.0], [-3.0], [5.0]])  # rows: window offsets 0,1,2
     out = ad.conv1d(t(x), t(kern), t(np.zeros(1)), width, 1, apply_relu=False)
     # window starting at s sees the delta at offset 4-s: output = kern[4-s]
-    expected = np.zeros((6, 1))
+    expected = np.zeros((1, 6, 1))
     for s in range(6):
         if 0 <= 4 - s < width:
-            expected[s, 0] = kern[4 - s, 0]
+            expected[0, s, 0] = kern[4 - s, 0]
     assert np.array_equal(out.values, expected)
 
 
 def test_conv1d_stride_and_length_error():
-    x = t(np.ones((4, 2)))
+    x = t(np.ones((1, 4, 2)))
     k = t(np.ones((10, 3)))
     with pytest.raises(DimensionError):
         ad.conv1d(x, k, t(np.zeros(3)), 5, 2)
@@ -400,10 +389,10 @@ def test_conv1d_stride_and_length_error():
 def test_conv1d_gradient_vs_finite_differences():
     rng = np.random.default_rng(8)
     length, width, stride, in_ch, out_ch = 10, 3, 2, 2, 3
-    x = t(rng.normal(size=(length, in_ch)), grad=True)
+    x = t(rng.normal(size=(1, length, in_ch)), grad=True)
     kernel = t(rng.normal(size=(width * in_ch, out_ch)), grad=True)
     bias = t(rng.normal(size=out_ch), grad=True)
-    w = rng.normal(size=(4, out_ch))
+    w = rng.normal(size=(1, 4, out_ch))
 
     with ad.tape():
         loss = ad.tsum(ad.mul(ad.conv1d(x, kernel, bias, width, stride), t(w)))
@@ -413,8 +402,9 @@ def test_conv1d_gradient_vs_finite_differences():
         n_win = (length - width) // stride + 1
         total = 0.0
         for s in range(n_win):
-            win = x.values[s * stride:s * stride + width].reshape(-1)
-            total += float(np.maximum(win @ kernel.values + bias.values, 0.0) @ w[s])
+            win = x.values[0, s * stride:s * stride + width].reshape(-1)
+            total += float(np.maximum(win @ kernel.values + bias.values, 0.0)
+                           @ w[0, s])
         return total
 
     check_grads(forward, [x, kernel, bias], tol=1e-5)
@@ -426,11 +416,6 @@ def test_conv1d_gradient_vs_finite_differences():
 
 def oracle_lstm_cell(x, hidden, cell, w_x, w_h, b):
     """lstm_cell built from generic ops, 17 nodes per batched step."""
-    single = x.values.ndim == 1
-    if single:
-        x = ad.reshape(x, (1, -1))
-        hidden = ad.reshape(hidden, (1, -1))
-        cell = ad.reshape(cell, (1, -1))
     h_dim = hidden.shape[1]
     z = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(hidden, w_h)), b)
     i = ad.sigmoid(ad.slice_cols(z, 0, h_dim))
@@ -439,19 +424,13 @@ def oracle_lstm_cell(x, hidden, cell, w_x, w_h, b):
     g = ad.tanh(ad.slice_cols(z, 3 * h_dim, 4 * h_dim))
     new_cell = ad.add(ad.mul(f, cell), ad.mul(i, g))
     new_hidden = ad.mul(o, ad.tanh(new_cell))
-    if single:
-        new_hidden = ad.reshape(new_hidden, (h_dim,))
-        new_cell = ad.reshape(new_cell, (h_dim,))
     return new_hidden, new_cell
 
 
 def oracle_conv1d(x, kernel, bias, width, stride, apply_relu=True):
     """conv1d built from generic ops: gather, matmul, bias, ReLU."""
-    single = x.values.ndim == 2
-    if single:
-        x = ad.reshape(x, (1,) + x.shape)
     batch, length, in_ch = x.shape
-    n_win = ad.conv_output_length(length, width, stride)
+    n_win = (length - width) // stride + 1
     starts = np.arange(n_win) * stride
     win = starts[:, None] + np.arange(width)[None, :]
     offs = (np.arange(batch) * length)[:, None, None]
@@ -462,10 +441,7 @@ def oracle_conv1d(x, kernel, bias, width, stride, apply_relu=True):
     out = ad.add(ad.matmul(windows, kernel), bias)
     if apply_relu:
         out = ad.relu(out)
-    out = ad.reshape(out, (batch, n_win, kernel.shape[1]))
-    if single:
-        out = ad.reshape(out, (n_win, kernel.shape[1]))
-    return out
+    return ad.reshape(out, (batch, n_win, kernel.shape[1]))
 
 
 def _lstm_chain(cell_fn, data, steps, loss_on):
@@ -488,10 +464,10 @@ def _lstm_chain(cell_fn, data, steps, loss_on):
 
 
 @pytest.mark.parametrize("batch,steps,loss_on,d_in,h", [
-    (None, 1, ("hidden", "cell"), 5, 6),   # 1-D single path
+    (1, 1, ("hidden", "cell"), 5, 6),      # one row, as sampling steps it
     (5, 1, ("hidden", "cell"), 5, 6),
     (5, 1, ("hidden",), 5, 6),
-    (None, 3, ("hidden",), 5, 6),
+    (1, 3, ("hidden",), 5, 6),
     (4, 3, ("hidden", "cell"), 5, 6),
     (4, 3, ("cell",), 5, 6),               # only the final cell is read
     (1, 3, ("cell",), 5, 6),
@@ -499,16 +475,15 @@ def _lstm_chain(cell_fn, data, steps, loss_on):
 ])
 def test_fused_lstm_cell_equals_composed_ops(batch, steps, loss_on, d_in, h):
     rng = np.random.default_rng(31 + steps)
-    lead = () if batch is None else (batch,)
-    data = {"hidden": rng.normal(size=lead + (h,)),
-            "cell": rng.normal(size=lead + (h,)),
+    data = {"hidden": rng.normal(size=(batch, h)),
+            "cell": rng.normal(size=(batch, h)),
             "w_x": rng.normal(scale=0.5, size=(d_in, 4 * h)),
             "w_h": rng.normal(scale=0.5, size=(h, 4 * h)),
             "b": rng.normal(size=4 * h),
-            "p_h": rng.normal(size=lead + (h,)),
-            "p_c": rng.normal(size=lead + (h,))}
+            "p_h": rng.normal(size=(batch, h)),
+            "p_c": rng.normal(size=(batch, h))}
     for s in range(steps):
-        data["x%d" % s] = rng.normal(scale=2.0, size=lead + (d_in,))
+        data["x%d" % s] = rng.normal(scale=2.0, size=(batch, d_in))
     fh, fc, fgrads = _lstm_chain(ad.lstm_cell, data, steps, loss_on)
     oh, oc, ograds = _lstm_chain(oracle_lstm_cell, data, steps, loss_on)
     assert np.array_equal(fh, oh) and np.array_equal(fc, oc)
@@ -530,15 +505,14 @@ def _conv_grads(conv_fn, data, width, stride, apply_relu):
 
 @pytest.mark.parametrize("width,stride", [(3, 1), (3, 2), (5, 2), (2, 3)])
 @pytest.mark.parametrize("apply_relu", [True, False])
-@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("batch", [1, 3])
 def test_fused_conv1d_equals_composed_ops(width, stride, apply_relu, batch):
     rng = np.random.default_rng(41 + width + stride)
     length, in_ch, out_ch = 11, 4, 3
-    lead = () if batch is None else (batch,)
-    data = {"x": rng.normal(size=lead + (length, in_ch)),
+    data = {"x": rng.normal(size=(batch, length, in_ch)),
             "kernel": rng.normal(size=(width * in_ch, out_ch)),
             "bias": rng.normal(size=out_ch),
-            "proj": rng.normal(size=lead + (length, out_ch))}
+            "proj": rng.normal(size=(batch, length, out_ch))}
     f_out, f_grads = _conv_grads(ad.conv1d, data, width, stride, apply_relu)
     o_out, o_grads = _conv_grads(oracle_conv1d, data, width, stride, apply_relu)
     assert np.array_equal(f_out, o_out)
@@ -584,12 +558,8 @@ def test_fused_cells_record_one_node_each():
         ad.lstm_cell(t(rng.normal(size=(2, 3))), t(np.zeros((2, 4))),
                      t(np.zeros((2, 4))), w_x, w_h, b)
     assert len(tp.nodes) <= 2
-    with ad.tape() as tp:
-        ad.lstm_cell(t(rng.normal(size=3)), t(np.zeros(4)), t(np.zeros(4)),
-                     w_x, w_h, b)
-    assert len(tp.nodes) <= 2
     kernel = t(rng.normal(size=(6, 2)), grad=True)
-    for x in (t(rng.normal(size=(7, 2)), grad=True),
+    for x in (t(rng.normal(size=(1, 7, 2)), grad=True),
               t(rng.normal(size=(2, 7, 2)), grad=True)):
         with ad.tape() as tp:
             ad.conv1d(x, kernel, t(np.zeros(2), grad=True), 3, 2)
@@ -655,6 +625,42 @@ def test_conv1d_input_gradient_batched_vs_finite_differences():
             return graph().item()
 
     check_grads(forward, [x], tol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# batch-first input only
+# ---------------------------------------------------------------------------
+
+def _unbatched_call(kind):
+    """A call giving `kind` one example without its batch axis."""
+    rng = np.random.default_rng(61)
+    prof = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
+    w_x, w_h, b = _lstm_params(rng, 3, 4)
+    if kind == "matmul":
+        return lambda: ad.matmul(t(np.ones(4)), t(np.ones((4, 3))))
+    if kind == "lstm_cell":
+        return lambda: ad.lstm_cell(t(np.ones(3)), t(np.zeros(4)),
+                                    t(np.zeros(4)), w_x, w_h, b)
+    if kind == "conv1d":
+        return lambda: ad.conv1d(t(np.ones((7, 2))), t(np.ones((6, 3))),
+                                 t(np.zeros(3)), 3, 2)
+    if kind == "guider_step":
+        gui = GuiderParams(prof, rng)
+        return lambda: guider_step(initial_state(t(np.zeros(8))),
+                                   t(np.ones(10)), gui)
+    if kind == "initial_hidden":
+        gen = GeneratorParams(12, prof, rng, ad.init_matrix(rng, 12, 6))
+        return lambda: initial_hidden(t(np.ones(10)), gen)
+    styled = GuiderParams(prof, rng, num_labels=2)
+    return lambda: initial_state_for_labels(styled, 1)
+
+
+@pytest.mark.parametrize("kind", ["matmul", "lstm_cell", "conv1d",
+                                  "guider_step", "initial_hidden",
+                                  "initial_state_for_labels"])
+def test_unbatched_input_raises_dimension_error(kind):
+    with pytest.raises(DimensionError):
+        _unbatched_call(kind)()
 
 
 # ---------------------------------------------------------------------------
@@ -813,14 +819,14 @@ def test_no_grad_suspends_recording():
 def test_composite_loss_gradient():
     # small encoder-like chain: conv -> relu -> matmul -> cosine against target
     rng = np.random.default_rng(12)
-    x = t(rng.normal(size=(8, 3)))
+    x = t(rng.normal(size=(1, 8, 3)))
     kernel = t(rng.normal(size=(9, 4)), grad=True)
     bias = t(np.zeros(4), grad=True)
     w = t(rng.normal(size=(4, 5)), grad=True)
     target = rng.normal(size=5)
 
     def graph():
-        feats = ad.conv1d(x, kernel, bias, 3, 2)
+        feats = ad.reshape(ad.conv1d(x, kernel, bias, 3, 2), (3, 4))
         pooled = ad.matmul(t(np.ones((1, feats.shape[0]))), feats)
         return ad.tsum(ad.row_cosine(ad.matmul(pooled, w),
                                      t(target.reshape(1, -1))))

@@ -211,9 +211,52 @@ def _name_not_utf8(blob, sections):
             [(b"\xff\xfe" + sections[0][0], sections[0][1])] + sections[1:])
 
 
-@pytest.mark.parametrize("corrupt", [_not_json, _no_train_config,
-                                     _unknown_train_config_key,
-                                     _missing_moment, _name_not_utf8])
+def _blob_field(name, path, value):
+    """A corruption, called `name`, that sets the config blob entry at
+    `path` (a tuple of keys) to value."""
+    def corrupt(blob, sections):
+        inner = blob
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] = value
+        return json.dumps(blob).encode("utf-8"), sections
+    corrupt.__name__ = name
+    return corrupt
+
+
+def _section_values(name, section, values):
+    """A corruption, called `name`, that replaces a section's values."""
+    def corrupt(blob, sections):
+        return (json.dumps(blob).encode("utf-8"),
+                [(n, np.asarray(values) if n == section else arr)
+                 for n, arr in sections])
+    corrupt.__name__ = name
+    return corrupt
+
+
+def _vocab_tokens_ints(blob, sections):
+    blob["vocab_tokens"] = list(range(len(blob["vocab_tokens"])))
+    return json.dumps(blob).encode("utf-8"), sections
+
+
+def _nan_parameter(blob, sections):
+    arr = sections[0][1].copy()
+    arr.reshape(-1)[0] = np.nan
+    return (json.dumps(blob).encode("utf-8"),
+            [(sections[0][0], arr)] + sections[1:])
+
+
+@pytest.mark.parametrize("corrupt", [
+    _not_json, _no_train_config, _unknown_train_config_key, _missing_moment,
+    _name_not_utf8,
+    _blob_field("_style_labels_string", ("style_labels",), "x"),
+    _blob_field("_style_labels_list", ("style_labels",), [2]),
+    _vocab_tokens_ints,
+    _blob_field("_conv_channels_string",
+                ("train_config", "profile", "conv_channels"), "ab"),
+    _section_values("_feature_norm_empty", b"meta.feature_norm", []),
+    _section_values("_feature_norm_nan", b"meta.feature_norm", [np.nan]),
+    _nan_parameter])
 def test_malformed_checkpoint_refused_with_exit_2(tmp_path, corrupt):
     vocab, models = tiny_setup()
     good = tmp_path / "good.gmg"

@@ -229,6 +229,28 @@ def test_generate_bad_seed_or_count_exits_2(untrained_checkpoint, tmp_path,
     assert not out.exists()
 
 
+def test_conv_stack_longer_than_max_len_exits_2(tmp_path, capsys):
+    # the small profile's two width-5, stride-2 layers need max_len >= 12
+    cfg = write_config(tmp_path, max_len=6)
+    assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_len 6" in err
+
+
+def test_checkpoint_with_too_short_max_len_exits_2(untrained_checkpoint,
+                                                   tmp_path, capsys):
+    from gmgan.checkpoint import read_checkpoint, write_checkpoint
+    blob, sections = read_checkpoint(untrained_checkpoint)
+    blob["train_config"]["max_len"] = 3
+    blob["train_config"]["profile"]["max_len"] = 3
+    path = tmp_path / "short.gmg"
+    write_checkpoint(path, list(sections.items()), blob)
+    assert main(["generate", "--checkpoint", str(path),
+                 "--out", str(tmp_path / "o.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_len 3" in err
+
+
 def test_generate_label_on_plain_checkpoint_exits_2(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 0

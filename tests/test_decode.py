@@ -14,8 +14,8 @@ import pytest
 
 from gmgan import autodiff as ad
 from gmgan.corpus import BOS, EOS, PAD
-from gmgan.encoder import (EncoderParams, ModelProfile, encode, encode_batch,
-                           pad_rows, prefix_features)
+from gmgan.encoder import (EncoderParams, ModelProfile, encode_batch, pad_rows,
+                           prefix_features)
 from gmgan.errors import ContractError, DimensionError
 from gmgan.generator import (GenerationTrace, GeneratorParams, _draw,
                              gated_logits, initial_hidden, sample_sequence,
@@ -27,48 +27,54 @@ TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
 DESK = ModelProfile(64, 128, 64, (64, 128), (5, 5), (2, 2), max_len=16)
 
 
+def encode_one(prefix, enc):
+    """(1, F) feature of one token prefix."""
+    return encode_batch(pad_rows([list(prefix)], enc.profile.pad_width), enc)
+
+
 def oracle_decode(init_t, gen, gui, enc, label, steps, choose):
+    """One sentence as a batch of one: init_t is (1, F)."""
     prof = enc.profile
+    labels = None if label is None else np.array([label])
     with ad.no_grad():
         s0 = initial_hidden(init_t, gen)
-        dec_h, dec_c = s0, ad.constant(np.zeros(prof.hidden_dim))
+        dec_h, dec_c = s0, ad.constant(np.zeros((1, prof.hidden_dim)))
         if label is None:
             gui_state = initial_state(s0)
         else:
-            gui_state = initial_state_for_labels(gui, label)
+            gui_state = initial_state_for_labels(gui, labels)
         prefix = [BOS]
         tokens, log_probs, features, predictions = [], [], [], []
         for t in range(steps):
-            f = encode(prefix, enc)
-            features.append(f.values.copy())
-            pred, gui_state = guider_step(gui_state, f, gui, labels=label)
-            predictions.append(pred.values.copy())
+            f = encode_one(prefix, enc)
+            features.append(f.values[0].copy())
+            pred, gui_state = guider_step(gui_state, f, gui, labels=labels)
+            predictions.append(pred.values[0].copy())
             logits = gated_logits(dec_h, pred, gen)
             token = choose(t, logits)
-            log_probs.append(float(ad.log_softmax(logits).values[token]))
+            log_probs.append(float(ad.log_softmax(logits).values[0, token]))
             tokens.append(token)
             prefix.append(token)
             if token == EOS:
                 break
             emb = ad.gather_rows(gen.embedding, np.array([token]))
-            dec_h, dec_c = ad.lstm_cell(ad.reshape(emb, (prof.embed_dim,)),
-                                        dec_h, dec_c,
+            dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
                                         gen.dec_w_x, gen.dec_w_h, gen.dec_b)
-        features.append(encode(prefix, enc).values.copy())
+        features.append(encode_one(prefix, enc).values[0].copy())
     return GenerationTrace(tokens, log_probs, features, predictions,
-                           np.asarray(init_t.values, dtype=np.float64).copy())
+                           init_t.values[0].copy())
 
 
 def oracle_sample(init, gen, gui, enc, rng, mode, label):
     def choose(t, logits):
-        return _draw(ad.softmax(logits).values, rng, mode)
-    return oracle_decode(ad.constant(init), gen, gui, enc, label,
-                         enc.profile.max_len, choose)
+        return _draw(ad.softmax(logits).values[0], rng, mode)
+    return oracle_decode(ad.constant(init.reshape(1, -1)), gen, gui, enc,
+                         label, enc.profile.max_len, choose)
 
 
 def oracle_force(sentence, gen, gui, enc, label):
     with ad.no_grad():
-        init = encode([BOS] + list(sentence), enc)
+        init = encode_one([BOS] + list(sentence), enc)
     return oracle_decode(init, gen, gui, enc, label, len(sentence),
                          lambda t, logits: sentence[t])
 

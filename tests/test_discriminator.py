@@ -5,8 +5,8 @@ import pytest
 
 from gmgan import autodiff as ad
 from gmgan.corpus import EOS
-from gmgan.discriminator import (DiscriminatorParams, bce_loss, score,
-                                 score_batch, train_step)
+from gmgan.discriminator import (DiscriminatorParams, bce_loss, score_batch,
+                                 train_step)
 from gmgan.encoder import ModelProfile
 from gmgan.errors import ContractError
 from gmgan.optim import Adam
@@ -23,14 +23,15 @@ def test_zero_params_score_half():
     params = tiny_disc()
     for _, t in params.tensors():
         t.values[:] = 0.0
-    assert score([4, 5, EOS], params) == 0.5
+    assert score_batch([[4, 5, EOS]], params).values[0] == 0.5
 
 
 def test_scores_in_open_interval():
     params = tiny_disc(seed=1)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        s = score(list(rng.integers(4, 12, size=5)) + [EOS], params)
+        s = score_batch([list(rng.integers(4, 12, size=5)) + [EOS]],
+                        params).values[0]
         assert 0.0 < s < 1.0
 
 

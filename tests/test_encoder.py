@@ -5,7 +5,7 @@ from gmgan import autodiff as ad
 from gmgan import encoder as enc_mod
 from gmgan.corpus import BOS, EOS, PAD, UNK, Vocabulary
 from gmgan.encoder import (EncoderParams, ModelProfile, TokenCNN,
-                           draw_initial_noise, encode, encode_batch,
+                           draw_initial_noise, encode_batch,
                            get_profile, mean_feature_norm, pad_rows,
                            prefix_features, sentence_rows)
 from gmgan.errors import ContractError, DimensionError
@@ -28,15 +28,16 @@ def test_paper_profile_feature_width():
     prof = get_profile("paper")
     params = EncoderParams(10, prof, np.random.default_rng(0))
     for n in (1, 10, 25):
-        feat = encode([4 + (i % 6) for i in range(n)], params)
-        assert feat.shape == (600,)
+        feat = encode_batch(pad_rows([[4 + (i % 6) for i in range(n)]],
+                                     prof.pad_width), params)
+        assert feat.shape == (1, 600)
         assert np.all(feat.values >= 0.0)
 
 
 def test_feature_is_nonnegative_and_deterministic():
     params = tiny_params()
-    f1 = encode([4, 5, 6], params)
-    f2 = encode([4, 5, 6], params)
+    f1 = encode_batch(pad_rows([[4, 5, 6]], TINY.pad_width), params)
+    f2 = encode_batch(pad_rows([[4, 5, 6]], TINY.pad_width), params)
     assert np.array_equal(f1.values, f2.values)
     assert np.all(f1.values >= 0.0)
 
@@ -48,20 +49,15 @@ def test_pad_region_is_inert():
     full = pad_rows([[BOS, 4, 5, 6, 7, 8]], TINY.pad_width)
     cut = full.copy()
     cut[:, 3:] = PAD
-    direct = encode([BOS, 4, 5], params)
+    direct = encode_batch(pad_rows([[BOS, 4, 5]], TINY.pad_width), params)
     via_reset = encode_batch(cut, params)
-    assert np.array_equal(direct.values, via_reset.values.reshape(-1))
+    assert np.array_equal(direct.values, via_reset.values)
     assert np.array_equal(params.embedding.values[PAD], np.zeros(TINY.embed_dim))
-
-
-def test_empty_prefix_rejected():
-    with pytest.raises(ContractError):
-        encode([], tiny_params())
 
 
 def test_overlong_prefix_rejected():
     with pytest.raises(DimensionError):
-        encode(list(range(4, 4 + TINY.pad_width + 1)), tiny_params())
+        pad_rows([list(range(4, 4 + TINY.pad_width + 1))], TINY.pad_width)
 
 
 def test_prefix_sensitivity():
@@ -70,24 +66,26 @@ def test_prefix_sensitivity():
         params = tiny_params(seed=case)
         base = [BOS] + list(rng.integers(4, 12, size=rng.integers(1, 8)))
         extended = base + [int(rng.integers(4, 12))]
-        d = np.linalg.norm(encode(base, params).values
-                           - encode(extended, params).values)
+        d = np.linalg.norm(
+            encode_batch(pad_rows([base], TINY.pad_width), params).values
+            - encode_batch(pad_rows([extended], TINY.pad_width),
+                           params).values)
         assert d > 0.0
 
 
 def test_encoder_gradient_vs_finite_differences():
     params = tiny_params()
     jiggle_params(params.tensors(), np.random.default_rng(20))
-    prefix = [BOS, 4, 5, 6]
+    rows = pad_rows([[BOS, 4, 5, 6]], TINY.pad_width)
     w = np.random.default_rng(2).normal(size=TINY.feature_dim)
 
     with ad.tape():
-        loss = ad.tsum(ad.mul(encode(prefix, params), ad.constant(w)))
+        loss = ad.tsum(ad.mul(encode_batch(rows, params), ad.constant(w)))
     ad.backward(loss)
 
     def forward():
         with ad.no_grad():
-            return float(encode(prefix, params).values @ w)
+            return float(encode_batch(rows, params).values[0] @ w)
 
     tensors = [t for _, t in params.tensors()]
     check_grads(forward, tensors, tol=1e-4, max_coords=6,
@@ -98,7 +96,8 @@ def test_stop_gradient_blocks_parameters():
     params = tiny_params()
     probe = ad.Tensor(np.ones(TINY.feature_dim), requires_grad=True)
     with ad.tape():
-        f = encode([BOS, 4, 5], params, stop_gradient=True)
+        f = encode_batch(pad_rows([[BOS, 4, 5]], TINY.pad_width), params,
+                         stop_gradient=True)
         loss = ad.tsum(ad.mul(f, probe))
     ad.backward(loss)
     assert probe.grad is not None
@@ -118,8 +117,9 @@ def test_encode_initial_delegates_in_training_mode():
     gen, gui = tiny_decoder(params)
     sent = [4, 5, 6, 2]
     trace = teacher_force_trace(sent, params, gen, gui)
-    assert np.array_equal(trace.init_feature,
-                          encode([BOS] + sent, params).values)
+    assert np.array_equal(
+        trace.init_feature,
+        encode_batch(sentence_rows([sent], TINY.pad_width), params).values[0])
 
 
 def test_encode_initial_noise_dim_checked():
@@ -151,6 +151,22 @@ def test_profile_lookup():
     assert get_profile("small", max_len=50).max_len == 50
     with pytest.raises(ContractError):
         get_profile("huge")
+
+
+@pytest.mark.parametrize("change", [
+    {"max_len": 3}, {"embed_dim": 0}, {"hidden_dim": True},
+    {"conv_widths": (3, "3")}, {"conv_channels": (8,)},
+    {"conv_channels": (), "conv_widths": (), "conv_strides": ()}],
+    ids=["stack-too-long", "zero-dim", "bool-dim", "string-width",
+         "uneven-layers", "no-layers"])
+def test_profile_refuses_bad_dimensions(change):
+    fields = dict(embed_dim=6, feature_dim=10, hidden_dim=8,
+                  conv_channels=(8, 10), conv_widths=(3, 3),
+                  conv_strides=(2, 2), max_len=12)
+    ModelProfile(**fields)
+    with pytest.raises(ContractError) as err:
+        ModelProfile(**{**fields, **change})
+    assert "max_len 3" in str(err.value) or "max_len" not in change
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from gmgan import autodiff as ad
 from gmgan import generator as gen_mod
 from gmgan.corpus import BOS, EOS, PAD, UNK
-from gmgan.encoder import EncoderParams, ModelProfile, encode
+from gmgan.encoder import EncoderParams, ModelProfile, encode_batch, pad_rows
 from gmgan.errors import ContractError
 from gmgan.generator import (GenerationTrace, GeneratorParams, gated_logits,
                              initial_hidden, mle_loss, sample_sequence,
@@ -37,8 +37,8 @@ def step_distribution(dec_state, guider_pred, gen):
     return ad.softmax(gated_logits(dec_state[0], guider_pred, gen))
 
 
-def rand_state(rng, batch=None):
-    shape = (TINY.hidden_dim,) if batch is None else (batch, TINY.hidden_dim)
+def rand_state(rng, batch=1):
+    shape = (batch, TINY.hidden_dim)
     return (ad.constant(rng.normal(size=shape)),
             ad.constant(rng.normal(size=shape)))
 
@@ -49,7 +49,7 @@ def test_all_ones_gate_equals_ungated_pipeline():
     gen.gate_b.values[:] = 1.0
     rng = np.random.default_rng(1)
     state = rand_state(rng)
-    pred = ad.constant(rng.normal(size=TINY.feature_dim))
+    pred = ad.constant(rng.normal(size=(1, TINY.feature_dim)))
     gated = step_distribution(state, pred, gen)
     out_feat = ad.add(ad.matmul(state[0], gen.out_w), gen.out_b)
     plain = ad.softmax(ad.add(ad.matmul(out_feat, gen.vocab_w), gen.action_mask))
@@ -61,9 +61,9 @@ def test_zero_gate_gives_uniform_over_actions():
     gen.gate_w.values[:] = 0.0
     gen.gate_b.values[:] = 0.0
     rng = np.random.default_rng(2)
-    probs = step_distribution(rand_state(rng),
-                              ad.constant(rng.normal(size=TINY.feature_dim)),
-                              gen).values
+    probs = step_distribution(
+        rand_state(rng), ad.constant(rng.normal(size=(1, TINY.feature_dim))),
+        gen).values[0]
     allowed = gen.vocab_size - 3  # PAD, BOS, UNK are masked
     assert probs[PAD] == 0.0 and probs[BOS] == 0.0 and probs[UNK] == 0.0
     active = np.delete(probs, [PAD, BOS, UNK])
@@ -75,8 +75,8 @@ def test_step_distribution_is_probability_vector():
     rng = np.random.default_rng(3)
     for _ in range(25):
         probs = step_distribution(
-            rand_state(rng), ad.constant(rng.normal(size=TINY.feature_dim)),
-            gen).values
+            rand_state(rng),
+            ad.constant(rng.normal(size=(1, TINY.feature_dim))), gen).values[0]
         assert abs(probs.sum() - 1.0) < 1e-12
         assert probs.min() >= 0.0
 
@@ -84,17 +84,17 @@ def test_step_distribution_is_probability_vector():
 def test_step_log_prob_gradient_vs_finite_differences():
     enc, gen, gui = tiny_models()
     rng = np.random.default_rng(4)
-    x_emb = rng.normal(size=TINY.embed_dim)
-    pred = rng.normal(size=TINY.feature_dim)
+    x_emb = rng.normal(size=(1, TINY.embed_dim))
+    pred = rng.normal(size=(1, TINY.feature_dim))
     token = 5
 
     def graph():
-        hidden, cell = (ad.constant(np.zeros(TINY.hidden_dim)),
-                        ad.constant(np.zeros(TINY.hidden_dim)))
+        hidden, cell = (ad.constant(np.zeros((1, TINY.hidden_dim))),
+                        ad.constant(np.zeros((1, TINY.hidden_dim))))
         hidden, cell = ad.lstm_cell(ad.constant(x_emb), hidden, cell,
                                     gen.dec_w_x, gen.dec_w_h, gen.dec_b)
         logits = gated_logits(hidden, ad.constant(pred), gen)
-        return ad.reshape(ad.log_softmax(ad.reshape(logits, (1, -1))), (gen.vocab_size,))
+        return ad.reshape(ad.log_softmax(logits), (gen.vocab_size,))
 
     with ad.tape():
         logp = graph()
@@ -227,6 +227,7 @@ def test_memorizes_two_token_grammar():
         loss_val = loss.item()
     assert loss_val < 0.01
     greedy = sample_sequence(
-        encode([BOS, a, b, EOS], enc).values, gen, gui, enc,
+        encode_batch(pad_rows([[BOS, a, b, EOS]], TINY.pad_width), enc).values,
+        gen, gui, enc,
         seed=0, mode="greedy")
     assert greedy.tokens == [a, b, EOS]

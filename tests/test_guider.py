@@ -19,7 +19,8 @@ def tiny_guider(seed=0, num_labels=0):
 
 
 def feature(rng):
-    return ad.constant(np.abs(rng.normal(size=TINY.feature_dim)))
+    """One (1, F) feature row."""
+    return ad.constant(np.abs(rng.normal(size=(1, TINY.feature_dim))))
 
 
 def test_zero_params_prediction_is_head_bias():
@@ -27,9 +28,9 @@ def test_zero_params_prediction_is_head_bias():
     for _, t in params.tensors():
         t.values[:] = 0.0
     params.head_b.values[:] = np.arange(TINY.feature_dim, dtype=float)
-    state = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
-    pred, _ = guider_step(state, feature(np.random.default_rng(1)), params)
-    assert np.array_equal(pred.values, params.head_b.values)
+    pred, _ = guider_step(zero_init(), feature(np.random.default_rng(1)),
+                          params)
+    assert np.array_equal(pred.values[0], params.head_b.values)
 
 
 def test_deterministic_trajectory():
@@ -37,7 +38,7 @@ def test_deterministic_trajectory():
     f = feature(np.random.default_rng(2))
 
     def run():
-        state = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
+        state = zero_init()
         out = []
         for _ in range(5):
             pred, state = guider_step(state, f, params)
@@ -51,11 +52,11 @@ def test_deterministic_trajectory():
 def test_gradient_through_three_steps():
     params = tiny_guider()
     rng = np.random.default_rng(3)
-    feats = [np.abs(rng.normal(size=TINY.feature_dim)) for _ in range(3)]
+    feats = [np.abs(rng.normal(size=(1, TINY.feature_dim))) for _ in range(3)]
     w = rng.normal(size=TINY.feature_dim)
 
     def graph():
-        state = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
+        state = zero_init()
         pred = None
         for f in feats:
             pred, state = guider_step(state, ad.constant(f), params)
@@ -76,18 +77,18 @@ def test_gradient_through_three_steps():
 def test_label_contract():
     plain = tiny_guider()
     styled = tiny_guider(num_labels=2)
-    state = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
+    state = zero_init()
     f = feature(np.random.default_rng(5))
     with pytest.raises(ContractError):
-        guider_step(state, f, plain, labels=1)
+        guider_step(state, f, plain, labels=np.array([1]))
     with pytest.raises(ContractError):
         guider_step(state, f, styled)
-    pred, _ = guider_step(state, f, styled, labels=1)
-    assert pred.shape == (TINY.feature_dim,)
+    pred, _ = guider_step(state, f, styled, labels=np.array([1]))
+    assert pred.shape == (1, TINY.feature_dim)
     with pytest.raises(ContractError):
-        initial_state_for_labels(plain, 0)
-    st = initial_state_for_labels(styled, 1)
-    assert np.array_equal(st.hidden.values, styled.label_init.values[1])
+        initial_state_for_labels(plain, np.array([0]))
+    st = initial_state_for_labels(styled, np.array([1]))
+    assert np.array_equal(st.hidden.values, styled.label_init.values[[1]])
 
 
 def one_sequence(feats):
@@ -97,9 +98,8 @@ def one_sequence(feats):
     return rows, [len(feats) - 1]
 
 
-def zero_init(batch=None):
-    shape = TINY.hidden_dim if batch is None else (batch, TINY.hidden_dim)
-    return initial_state(ad.constant(np.zeros(shape)))
+def zero_init(batch=1):
+    return initial_state(ad.constant(np.zeros((batch, TINY.hidden_dim))))
 
 
 def lookup_step(seq, predict):
@@ -161,8 +161,8 @@ def test_guider_loss_matches_numpy_oracle():
 
     state, preds = zero_init(), []
     for f in feats_np:
-        pred, state = guider_step(state, ad.constant(f), params)
-        preds.append(pred.values)
+        pred, state = guider_step(state, ad.constant(f[None]), params)
+        preds.append(pred.values[0])
 
     terms = []
     for t in range(len(feats_np) - c):
@@ -203,8 +203,8 @@ def test_objective_cosines_matches_manual_composition():
     state, preds = zero_init(), []
     for f in feats:
         pred, state = guider_step(state, f, params)
-        preds.append(pred.values)
-    f_np = [f.values for f in feats]
+        preds.append(pred.values[0])
+    f_np = [f.values[0] for f in feats]
     n = len(feats) - c
     assert abs(direct - np.mean([np_cos(f_np[t + c], preds[t])
                                  for t in range(n)])) < 1e-12
@@ -240,7 +240,6 @@ def test_objective_cosines_range():
     params = tiny_guider()
     rng = np.random.default_rng(16)
     feats = [feature(rng) for _ in range(8)]
-    init = initial_state(ad.constant(np.zeros(TINY.hidden_dim)))
-    direct, direction = objective_cosines(feats, params, init, c=2)
+    direct, direction = objective_cosines(feats, params, zero_init(), c=2)
     assert -1.0 <= direct <= 1.0
     assert -1.0 <= direction <= 1.0

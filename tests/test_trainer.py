@@ -4,7 +4,7 @@ import pytest
 from gmgan import autodiff as ad
 from gmgan import encoder, generator, style, trainer
 from gmgan.corpus import BOS, EOS, PAD, UNK, desk_grammar, sample_grammar
-from gmgan.encoder import ModelProfile, encode, prefix_features, sentence_rows
+from gmgan.encoder import ModelProfile, prefix_features, sentence_rows
 from gmgan.errors import ContractError
 from gmgan.generator import LOGIT_MASK, gated_logits, sample_sequence
 from gmgan.guider import guider_loss_batch, initial_state
