@@ -14,8 +14,14 @@ terms in the order the composed generic ops gave them, so results are equal
 to theirs bit for bit (tests/test_autodiff.py keeps those compositions as
 oracles).
 
-matmul takes 2-D operands, lstm_cell (B, d) rows and conv1d (B, L, C)
-sequences: a single example is a batch of one; other ranks raise
+lstm_cell also runs T steps whose inputs are all known, as in teacher
+forcing: x then holds T*B rows, one input product covers every step, and
+the backward takes each weight gradient with one product over all steps.
+Its outputs and input gradients equal those of T one-step calls bit for
+bit; its weight gradients sum the same terms in another order.
+
+matmul takes 2-D operands, lstm_cell (B, d) or (T*B, d) rows and conv1d
+(B, L, C) sequences: a single example is a batch of one; other ranks raise
 DimensionError.
 
 Values are numpy float64 arrays. Tensors are immutable after construction
@@ -522,11 +528,19 @@ def row_cosine(a, b):
 # ---------------------------------------------------------------------------
 
 def lstm_cell(x, hidden, cell, w_x, w_h, b):
-    """One standard LSTM step, fused into one node with two tape entries.
+    """T standard LSTM steps over known inputs, fused into one node with two
+    tape entries.
 
-    x is (B, d_in); hidden and cell are (B, H). The fused weight layout is
-    w_x: (d_in, 4H), w_h: (H, 4H), b: (4H,) with gate order input, forget,
-    output, candidate.
+    hidden and cell are the (B, H) state before the first step; x holds the
+    T*B input rows in t-major order (rows t*B .. t*B+B-1 feed step t), so
+    T = rows(x) / B >= 1. The fused weight layout is w_x: (d_in, 4H),
+    w_h: (H, 4H), b: (4H,) with gate order input, forget, output, candidate.
+    Returns every step's hidden state (T*B, H), t-major, and the last step's
+    cell (B, H); T = 1 is one plain step. One x @ w_x product covers all
+    steps and only the recurrence h @ w_h runs per step. The backward runs
+    the steps in reverse into one dZ buffer, then takes each weight gradient
+    and x's gradient with one product over all rows (Appleyard et al.,
+    arXiv:1604.01946).
 
     new_hidden's entry runs the whole backward and reads new_cell's gradient
     (None counts as zero); new_cell's, recorded after it, only gives
@@ -535,43 +549,66 @@ def lstm_cell(x, hidden, cell, w_x, w_h, b):
     """
     xv, hv, cv = x.values, hidden.values, cell.values
     h_dim = hv.shape[-1]
+    n = hv.shape[0]
     if (xv.ndim != 2 or hv.ndim != 2 or cv.shape != hv.shape
-            or hv.shape[0] != xv.shape[0] or xv.shape[1] != w_x.shape[0]
+            or not 0 < n <= xv.shape[0] or xv.shape[0] % n
+            or xv.shape[1] != w_x.shape[0]
             or w_x.shape[1] != 4 * h_dim or w_h.shape != (h_dim, 4 * h_dim)
             or b.shape != (4 * h_dim,)):
         raise DimensionError(
             "lstm_cell shapes are inconsistent: x %r, hidden %r, cell %r, "
             "w_x %r, w_h %r, b %r" % (x.shape, hidden.shape, cell.shape,
                                       w_x.shape, w_h.shape, b.shape))
-    z = xv @ w_x.values + hv @ w_h.values + b.values
-    sig = _sigmoid(z[:, :3 * h_dim])
-    i, f, o = sig[:, :h_dim], sig[:, h_dim:2 * h_dim], sig[:, 2 * h_dim:]
-    g = np.tanh(z[:, 3 * h_dim:])
-    c_new = f * cv + i * g
-    tc = np.tanh(c_new)
-    new_hidden = _fresh(o * tc, "lstm_cell")
-    new_cell = _fresh(c_new, "lstm_cell")
+    rows = xv.shape[0]
+    zx = xv @ w_x.values
+    # per step t: the state it starts from (hs[t], cs[t]), its gates and
+    # tanh(c); hs[t + 1] and cs[t + 1] are its outputs
+    hs, cs, sigs, gs, tcs = [hv], [cv], [], [], []
+    for r0 in range(0, rows, n):
+        z = zx[r0:r0 + n] + hs[-1] @ w_h.values + b.values
+        sig = _sigmoid(z[:, :3 * h_dim])
+        i, f, o = sig[:, :h_dim], sig[:, h_dim:2 * h_dim], sig[:, 2 * h_dim:]
+        g = np.tanh(z[:, 3 * h_dim:])
+        c_new = f * cs[-1] + i * g
+        tc = np.tanh(c_new)
+        hs.append(o * tc)
+        cs.append(c_new)
+        sigs.append(sig)
+        gs.append(g)
+        tcs.append(tc)
+    new_hidden = _fresh(np.concatenate(hs[1:]), "lstm_cell")
+    new_cell = _fresh(cs[-1], "lstm_cell")
     tp = _track(x, hidden, cell, w_x, w_h, b)
     if tp:
         def bw(g_h):
-            dc = g_h * o * (1.0 - tc * tc)
-            if new_cell.grad is not None:
-                dc = new_cell.grad + dc
+            dz = np.empty((rows, 4 * h_dim))
+            dc_next, dh_next = new_cell.grad, None
+            for t in range(len(sigs) - 1, -1, -1):
+                sig, g, tc = sigs[t], gs[t], tcs[t]
+                d = dz[t * n:(t + 1) * n]
+                gh = g_h[t * n:(t + 1) * n]
+                if dh_next is not None:
+                    gh = gh + dh_next
+                dc = gh * sig[:, 2 * h_dim:] * (1.0 - tc * tc)
+                if dc_next is not None:
+                    dc = dc_next + dc
+                # each gate gradient is formed in the composed ops' order
+                d[:, :h_dim] = dc * g
+                d[:, h_dim:2 * h_dim] = dc * cs[t]
+                d[:, 2 * h_dim:3 * h_dim] = gh * tc
+                d[:, :3 * h_dim] = d[:, :3 * h_dim] * sig * (1.0 - sig)
+                d[:, 3 * h_dim:] = dc * sig[:, :h_dim] * (1.0 - g * g)
+                dc_next = dc * sig[:, h_dim:2 * h_dim]
+                if t or hidden.requires_grad:
+                    dh_next = d @ w_h.values.T
             if cell.requires_grad:
-                cell.accumulate_grad(dc * f)
-            # each gate gradient is formed in the composed ops' order
-            dz = np.empty((hv.shape[0], 4 * h_dim))
-            dz[:, :h_dim] = dc * g
-            dz[:, h_dim:2 * h_dim] = dc * cv
-            dz[:, 2 * h_dim:3 * h_dim] = g_h * tc
-            dz[:, :3 * h_dim] = dz[:, :3 * h_dim] * sig * (1.0 - sig)
-            dz[:, 3 * h_dim:] = dc * i * (1.0 - g * g)
+                cell.accumulate_grad(dc_next)
             if b.requires_grad:
                 b.accumulate_grad(dz.sum(axis=0))
             if hidden.requires_grad:
-                hidden.accumulate_grad(dz @ w_h.values.T)
+                hidden.accumulate_grad(dh_next)
             if w_h.requires_grad:
-                w_h.accumulate_grad(hv.T @ dz)
+                w_h.accumulate_grad(np.concatenate(hs[:-1]).T @ dz)
             if x.requires_grad:
                 x.accumulate_grad(dz @ w_x.values.T)
             if w_x.requires_grad:

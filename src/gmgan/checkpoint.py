@@ -87,12 +87,14 @@ def write_checkpoint(path, sections, config_blob):
     header = (MAGIC + struct.pack("<I", VERSION)
               + struct.pack("<Q", len(payload))
               + struct.pack("<I", zlib.crc32(payload)))
-    # Written beside the target and renamed onto it, so a failed write never
-    # leaves a partial checkpoint at `path`.
+    # Written beside the target, synced, and renamed onto it, so neither a
+    # failed write nor a power loss leaves a partial checkpoint at `path`.
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(header + payload)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

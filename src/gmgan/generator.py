@@ -6,20 +6,24 @@ The decoder never consumes a BOS embedding; BOS only anchors the encoder's
 view of the empty prefix. PAD, BOS and UNK are masked out of the action
 space, so the usable vocabulary is the word set plus EOS.
 
-One batched loop, `decode`, runs that step for every caller: sampling,
-greedy decoding, teacher forcing and reward traces differ only in how it
-picks each step's tokens. Sampling and reward traces call it with one row
-per sentence, so that the benchmark's per-sentence counters (one
-`sample_sequence` call per sentence, one `guider_step` call per token) still
-describe the work done.
+One batched loop, `decode`, runs that step for sampling, greedy decoding
+and reward traces; they differ only in how it picks each step's tokens.
+Sampling and reward traces call it with one row per sentence, so that the
+benchmark's per-sentence counters (one `sample_sequence` call per sentence,
+one `guider_step` call per token) still describe the work done.
 
-Where each step's prefix feature comes from: teacher forcing knows every
-prefix before the loop starts, so it reads them from one
-`encoder.prefix_features` call, which computes each distinct conv window
-once. Sampling cannot: a step's prefix holds the token drawn at the step
-before, so it encodes the prefix matrix with `encode_batch` at every step.
-`teacher_force_trace` keeps that per-step path too; it serves one sentence
-at a time for reward inspection.
+Teacher forcing needs no loop: the targets and every prefix feature are
+known before the first step, the features from one
+`encoder.prefix_features` call that computes each distinct conv window
+once. `teacher_forced_log_probs` therefore runs each stage once over all
+(step, row) pairs: one multi-step `guider_step`, one multi-step
+`lstm_cell` for the decoder, and one `gated_logits`, `log_softmax` and
+`pick`. So an MLE batch, a policy-gradient batch or a validation chunk
+counts one `guider_step` call and at most one decoder `lstm_cell` call,
+whatever its length. Sampling cannot do this: a step's prefix holds the
+token drawn at the step before, so it encodes the prefix matrix with
+`encode_batch` at every step. `teacher_force_trace` keeps that per-step
+path too; it serves one sentence at a time for reward inspection.
 """
 
 from dataclasses import dataclass
@@ -127,12 +131,10 @@ def _draw(probs, rng, mode):
                    len(probs) - 1))
 
 
-def decode(init_feats, gen, gui, enc, labels, steps, choose, known=None):
+def decode(init_feats, gen, gui, enc, labels, steps, choose):
     """The plan-ahead loop over a batch: encode each row's prefix, step the
     guider, gate the decoder's logits, take the (B,) tokens
-    choose(t, logits) and advance the decoder on them. When the prefixes
-    are known in advance, `known` holds their (steps, B, F) features and
-    step t reads known[t] instead of encoding.
+    choose(t, logits) and advance the decoder on them.
 
     The prefix matrix starts as BOS + PAD and receives each step's tokens.
     The loop runs at most `steps` steps and stops once every row has emitted
@@ -157,8 +159,7 @@ def decode(init_feats, gen, gui, enc, labels, steps, choose, known=None):
     step_logps, features, predictions = [], [], []
     for t in range(steps):
         with ad.no_grad():
-            f_t = (encode_batch(rows, enc) if known is None
-                   else ad.constant(known[t]))
+            f_t = encode_batch(rows, enc)
             pred, gui_state = guider_step(gui_state, f_t, gui, labels=labels)
         logits = gated_logits(dec_h, pred, gen)
         tok = choose(t, logits)
@@ -227,20 +228,38 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
                              init_features=None):
     """Batched teacher-forced forward pass with gating active.
 
-    Returns (logp (B,T) tensor, loss mask (B,T), target matrix). Gradients
-    flow through the decoder path and the encoder via the initial state; the
-    guider rollout and its feature inputs are held constant, so every
-    prefix feature comes from one `prefix_features` call.
+    Every input is known before the first step: the targets, and every
+    prefix feature from one `prefix_features` call. So each stage runs once
+    over all T*B (step, row) pairs in t-major order: one multi-step
+    guider_step with its head, one gather of the target embeddings, one
+    multi-step lstm_cell for the decoder, then gated_logits, log_softmax and
+    pick. Returns (logp (B,T) tensor, loss mask (B,T), target matrix).
+    Gradients flow through the decoder path and the encoder via the initial
+    state; the guider rollout and its feature inputs are held constant.
     """
     tgt = _targets(batch)
-    rows = sentence_rows(batch, enc.profile.pad_width)
+    n, steps = tgt.shape
+    prof = enc.profile
+    rows = sentence_rows(batch, prof.pad_width)   # refuses overlong input
     if init_features is None:
         init_features = encode_batch(rows, enc)   # gradients flow
-    steps = tgt.shape[1]
-    logp = decode(init_features, gen, gui, enc, labels, steps,
-                  lambda t, logits: tgt[:, t],
-                  known=prefix_features(rows, enc, steps))[0]
-    return logp, scored_tokens(tgt), tgt
+    feats = prefix_features(rows, enc, steps).reshape(steps * n, -1)
+    s0 = initial_hidden(init_features, gen)
+    with ad.no_grad():
+        gui_state = (initial_state(s0.detach()) if labels is None
+                     else initial_state_for_labels(gui, labels))
+        pred = guider_step(gui_state, ad.constant(feats), gui,
+                           labels=labels)[0]
+    dec_h = s0
+    if steps > 1:  # the decoder consumes every target but the last
+        emb = ad.gather_rows(gen.embedding, tgt[:, :-1].T.reshape(-1))
+        hs = ad.lstm_cell(emb, s0, ad.constant(np.zeros((n, prof.hidden_dim))),
+                          gen.dec_w_x, gen.dec_w_h, gen.dec_b)[0]
+        dec_h = ad.concat([s0, hs])
+    logp = ad.log_softmax(gated_logits(dec_h, pred, gen))
+    picked = ad.pick(logp, (np.arange(steps) * n + np.arange(n)[:, None])
+                     .reshape(-1), tgt.reshape(-1))
+    return ad.reshape(picked, (n, steps)), scored_tokens(tgt), tgt
 
 
 def scored_tokens(tokens):
@@ -249,9 +268,11 @@ def scored_tokens(tokens):
     return (tokens != PAD) & (tokens != UNK)
 
 
-def mle_loss(batch, enc, gen, gui, labels=None):
-    """Mean negative log-likelihood per token under teacher forcing."""
-    logp_mat, mask, _ = teacher_forced_log_probs(batch, enc, gen, gui, labels)
+def mle_loss(batch, enc, gen, gui, labels=None, init_features=None):
+    """Mean negative log-likelihood per token under teacher forcing;
+    init_features as in teacher_forced_log_probs."""
+    logp_mat, mask, _ = teacher_forced_log_probs(batch, enc, gen, gui, labels,
+                                                 init_features)
     count = int(mask.sum())
     if count == 0:
         raise ContractError("batch contains no scorable tokens")

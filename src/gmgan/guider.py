@@ -63,11 +63,14 @@ def initial_state_for_labels(params, labels):
 
 
 def guider_step(state, f, params, labels=None):
-    """Advance one step on the (B, feature_dim) features f; returns the
-    (B, feature_dim) predictions and the new state.
+    """Advance the guider over the (T*B, feature_dim) features f, T >= 1
+    steps of B rows in t-major order (B is the state's row count); returns
+    the (T*B, feature_dim) predictions and the new state.
 
-    In style mode labels must be given (length B); outside style mode they
-    must not be.
+    A one-step call (T = 1) gives a state to continue from. A multi-step
+    call's state holds every step's hidden rows beside the last cell, so
+    stepping on from it raises DimensionError. In style mode labels must be
+    given (length B); outside style mode they must not be.
     """
     if (labels is not None) != bool(params.num_labels):
         raise ContractError("labels are required exactly in style mode")
@@ -76,7 +79,12 @@ def guider_step(state, f, params, labels=None):
                              % (f.shape, params.profile.feature_dim))
     x = f
     if params.num_labels:  # each row's label, one-hot, after its feature
-        one_hot = np.eye(params.num_labels)[np.asarray(labels, dtype=np.intp)]
+        labels = np.asarray(labels, dtype=np.intp)
+        if labels.ndim != 1 or f.shape[0] % len(labels):
+            raise DimensionError("%d guider rows do not repeat %r labels"
+                                 % (f.shape[0], labels.shape))
+        steps = f.shape[0] // len(labels)
+        one_hot = np.eye(params.num_labels)[np.tile(labels, steps)]
         x = ad.concat([x, ad.constant(one_hot)], axis=1)
     new_h, new_c = ad.lstm_cell(x, state.hidden, state.cell,
                                 params.w_x, params.w_h, params.b)
@@ -88,12 +96,15 @@ def guider_loss_batch(step_features, lengths, c, params, init_state,
                       labels=None):
     """Pooled guider loss over a padded batch.
 
-    step_features[t] is the (B, feature_dim) feature of every sequence's
-    length-t prefix; sequence b contributes terms for t with t + c <= lengths[b].
-    Each term is the dual cosine objective: the prediction made after
-    consuming step_features[t] is matched against step_features[t + c], and
-    its movement from step_features[t] against the real movement. The loss is
-    the negated mean over all valid terms, so a single sequence is a B=1 call.
+    step_features is a (T_max + 1, B, feature_dim) array: step_features[t]
+    holds every sequence's length-t prefix feature; sequence b contributes
+    terms for t with t + c <= lengths[b]. Each term is the dual cosine
+    objective: the prediction made after consuming step_features[t] is
+    matched against step_features[t + c], and its movement from
+    step_features[t] against the real movement. One multi-step guider_step
+    makes every prediction, and each cosine runs once over all (t, b) rows.
+    The loss is the negated mean over all valid terms, so a single sequence
+    is a B=1 call.
     """
     if c < 1:
         raise ContractError("lookahead c must be >= 1")
@@ -101,42 +112,34 @@ def guider_loss_batch(step_features, lengths, c, params, init_state,
     t_top = int(lengths.max()) - c
     if t_top < 0:
         raise ContractError("no sequence is longer than the lookahead")
-    state = init_state
-    total = None
-    count = 0
-    for t in range(t_top + 1):
-        pred, state = guider_step(state, step_features[t], params, labels=labels)
-        mask = (lengths >= t + c).astype(np.float64)
-        n_valid = int(mask.sum())
-        if n_valid == 0:
-            break
-        target, anchor = step_features[t + c], step_features[t]
-        direct = ad.row_cosine(target, pred)
-        direction = ad.row_cosine(ad.sub(target, anchor), ad.sub(pred, anchor))
-        term = ad.tsum(ad.mul(ad.add(direct, direction), ad.constant(mask)))
-        total = term if total is None else ad.add(total, term)
-        count += n_valid
-    return ad.scale(total, -1.0 / count)
+    feats = np.asarray(step_features)
+    n_rows = (t_top + 1) * feats.shape[1]
+    anchor = feats[:t_top + 1].reshape(n_rows, -1)
+    target = feats[c:t_top + c + 1].reshape(n_rows, -1)
+    pred, _ = guider_step(init_state, ad.constant(anchor), params,
+                          labels=labels)
+    mask = (lengths >= np.arange(c, t_top + c + 1)[:, None]).reshape(-1)
+    direct = ad.row_cosine(ad.constant(target), pred)
+    direction = ad.row_cosine(ad.constant(target - anchor),
+                              ad.sub(pred, ad.constant(anchor)))
+    total = ad.tsum(ad.mul(ad.add(direct, direction),
+                           ad.constant(mask.astype(np.float64))))
+    return ad.scale(total, -1.0 / int(mask.sum()))
 
 
 def objective_cosines(features, params, init_state, c, labels=None):
     """Mean of each cosine term separately (diagnostics / acceptance).
 
-    features are the (1, feature_dim) tensors f_0..f_T of one sequence,
-    the layout guider_loss_batch takes.
+    features are the (1, feature_dim) tensors f_0..f_T of one sequence.
     """
     n_terms = len(features) - c
     if c < 1 or n_terms < 1:
         raise ContractError("need c >= 1 and at least c+1 features")
-    state = init_state
-    preds = []
+    feats = np.concatenate([f.values for f in features])
+    target, anchor = feats[c:], feats[:n_terms]
     with ad.no_grad():
-        for f in features[:n_terms]:
-            pred, state = guider_step(state, f, params, labels=labels)
-            preds.append(pred.values)
-    target = np.concatenate([f.values for f in features[c:]])
-    anchor = np.concatenate([f.values for f in features[:n_terms]])
-    pred = np.concatenate(preds)
+        pred = guider_step(init_state, ad.constant(anchor), params,
+                           labels=labels)[0].values
     direct = ad.row_cosine(ad.constant(target), ad.constant(pred)).values
     direction = ad.row_cosine(ad.constant(target - anchor),
                               ad.constant(pred - anchor)).values

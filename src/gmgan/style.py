@@ -132,17 +132,17 @@ def soft_argmax_embedding(logits, table, temperature):
     return ad.matmul(soft, table)
 
 
-def soft_transfer_rollout(sources, target_labels, models, classifier, config):
-    """Generate with soft tokens under the target label; returns the
-    classifier cross-entropy toward that label."""
-    n = len(sources)
+def soft_transfer_rollout(init_feats, target_labels, models, classifier,
+                          config):
+    """Generate with soft tokens under the target label from the sources'
+    (B, F) encoded features; returns the classifier cross-entropy toward
+    that label."""
+    n = init_feats.shape[0]
     prof = models.profile
     width = prof.pad_width
     tau = config.soft_argmax_temperature
     target_labels = np.asarray(target_labels, dtype=np.intp)
 
-    init_rows = sentence_rows(sources, width)
-    init_feats = encode_batch(init_rows, models.encoder)  # gradients flow
     dec_h = initial_hidden(init_feats, models.generator)
     dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
     gui_state = initial_state_for_labels(models.guider, target_labels)
@@ -269,12 +269,16 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
             labs = np.array([labels_all[i] for i in idx])
             flipped = 1 - labs
             with ad.tape():
+                # the sources, encoded once; all three losses train the
+                # encoder through these features
+                feats = encode_batch(sentence_rows(batch,
+                                                   models.profile.pad_width),
+                                     models.encoder)
                 rec = mle_loss(batch, models.encoder, models.generator,
-                               models.guider, labels=labs)
-                cls_loss = soft_transfer_rollout(batch, flipped, models,
+                               models.guider, labels=labs,
+                               init_features=feats)
+                cls_loss = soft_transfer_rollout(feats, flipped, models,
                                                  classifier, config)
-                rows = sentence_rows(batch, models.profile.pad_width)
-                feats = encode_batch(rows, models.encoder)
                 ent = probe_entropy(feats, probe)
                 total = ad.add(
                     ad.add(ad.scale(rec, config.weight_reconstruction),

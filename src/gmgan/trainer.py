@@ -194,12 +194,11 @@ def guider_update(batch, models, optimizers, c, labels=None):
         return None
     # constant features of every [BOS]+prefix, for t = 0..T_max
     rows = sentence_rows(batch, models.profile.pad_width)
-    feats = [ad.constant(f) for f in
-             prefix_features(rows, models.encoder, lengths.max() + 1)]
+    feats = prefix_features(rows, models.encoder, lengths.max() + 1)
     with ad.tape():
         if labels is None:
             with ad.no_grad():
-                init = initial_state(initial_hidden(feats[-1],
+                init = initial_state(initial_hidden(ad.constant(feats[-1]),
                                                     models.generator))
         else:
             init = initial_state_for_labels(models.guider, labels)
@@ -246,6 +245,8 @@ def pretrain_mle(train_sentences, val_sentences, models, config,
     """
     if not train_sentences:
         raise ContractError("empty training corpus")
+    if not val_sentences:
+        raise ContractError("empty validation corpus")
     optimizers = optimizers or Optimizers(models, config)
     epochs = config.mle_epochs if epochs is None else epochs
     history = []

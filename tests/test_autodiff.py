@@ -1,3 +1,4 @@
+import functools
 import gc
 import tracemalloc
 
@@ -414,10 +415,13 @@ def test_conv1d_gradient_vs_finite_differences():
 # fused cells against the composed ops they replace (exactness oracle)
 # ---------------------------------------------------------------------------
 
-def oracle_lstm_cell(x, hidden, cell, w_x, w_h, b):
-    """lstm_cell built from generic ops, 17 nodes per batched step."""
+def oracle_lstm_cell(x, hidden, cell, w_x, w_h, b, pre=None):
+    """lstm_cell built from generic ops, 17 nodes per batched step; `pre`,
+    when given, collects each step's (hidden, pre-activation z)."""
     h_dim = hidden.shape[1]
     z = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(hidden, w_h)), b)
+    if pre is not None:
+        pre.append((hidden, z))
     i = ad.sigmoid(ad.slice_cols(z, 0, h_dim))
     f = ad.sigmoid(ad.slice_cols(z, h_dim, 2 * h_dim))
     o = ad.sigmoid(ad.slice_cols(z, 2 * h_dim, 3 * h_dim))
@@ -493,6 +497,118 @@ def test_fused_lstm_cell_equals_composed_ops(batch, steps, loss_on, d_in, h):
         else:
             assert np.array_equal(fgrads[name], ograds[name]), name
 
+
+def _multi_step_data(rng, steps, batch, d_in, h):
+    return {"x": rng.normal(scale=2.0, size=(steps * batch, d_in)),
+            "hidden": rng.normal(size=(batch, h)),
+            "cell": rng.normal(size=(batch, h)),
+            "w_x": rng.normal(scale=0.5, size=(d_in, 4 * h)),
+            "w_h": rng.normal(scale=0.5, size=(h, 4 * h)),
+            "b": rng.normal(size=4 * h),
+            "p_h": rng.normal(size=(steps * batch, h)),
+            "p_c": rng.normal(size=(batch, h))}
+
+
+def _stepped(cell_fn, data, batch):
+    """T one-step calls of cell_fn on the rows of data["x"]; returns every
+    step's hidden rows, the last cell and every input's gradient (x's as
+    one (T*B, d_in) array)."""
+    ts = {k: t(v, grad=True) for k, v in data.items() if not k.startswith("p")}
+    steps = data["x"].shape[0] // batch
+    xs = [t(data["x"][s * batch:(s + 1) * batch], grad=True)
+          for s in range(steps)]
+    with ad.tape():
+        hid, cel, hids = ts["hidden"], ts["cell"], []
+        for x in xs:
+            hid, cel = cell_fn(x, hid, cel, ts["w_x"], ts["w_h"], ts["b"])
+            hids.append(hid)
+        loss = ad.add(ad.tsum(ad.mul(ad.concat(hids), t(data["p_h"]))),
+                      ad.tsum(ad.mul(cel, t(data["p_c"]))))
+    ad.backward(loss)
+    grads = {k: v.grad for k, v in ts.items()}
+    grads["x"] = np.concatenate([x.grad for x in xs])
+    return (np.concatenate([h.values for h in hids]), cel.values, grads)
+
+
+def _multi_step(data):
+    ts = {k: t(v, grad=True) for k, v in data.items() if not k.startswith("p")}
+    with ad.tape():
+        hid, cel = ad.lstm_cell(ts["x"], ts["hidden"], ts["cell"],
+                                ts["w_x"], ts["w_h"], ts["b"])
+        loss = ad.add(ad.tsum(ad.mul(hid, t(data["p_h"]))),
+                      ad.tsum(ad.mul(cel, t(data["p_c"]))))
+    ad.backward(loss)
+    return hid.values, cel.values, {k: v.grad for k, v in ts.items()}
+
+
+@pytest.mark.parametrize("steps,batch,d_in,h", [
+    (1, 32, 64, 64), (5, 32, 64, 64),      # the DESK decoder's sizes
+    (16, 32, 128, 64),                     # the DESK guider's
+    (4, 3, 5, 6)])
+def test_multi_step_lstm_cell_equals_one_step_calls(steps, batch, d_in, h):
+    data = _multi_step_data(np.random.default_rng(71 + steps), steps, batch,
+                            d_in, h)
+    mh, mc, mgrads = _multi_step(data)
+    sh, sc, sgrads = _stepped(ad.lstm_cell, data, batch)
+    assert np.array_equal(mh, sh) and np.array_equal(mc, sc)
+    for name in ("x", "hidden", "cell"):
+        assert np.array_equal(mgrads[name], sgrads[name]), name
+    for name in ("w_x", "w_h", "b"):
+        # one product over all steps sums in another order than T products
+        assert rel_err(mgrads[name], sgrads[name]) < 1e-12, name
+        if steps == 1:
+            assert np.array_equal(mgrads[name], sgrads[name]), name
+
+
+def test_multi_step_lstm_weight_gradients_are_one_product_over_dz():
+    batch, steps = 32, 5
+    data = _multi_step_data(np.random.default_rng(81), steps, batch, 64, 64)
+    pre = []
+    # the composed cell's pre-activation gradients are the rows of dZ
+    _stepped(functools.partial(oracle_lstm_cell, pre=pre), data, batch)
+    dz = np.concatenate([z.grad for _, z in pre])
+    h_prev = np.concatenate([hid.values for hid, _ in pre])
+    _, _, grads = _multi_step(data)
+    assert np.array_equal(grads["w_x"], data["x"].T @ dz)
+    assert np.array_equal(grads["w_h"], h_prev.T @ dz)
+    assert np.array_equal(grads["b"], dz.sum(axis=0))
+    assert np.array_equal(grads["x"], dz @ data["w_x"].T)
+
+
+def test_multi_step_lstm_cell_vs_finite_differences():
+    rng = np.random.default_rng(91)
+    steps, batch, d_in, h = 3, 2, 3, 4
+    data = _multi_step_data(rng, steps, batch, d_in, h)
+    ts = {k: t(v, grad=True) for k, v in data.items() if not k.startswith("p")}
+
+    def graph():
+        hid, cel = ad.lstm_cell(ts["x"], ts["hidden"], ts["cell"],
+                                ts["w_x"], ts["w_h"], ts["b"])
+        return ad.add(ad.tsum(ad.mul(hid, t(data["p_h"]))),
+                      ad.tsum(ad.mul(cel, t(data["p_c"]))))
+
+    with ad.tape():
+        loss = graph()
+    ad.backward(loss)
+
+    def forward():
+        with ad.no_grad():
+            return graph().item()
+
+    check_grads(forward, list(ts.values()), tol=1e-5)
+
+
+def test_multi_step_lstm_cell_shapes():
+    rng = np.random.default_rng(92)
+    w_x, w_h, b = _lstm_params(rng, 3, 4)
+    state = t(np.zeros((2, 4)))
+    hid, cel = ad.lstm_cell(t(rng.normal(size=(6, 3))), state, state,
+                            w_x, w_h, b)
+    assert hid.shape == (6, 4) and cel.shape == (2, 4)
+    with pytest.raises(DimensionError):   # 5 rows are not steps of 2
+        ad.lstm_cell(t(rng.normal(size=(5, 3))), state, state, w_x, w_h, b)
+    with pytest.raises(DimensionError):   # every step's hidden, one cell
+        ad.lstm_cell(t(rng.normal(size=(6, 3))), hid, cel, w_x, w_h, b)
 
 def _conv_grads(conv_fn, data, width, stride, apply_relu):
     x, kernel, bias = (t(data[k], grad=True) for k in ("x", "kernel", "bias"))

@@ -169,6 +169,28 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
         assert ta.values.tobytes() == tb.values.tobytes()
 
 
+def test_checkpoint_is_flushed_and_synced_before_it_replaces_the_target(
+        tmp_path, monkeypatch):
+    events = []
+    fsync, replace = checkpoint.os.fsync, checkpoint.os.replace
+
+    def synced(fd):
+        # every byte must have left Python's buffer before the sync
+        events.append(("fsync", checkpoint.os.fstat(fd).st_size))
+        fsync(fd)
+
+    def replaced(src, dst):
+        events.append(("replace", src, dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", synced)
+    monkeypatch.setattr(checkpoint.os, "replace", replaced)
+    path = tmp_path / "m.gmg"
+    write_checkpoint(path, [("s", np.arange(3.0))], {"case": 1})
+    assert events == [("fsync", path.stat().st_size),
+                      ("replace", str(path) + ".tmp", path)]
+
+
 def _crc_valid_file(path, config_bytes, sections):
     """A GMG1 file with a correct CRC, from raw config bytes and
     (raw name bytes, array) sections."""

@@ -4,11 +4,11 @@ import pytest
 from gmgan import autodiff as ad
 from gmgan import guider as gui_mod
 from gmgan.encoder import ModelProfile
-from gmgan.errors import ContractError
+from gmgan.errors import ContractError, DimensionError
 from gmgan.guider import (GuiderParams, guider_loss_batch, guider_step,
                           initial_state, initial_state_for_labels,
                           objective_cosines)
-from helpers import check_grads
+from helpers import check_grads, rel_err
 from test_rewards import np_cos
 
 TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
@@ -93,9 +93,8 @@ def test_label_contract():
 
 def one_sequence(feats):
     """A single feature sequence f_0..f_T as a B=1 guider_loss_batch input:
-    (step features, lengths)."""
-    rows = [ad.constant(np.reshape(f, (1, -1))) for f in feats]
-    return rows, [len(feats) - 1]
+    (step features (T+1, 1, F), lengths)."""
+    return np.reshape(feats, (len(feats), 1, -1)), [len(feats) - 1]
 
 
 def zero_init(batch=1):
@@ -103,12 +102,16 @@ def zero_init(batch=1):
 
 
 def lookup_step(seq, predict):
-    """guider_step stand-in: on consuming seq[k] it predicts predict(k)."""
-    def step(state, f, params, labels=None):
+    """guider_step stand-in: on consuming seq[k] in any row it predicts
+    predict(k) in that row."""
+    def lookup(row):
         for k, stored in enumerate(seq):
-            if np.array_equal(f.values[0], stored):
-                return ad.constant(np.reshape(predict(k), (1, -1))), state
+            if np.array_equal(row, stored):
+                return predict(k)
         raise AssertionError("unknown feature")
+
+    def step(state, f, params, labels=None):
+        return ad.constant(np.array([lookup(row) for row in f.values])), state
     return step
 
 
@@ -243,3 +246,69 @@ def test_objective_cosines_range():
     direct, direction = objective_cosines(feats, params, zero_init(), c=2)
     assert -1.0 <= direct <= 1.0
     assert -1.0 <= direction <= 1.0
+
+
+DESK = ModelProfile(64, 128, 64, (64, 128), (5, 5), (2, 2), max_len=16)
+
+
+def _guider_run(params, feats, h0, labels, steps):
+    """Predictions, last state and input gradients of a pass over the
+    (T*B, F) features, as one multi-step call (steps=None) or T calls."""
+    f = ad.Tensor(feats, requires_grad=True)
+    hidden = ad.Tensor(h0, requires_grad=True)
+    cell = ad.Tensor(np.zeros_like(h0), requires_grad=True)
+    batch = h0.shape[0]
+    rows = ([f] if steps is None else
+            [ad.Tensor(feats[s * batch:(s + 1) * batch], requires_grad=True)
+             for s in range(steps)])
+    with ad.tape():
+        state, preds = gui_mod.GuiderState(hidden, cell), []
+        for x in rows:
+            pred, state = guider_step(state, x, params, labels=labels)
+            preds.append(pred)
+        pred = ad.concat(preds)
+        w = np.random.default_rng(7).normal(size=pred.shape)
+        ad.backward(ad.add(ad.tsum(ad.mul(pred, ad.constant(w))),
+                           ad.tsum(state.cell)))
+    f_grad = np.concatenate([x.grad for x in rows])
+    weights = [t.grad for _, t in params.tensors()]
+    for _, t in params.tensors():
+        t.zero_grad()
+    return (pred.values, state.cell.values,
+            [f_grad, hidden.grad, cell.grad], weights)
+
+
+@pytest.mark.parametrize("num_labels", [0, 2], ids=["plain", "labelled"])
+def test_multi_step_guider_step_equals_one_step_calls(num_labels):
+    params = GuiderParams(DESK, np.random.default_rng(18),
+                          num_labels=num_labels)
+    rng = np.random.default_rng(19)
+    steps, batch = 9, 32
+    feats = np.abs(rng.normal(size=(steps * batch, DESK.feature_dim)))
+    h0 = rng.normal(size=(batch, DESK.hidden_dim))
+    labels = rng.integers(2, size=batch) if num_labels else None
+    got = _guider_run(params, feats, h0, labels, None)
+    want = _guider_run(params, feats, h0, labels, steps)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for a, b in zip(got[2], want[2]):
+        assert np.array_equal(a, b)
+    for a, b in zip(got[3], want[3]):
+        assert (a is None) == (b is None)
+        # each weight's gradient is one product over all steps, not T
+        assert a is None or rel_err(a, b) < 1e-12
+
+
+def test_stepping_on_from_a_multi_step_state_raises():
+    params = tiny_guider(num_labels=2)
+    rng = np.random.default_rng(20)
+    init = initial_state_for_labels(params, np.array([0, 1]))
+    feats = ad.constant(np.abs(rng.normal(size=(6, TINY.feature_dim))))
+    labels = np.array([0, 1])
+    pred, state = guider_step(init, feats, params, labels=labels)
+    assert pred.shape == (6, TINY.feature_dim)
+    with pytest.raises(DimensionError):
+        guider_step(state, ad.constant(feats.values[:2]), params,
+                    labels=labels)
+    with pytest.raises(DimensionError):   # 5 rows are not steps of 2 labels
+        guider_step(init, ad.constant(feats.values[:5]), params,
+                    labels=labels)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gmgan import autodiff as ad
+from gmgan import encoder, generator, style, trainer
 from gmgan.corpus import EOS, desk_style_grammar, sample_grammar_styled, style_oracle
-from gmgan.encoder import ModelProfile
+from gmgan.encoder import ModelProfile, encode_batch, sentence_rows
 from gmgan.errors import ContractError
 from gmgan.style import (LatentProbe, check_binary_labels,
                          classifier_accuracy, probe_entropy,
@@ -69,10 +70,11 @@ def test_soft_rollout_produces_gradients():
     g, vocab, labelled, config = style_setup(n=20)
     models = Models(len(vocab), config, style_labels=2)
     clf = train_style_classifier(labelled, len(vocab), TINY, seed=4, epochs=1)
-    sources = [s for s, _ in labelled[:4]]
+    sources = sentence_rows([s for s, _ in labelled[:4]], TINY.pad_width)
     targets = 1 - np.array([l for _, l in labelled[:4]])
     with ad.tape():
-        loss = soft_transfer_rollout(sources, targets, models, clf, config)
+        feats = encode_batch(sources, models.encoder)
+        loss = soft_transfer_rollout(feats, targets, models, clf, config)
         ad.backward(loss)
     assert math.isfinite(loss.item())
     gen_grads = [t.grad for _, t in models.generator.tensors()]
@@ -116,3 +118,23 @@ def test_run_style_requires_style_models():
     plain = Models(len(vocab), config)  # no label machinery
     with pytest.raises(ContractError):
         run_style_transfer(labelled, labelled, plain, config)
+
+
+def test_joint_step_encodes_its_sources_once(monkeypatch):
+    g, vocab, labelled, config = style_setup(n=24)
+    config = TrainConfig(**{**vars(config), "mle_epochs": 0})
+    models = Models(len(vocab), config, style_labels=2)
+    original, recorded = encoder.encode_batch, []
+
+    def counted(rows, *args, **kwargs):
+        out = original(rows, *args, **kwargs)
+        recorded.append(out.requires_grad)
+        return out
+
+    for mod in (encoder, generator, style, trainer):
+        if getattr(mod, "encode_batch", None) is original:
+            monkeypatch.setattr(mod, "encode_batch", counted)
+    run_style_transfer(labelled[:16], labelled[16:], models, config)
+    # no warm-start epoch and one joint epoch of two batches: reconstruction,
+    # the soft rollout and the entropy term share each batch's encode
+    assert sum(recorded) == 2

@@ -84,18 +84,17 @@ def test_guider_loss_batch_matches_per_sequence():
     models = Models(len(vocab), config)
     batch = sents[:5]
     rows = sentence_rows(batch, TINY.pad_width)
-    feats = [ad.constant(f) for f in
-             prefix_features(rows, models.encoder, max(map(len, batch)) + 1)]
+    feats = prefix_features(rows, models.encoder, max(map(len, batch)) + 1)
     lengths = np.array([len(s) for s in batch])
     with ad.no_grad():
         from gmgan.generator import initial_hidden
-        init_h = initial_hidden(feats[-1], models.generator)
+        init_h = initial_hidden(ad.constant(feats[-1]), models.generator)
         pooled = guider_loss_batch(feats, lengths, config.c, models.guider,
                                    initial_state(init_h)).item()
         total, count = 0.0, 0
         for i, s in enumerate(batch):
             # sequence i alone, as a B=1 batch
-            seq = [ad.constant(f.values[i:i + 1]) for f in feats[: len(s) + 1]]
+            seq = feats[: len(s) + 1, i:i + 1]
             init = initial_state(ad.constant(init_h.values[i:i + 1]))
             n_terms = len(s) + 1 - config.c
             loss_i = guider_loss_batch(seq, [len(s)], config.c, models.guider,
@@ -160,6 +159,18 @@ def test_pretrain_is_deterministic_and_learns():
     assert models_a.pretrained
     assert models_a.feature_norm > 0
 
+
+def test_pretrain_refuses_an_empty_corpus_before_training():
+    _, vocab, sents = tiny_corpus(n=16)
+    config = tiny_config(mle_epochs=1)
+    models = Models(len(vocab), config)
+    before = snapshot(models)
+    with pytest.raises(ContractError, match="empty validation corpus"):
+        pretrain_mle(sents, [], models, config)
+    with pytest.raises(ContractError, match="empty training corpus"):
+        pretrain_mle([], sents, models, config)
+    assert_snapshots_equal(snapshot(models), before)
+    assert not models.pretrained
 
 def test_pad_embedding_row_stays_zero_through_training():
     _, vocab, sents = tiny_corpus(n=24)
