@@ -24,18 +24,18 @@ MAGIC = b"GMG1"
 VERSION = 1
 
 
-def _pack_sections(sections):
-    out = [struct.pack("<I", len(sections))]
+def _section_pieces(sections):
+    """The section table as separate buffers in file order, arrays uncopied."""
+    pieces = [struct.pack("<I", len(sections))]
     for name, arr in sections:
         arr = np.asarray(arr, dtype="<f8")
         shape = arr.shape  # kept before ascontiguousarray promotes 0-d to 1-d
         raw_name = name.encode("utf-8")
-        out.append(struct.pack("<I", len(raw_name)))
-        out.append(raw_name)
-        out.append(struct.pack("<I", len(shape)))
-        out.append(struct.pack("<%dQ" % len(shape), *shape))
-        out.append(np.ascontiguousarray(arr).tobytes())
-    return b"".join(out)
+        pieces += [struct.pack("<I", len(raw_name)), raw_name,
+                   struct.pack("<I", len(shape)),
+                   struct.pack("<%dQ" % len(shape), *shape),
+                   np.ascontiguousarray(arr)]
+    return pieces
 
 
 class _Reader:
@@ -82,20 +82,27 @@ def config_to_blob(config, vocab_tokens, style_labels=0):
 
 def write_checkpoint(path, sections, config_blob):
     config_bytes = json.dumps(config_blob, sort_keys=True).encode("utf-8")
-    payload = (struct.pack("<I", len(config_bytes)) + config_bytes
-               + _pack_sections(sections))
-    header = (MAGIC + struct.pack("<I", VERSION)
-              + struct.pack("<Q", len(payload))
-              + struct.pack("<I", zlib.crc32(payload)))
-    # Written beside the target, synced, and renamed onto it, so neither a
-    # failed write nor a power loss leaves a partial checkpoint at `path`.
+    payload = [struct.pack("<I", len(config_bytes)), config_bytes,
+               *_section_pieces(sections)]
+    crc = size = 0
+    for piece in payload:
+        crc, size = zlib.crc32(piece, crc), size + memoryview(piece).nbytes
+    header = MAGIC + struct.pack("<IQI", VERSION, size, crc)
+    # Written beside the target, synced, renamed onto it and the rename
+    # synced, so no failed write or power loss leaves a partial `path`.
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(header + payload)
+            for piece in [header] + payload:
+                f.write(piece)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
+        dir_fd = os.open(os.path.dirname(os.path.abspath(tmp)), os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -6,13 +6,14 @@ The decoder never consumes a BOS embedding; BOS only anchors the encoder's
 view of the empty prefix. PAD, BOS and UNK are masked out of the action
 space, so the usable vocabulary is the word set plus EOS.
 
-One batched loop, `decode`, runs that step for sampling, greedy decoding
-and reward traces; they differ only in how it picks each step's tokens.
-Sampling and reward traces call it with one row per sentence, so that the
-benchmark's per-sentence counters (one `sample_sequence` call per sentence,
-one `guider_step` call per token) still describe the work done.
+One batched loop, `decode`, samples (or greedily decodes) forward-only. A
+step's prefix holds the token drawn at the step before, so it encodes the
+prefix matrix with `encode_batch` at every step. `sample_sequence` calls it
+with one row per sentence, so that the benchmark's per-sentence counters
+(one `sample_sequence` call per sentence, one `guider_step` call per token)
+still describe the work done.
 
-Teacher forcing needs no loop: the targets and every prefix feature are
+Known sentences need no loop: the targets and every prefix feature are
 known before the first step, the features from one
 `encoder.prefix_features` call that computes each distinct conv window
 once. `teacher_forced_log_probs` therefore runs each stage once over all
@@ -20,10 +21,9 @@ once. `teacher_forced_log_probs` therefore runs each stage once over all
 `lstm_cell` for the decoder, and one `gated_logits`, `log_softmax` and
 `pick`. So an MLE batch, a policy-gradient batch or a validation chunk
 counts one `guider_step` call and at most one decoder `lstm_cell` call,
-whatever its length. Sampling cannot do this: a step's prefix holds the
-token drawn at the step before, so it encodes the prefix matrix with
-`encode_batch` at every step. `teacher_force_trace` keeps that per-step
-path too; it serves one sentence at a time for reward inspection.
+whatever its length. `teacher_force_trace`, the reward-inspection trace of
+one real sentence, likewise makes one `prefix_features` call and one
+multi-step `guider_step`.
 """
 
 from dataclasses import dataclass
@@ -97,17 +97,13 @@ def gated_logits(dec_hidden, guider_pred, params):
 
 @dataclass
 class GenerationTrace:
-    """One rollout: tokens, per-step log-probs, prefix features f_0..f_T and
-    the guider predictions made alongside."""
+    """One rollout: tokens, prefix features f_0..f_T, guider predictions."""
     tokens: list
-    log_probs: list
     features: list
     predictions: list
     init_feature: np.ndarray
 
     def __post_init__(self):
-        if len(self.log_probs) != len(self.tokens):
-            raise ContractError("trace log_probs and tokens disagree in length")
         if len(self.features) != len(self.tokens) + 1:
             raise ContractError("trace must carry features f_0..f_T")
 
@@ -131,55 +127,46 @@ def _draw(probs, rng, mode):
                    len(probs) - 1))
 
 
-def decode(init_feats, gen, gui, enc, labels, steps, choose):
-    """The plan-ahead loop over a batch: encode each row's prefix, step the
-    guider, gate the decoder's logits, take the (B,) tokens
-    choose(t, logits) and advance the decoder on them.
+def decode(init_feats, gen, gui, enc, labels, steps, rng, mode):
+    """The plan-ahead sampling loop over a batch, forward-only: encode each
+    row's prefix, step the guider, gate the decoder's logits, draw each
+    row's token with `_draw` and advance the decoder on them.
 
     The prefix matrix starts as BOS + PAD and receives each step's tokens.
-    The loop runs at most `steps` steps and stops once every row has emitted
-    EOS, before the decoder step whose output nothing reads. Gradients flow
-    from init_feats (B, F) through the decoder; the encoder and guider run
-    as constants. Returns (log-probs (B, T) tensor of the chosen tokens,
-    tokens (B, T), final prefix matrix, per-step (B, F) features and guider
-    predictions as arrays).
+    It runs at most `steps` (1..max_len, else DimensionError) steps and
+    stops once every row has emitted EOS, before the decoder step whose
+    output nothing reads. Returns the tokens (B, T), then the features
+    f_0..f_T and the T guider predictions as (B, F) arrays.
     """
     n, prof = init_feats.shape[0], enc.profile
     if not 1 <= steps <= prof.max_len:
         raise DimensionError("cannot decode %d steps with max_len %d"
                              % (steps, prof.max_len))
-    s0 = initial_hidden(init_feats, gen)
-    dec_h, dec_c = s0, ad.constant(np.zeros((n, prof.hidden_dim)))
     with ad.no_grad():
-        gui_state = (initial_state(s0.detach()) if labels is None
+        s0 = initial_hidden(init_feats, gen)
+        dec_h, dec_c = s0, ad.constant(np.zeros((n, prof.hidden_dim)))
+        gui_state = (initial_state(s0) if labels is None
                      else initial_state_for_labels(gui, labels))
-    rows = np.full((n, prof.pad_width), PAD, dtype=np.intp)
-    rows[:, 0] = BOS
-    alive = np.ones(n, dtype=bool)
-    step_logps, features, predictions = [], [], []
-    for t in range(steps):
-        with ad.no_grad():
+        rows = np.full((n, prof.pad_width), PAD, dtype=np.intp)
+        rows[:, 0] = BOS
+        alive = np.ones(n, dtype=bool)
+        features, predictions = [], []
+        for t in range(steps):
             f_t = encode_batch(rows, enc)
             pred, gui_state = guider_step(gui_state, f_t, gui, labels=labels)
-        logits = gated_logits(dec_h, pred, gen)
-        tok = choose(t, logits)
-        step_logps.append(ad.log_softmax(logits))
-        features.append(f_t.values)
-        predictions.append(pred.values)
-        rows[:, t + 1] = tok
-        alive &= tok != EOS
-        if t + 1 == steps or not np.count_nonzero(alive):
-            break
-        emb = ad.gather_rows(gen.embedding, tok)  # PAD row embeds to zero
-        dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
-                                    gen.dec_w_x, gen.dec_w_h, gen.dec_b)
-    width = len(step_logps)
-    tokens = rows[:, 1:width + 1]
-    picked = ad.pick(ad.concat(step_logps, axis=1),
-                     np.repeat(np.arange(n), width),
-                     (np.arange(width) * gen.vocab_size + tokens).reshape(-1))
-    return (ad.reshape(picked, (n, width)), tokens, rows, features,
-            predictions)
+            probs = ad.softmax(gated_logits(dec_h, pred, gen)).values
+            tok = np.array([_draw(p, rng, mode) for p in probs])
+            features.append(f_t.values)
+            predictions.append(pred.values)
+            rows[:, t + 1] = tok
+            alive &= tok != EOS
+            if t + 1 == steps or not np.count_nonzero(alive):
+                break
+            emb = ad.gather_rows(gen.embedding, tok)  # PAD row embeds to zero
+            dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
+                                        gen.dec_w_x, gen.dec_w_h, gen.dec_b)
+        features.append(encode_batch(rows, enc).values)
+    return rows[:, 1:len(predictions) + 1], features, predictions
 
 
 def _targets(sentences):
@@ -195,15 +182,6 @@ def _targets(sentences):
     return tgt
 
 
-def _trace(init, decoded, enc):
-    """GenerationTrace of row 0 of a B=1 decode, plus its final feature."""
-    logp, tokens, rows, features, predictions = decoded
-    final = encode_batch(rows, enc, stop_gradient=True).values
-    return GenerationTrace(tokens[0].tolist(), logp.values[0].tolist(),
-                           [f[0] for f in features] + [final[0]],
-                           [p[0] for p in predictions], init.values[0].copy())
-
-
 def sample_sequence(init_feature, gen, gui, enc, seed=None, rng=None,
                     mode="sample", style_label=None, max_len=None):
     """Roll out encode-prefix -> guider step -> gated distribution -> draw,
@@ -214,14 +192,11 @@ def sample_sequence(init_feature, gen, gui, enc, seed=None, rng=None,
         rng = np.random.default_rng(seed)
     init = ad.constant(np.reshape(init_feature, (1, -1)))
     labels = None if style_label is None else np.array([style_label])
-
-    def choose(t, logits):
-        return np.array([_draw(ad.softmax(logits).values[0], rng, mode)])
-
-    with ad.no_grad():
-        decoded = decode(init, gen, gui, enc, labels,
-                         max_len or enc.profile.max_len, choose)
-        return _trace(init, decoded, enc)
+    steps = enc.profile.max_len if max_len is None else max_len
+    tokens, features, predictions = decode(init, gen, gui, enc, labels, steps,
+                                           rng, mode)
+    return GenerationTrace(tokens[0].tolist(), [f[0] for f in features],
+                           [p[0] for p in predictions], init.values[0].copy())
 
 
 def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
@@ -281,12 +256,21 @@ def mle_loss(batch, enc, gen, gui, labels=None, init_features=None):
 
 
 def teacher_force_trace(sentence, enc, gen, gui, label=None):
-    """Trace of a real sentence under teacher forcing (features, predictions,
-    per-step log-probs of the actual tokens); used for reward inspection."""
-    tgt = _targets([sentence])
+    """Trace of a real sentence (its features f_0..f_T and the guider's
+    predictions along it); used for reward inspection. Every prefix is
+    known, so one `prefix_features` call encodes them all and one
+    multi-step `guider_step` makes every prediction."""
+    tgt = _targets([sentence])   # one row: its size is the sentence length
+    if not tgt.size:
+        raise DimensionError("cannot trace an empty sentence")
+    rows = sentence_rows(tgt, enc.profile.pad_width)   # refuses overlong input
     labels = None if label is None else np.array([label])
     with ad.no_grad():
-        init = encode_batch(sentence_rows(tgt, enc.profile.pad_width), enc)
-        decoded = decode(init, gen, gui, enc, labels, tgt.shape[1],
-                         lambda t, logits: tgt[:, t])
-        return _trace(init, decoded, enc)
+        init = encode_batch(rows, enc)
+        feats = prefix_features(rows, enc, tgt.size + 1)[:, 0]
+        gui_state = (initial_state(initial_hidden(init, gen)) if labels is None
+                     else initial_state_for_labels(gui, labels))
+        pred = guider_step(gui_state, ad.constant(feats[:-1]), gui,
+                           labels=labels)[0]
+    return GenerationTrace(tgt[0].tolist(), list(feats), list(pred.values),
+                           init.values[0].copy())

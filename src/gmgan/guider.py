@@ -92,6 +92,15 @@ def guider_step(state, f, params, labels=None):
     return pred, GuiderState(new_h, new_c)
 
 
+def dual_cosines(target, pred, anchor):
+    """The dual cosine's two (B,) terms: the (B, F) prediction tensor against
+    the target array, and its movement from the anchor array against the
+    target's. Zero-norm rows give 0."""
+    moved = ad.sub(pred, ad.constant(anchor))
+    return (ad.row_cosine(ad.constant(target), pred),
+            ad.row_cosine(ad.constant(target - anchor), moved))
+
+
 def guider_loss_batch(step_features, lengths, c, params, init_state,
                       labels=None):
     """Pooled guider loss over a padded batch.
@@ -119,9 +128,7 @@ def guider_loss_batch(step_features, lengths, c, params, init_state,
     pred, _ = guider_step(init_state, ad.constant(anchor), params,
                           labels=labels)
     mask = (lengths >= np.arange(c, t_top + c + 1)[:, None]).reshape(-1)
-    direct = ad.row_cosine(ad.constant(target), pred)
-    direction = ad.row_cosine(ad.constant(target - anchor),
-                              ad.sub(pred, ad.constant(anchor)))
+    direct, direction = dual_cosines(target, pred, anchor)
     total = ad.tsum(ad.mul(ad.add(direct, direction),
                            ad.constant(mask.astype(np.float64))))
     return ad.scale(total, -1.0 / int(mask.sum()))
@@ -132,15 +139,12 @@ def objective_cosines(features, params, init_state, c, labels=None):
 
     features are the (1, feature_dim) tensors f_0..f_T of one sequence.
     """
-    n_terms = len(features) - c
-    if c < 1 or n_terms < 1:
+    if c < 1 or len(features) <= c:
         raise ContractError("need c >= 1 and at least c+1 features")
     feats = np.concatenate([f.values for f in features])
-    target, anchor = feats[c:], feats[:n_terms]
+    target, anchor = feats[c:], feats[:-c]
     with ad.no_grad():
         pred = guider_step(init_state, ad.constant(anchor), params,
-                           labels=labels)[0].values
-    direct = ad.row_cosine(ad.constant(target), ad.constant(pred)).values
-    direction = ad.row_cosine(ad.constant(target - anchor),
-                              ad.constant(pred - anchor)).values
-    return float(direct.mean()), float(direction.mean())
+                           labels=labels)[0]
+        direct, direction = dual_cosines(target, pred, anchor)
+    return float(direct.values.mean()), float(direction.values.mean())

@@ -11,16 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ZERO_NORM_EPS
+from .autodiff import constant
 from .errors import ContractError
-
-
-def _cos(a, b):
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        return 0.0
-    return float(a @ b) / (na * nb)
+from .guider import dual_cosines
 
 
 @dataclass
@@ -41,26 +34,22 @@ def feature_matching_reward(trace, c):
     f_{t-c}) is compared against f_t directly and against the c feature-change
     directions f_t - f_{t-i}. Early steps truncate the window to available
     history, anchored at f_0, and use the earliest recorded prediction.
+    The guider's `dual_cosines` scores every (t, i) pair in one call.
     """
     if c < 1:
         raise ContractError("lookahead c must be >= 1")
-    feats = trace.features
-    preds = trace.predictions
-    if not feats or preds is None or len(feats) != len(preds) + 1:
+    feats, preds = trace.features, trace.predictions
+    if not preds or len(feats) != len(preds) + 1:
         raise ContractError("trace lacks aligned features and predictions")
-    big_t = len(preds)
-    out = np.zeros(big_t)
-    for t in range(1, big_t + 1):
-        window = min(t, c)
-        pred = preds[max(t - c, 0)]
-        f_t = feats[t]
-        total = 0.0
-        for i in range(1, window + 1):
-            anchor = feats[t - i]
-            total += _cos(f_t, pred)
-            total += _cos(f_t - anchor, pred - anchor)
-        out[t - 1] = total / (2.0 * window)
-    return out
+    steps = np.arange(1, len(preds) + 1)
+    # one row per (t, i) pair with i <= min(t, c): row = t - 1, lag = i - 1
+    row, lag = np.nonzero(np.arange(c) < steps[:, None])
+    feats, t = np.asarray(feats), row + 1
+    direct, direction = dual_cosines(
+        feats[t], constant(np.asarray(preds)[np.maximum(t - c, 0)]),
+        feats[t - lag - 1])
+    total = np.bincount(row, direct.values + direction.values, len(steps))
+    return total / (2.0 * np.minimum(steps, c))
 
 
 def discounted_cumulative(r_g, gamma, convention="relative"):

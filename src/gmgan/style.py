@@ -145,7 +145,8 @@ def soft_transfer_rollout(init_feats, target_labels, models, classifier,
 
     dec_h = initial_hidden(init_feats, models.generator)
     dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
-    gui_state = initial_state_for_labels(models.guider, target_labels)
+    with ad.no_grad():  # the guider gates the decoder as a constant
+        gui_state = initial_state_for_labels(models.guider, target_labels)
 
     bos_emb = models.encoder.embedding.values[BOS]
     enc_prefix = np.zeros((n, width, prof.embed_dim))
@@ -158,7 +159,7 @@ def soft_transfer_rollout(init_feats, target_labels, models, classifier,
             f_t = models.encoder.apply(ad.constant(enc_prefix))
             pred, gui_state = guider_step(gui_state, f_t, models.guider,
                                           labels=target_labels)
-        logits = gated_logits(dec_h, pred.detach(), models.generator)
+        logits = gated_logits(dec_h, pred, models.generator)
         alive_mask = ad.constant(np.repeat(alive[:, None], prof.embed_dim,
                                            axis=1))
         soft_gen = ad.mul(soft_argmax_embedding(logits, models.generator.embedding,

@@ -1,4 +1,5 @@
 import json
+import stat
 import struct
 import zlib
 
@@ -175,8 +176,11 @@ def test_checkpoint_is_flushed_and_synced_before_it_replaces_the_target(
     fsync, replace = checkpoint.os.fsync, checkpoint.os.replace
 
     def synced(fd):
-        # every byte must have left Python's buffer before the sync
-        events.append(("fsync", checkpoint.os.fstat(fd).st_size))
+        # every byte must have left Python's buffer before the file's sync;
+        # the directory sync that makes the rename durable names its inode
+        st = checkpoint.os.fstat(fd)
+        events.append(("fsync dir", st.st_ino) if stat.S_ISDIR(st.st_mode)
+                      else ("fsync", st.st_size))
         fsync(fd)
 
     def replaced(src, dst):
@@ -188,7 +192,8 @@ def test_checkpoint_is_flushed_and_synced_before_it_replaces_the_target(
     path = tmp_path / "m.gmg"
     write_checkpoint(path, [("s", np.arange(3.0))], {"case": 1})
     assert events == [("fsync", path.stat().st_size),
-                      ("replace", str(path) + ".tmp", path)]
+                      ("replace", str(path) + ".tmp", path),
+                      ("fsync dir", tmp_path.stat().st_ino)]
 
 
 def _crc_valid_file(path, config_bytes, sections):
@@ -205,6 +210,21 @@ def _crc_valid_file(path, config_bytes, sections):
     path.write_bytes(MAGIC + struct.pack("<I", VERSION)
                      + struct.pack("<Q", len(payload))
                      + struct.pack("<I", zlib.crc32(payload)) + payload)
+
+
+def test_written_file_is_the_format_built_by_hand(tmp_path):
+    # 0-d, strided, float32 and big-endian arrays are written as their
+    # little-endian float64 values, with the header over the whole payload
+    rng = np.random.default_rng(3)
+    sections = [("a", rng.normal(size=(3, 4))), ("b", np.float64(2.5)),
+                ("c", rng.normal(size=(4, 6))[:, ::2]),
+                ("d", rng.normal(size=5).astype(np.float32)),
+                ("e", rng.normal(size=2).astype(">f8")), ("f", np.zeros((0, 2)))]
+    write_checkpoint(tmp_path / "w.gmg", sections, {"case": 2})
+    _crc_valid_file(tmp_path / "h.gmg", json.dumps({"case": 2}).encode(),
+                    [(name.encode(), arr) for name, arr in sections])
+    assert ((tmp_path / "w.gmg").read_bytes()
+            == (tmp_path / "h.gmg").read_bytes())
 
 
 def _not_json(blob, sections):

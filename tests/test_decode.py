@@ -3,9 +3,12 @@
 `oracle_decode` (the per-sentence loop behind sampling, greedy decoding and
 reward traces) and `oracle_teacher_forced_log_probs` (the batched MLE and
 policy-gradient pass) are kept here as they were written before the merge.
-Every comparison is exact: tokens, log-probs, features, predictions and
-every gradient, except the parameter gradients that teacher forcing now
-sums over all steps in one product (TIME_SUMMED below).
+Every comparison of sampled traces and of log-probs is exact: tokens,
+features, predictions and every gradient, except the parameter gradients
+that teacher forcing now sums over all steps in one product (TIME_SUMMED
+below). A forced trace reads every prefix from `prefix_features`, whose
+products run over many rows, so its features and predictions are compared
+to 1e-14 relative.
 """
 
 import functools
@@ -45,7 +48,7 @@ def oracle_decode(init_t, gen, gui, enc, label, steps, choose):
         else:
             gui_state = initial_state_for_labels(gui, labels)
         prefix = [BOS]
-        tokens, log_probs, features, predictions = [], [], [], []
+        tokens, features, predictions = [], [], []
         for t in range(steps):
             f = encode_one(prefix, enc)
             features.append(f.values[0].copy())
@@ -53,7 +56,6 @@ def oracle_decode(init_t, gen, gui, enc, label, steps, choose):
             predictions.append(pred.values[0].copy())
             logits = gated_logits(dec_h, pred, gen)
             token = choose(t, logits)
-            log_probs.append(float(ad.log_softmax(logits).values[0, token]))
             tokens.append(token)
             prefix.append(token)
             if token == EOS:
@@ -62,7 +64,7 @@ def oracle_decode(init_t, gen, gui, enc, label, steps, choose):
             dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
                                         gen.dec_w_x, gen.dec_w_h, gen.dec_b)
         features.append(encode_one(prefix, enc).values[0].copy())
-    return GenerationTrace(tokens, log_probs, features, predictions,
+    return GenerationTrace(tokens, features, predictions,
                            init_t.values[0].copy())
 
 
@@ -126,14 +128,15 @@ def build(profile, vocab_size, labelled, seed):
     return enc, gen, gui
 
 
-def assert_traces_equal(got, want):
+def assert_traces_equal(got, want, rel=0.0):
+    """Tokens and init exact; features and predictions within rel of each
+    array's largest entry (exact at rel=0)."""
     assert got.tokens == want.tokens
-    assert got.log_probs == want.log_probs
     assert len(got.features) == len(want.features)
+    assert len(got.predictions) == len(want.predictions)
     for a, b in zip(got.features + got.predictions,
                     want.features + want.predictions):
-        assert np.array_equal(a, b)
-    assert len(got.predictions) == len(want.predictions)
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
     assert np.array_equal(got.init_feature, want.init_feature)
 
 
@@ -178,7 +181,8 @@ def test_forced_traces_equal_oracle(profile, vocab_size, n, labelled):
                                eos=k % 5 != 0)
         label = k % 2 if labelled else None
         assert_traces_equal(teacher_force_trace(sent, enc, gen, gui, label),
-                            oracle_force(sent, gen, gui, enc, label))
+                            oracle_force(sent, gen, gui, enc, label),
+                            rel=1e-14)
 
 
 @pytest.mark.parametrize("stop", ["eos-only", "max-len"])
@@ -284,3 +288,8 @@ def test_teacher_forcing_refuses_mid_sentence_eos_and_overlong_input():
                                      np.zeros((1, TINY.feature_dim))))
     with pytest.raises(DimensionError):
         teacher_force_trace([], enc, gen, gui)
+    with pytest.raises(DimensionError):
+        teacher_force_trace([4] * (TINY.max_len + 1), enc, gen, gui)
+    with pytest.raises(DimensionError):
+        sample_sequence(np.zeros(TINY.feature_dim), gen, gui, enc, seed=0,
+                        max_len=0)

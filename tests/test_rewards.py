@@ -11,7 +11,6 @@ from gmgan.rewards import (RewardBaseline, compute_reward_trace,
 def make_trace(features, predictions):
     big_t = len(predictions)
     return GenerationTrace(tokens=[4] * (big_t - 1) + [2],
-                           log_probs=[0.0] * big_t,
                            features=list(features),
                            predictions=list(predictions),
                            init_feature=np.zeros(len(features[0])))
@@ -64,7 +63,7 @@ def test_reward_matches_brute_force_oracle():
             for i in range(1, window + 1):
                 total += np_cos(feats[t], pred)
                 total += np_cos(feats[t] - feats[t - i], pred - feats[t - i])
-            assert abs(got[t - 1] - total / (2 * window)) < 1e-10
+            assert abs(got[t - 1] - total / (2 * window)) < 1e-12
 
 
 def test_reward_bounds():
@@ -83,6 +82,9 @@ def test_reward_requires_aligned_trace():
     trace.predictions = None
     with pytest.raises(ContractError):
         feature_matching_reward(trace, 2)
+    with pytest.raises(ContractError):   # a trace of no steps
+        feature_matching_reward(
+            GenerationTrace([], [np.ones(3)], [], np.zeros(3)), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,25 @@ def test_soft_rollout_produces_gradients():
         t.zero_grad()
 
 
+def test_soft_rollout_records_nothing_fed_by_the_label_rows():
+    # the guider runs as a constant, so its label rows stay off the tape:
+    # handing every node a zero gradient must leave label_init untouched
+    g, vocab, labelled, config = style_setup(n=8)
+    models = Models(len(vocab), config, style_labels=2)
+    clf = train_style_classifier(labelled, len(vocab), TINY, seed=4, epochs=1)
+    sources = sentence_rows([s for s, _ in labelled[:4]], TINY.pad_width)
+    targets = 1 - np.array([l for _, l in labelled[:4]])
+    label_init = models.guider.label_init
+    label_init.zero_grad()
+    with ad.tape() as tp:
+        feats = encode_batch(sources, models.encoder)
+        soft_transfer_rollout(feats, targets, models, clf, config)
+    assert tp.nodes
+    for out, backward_fn in reversed(tp.nodes):
+        backward_fn(np.zeros_like(out.values))
+    assert label_init.grad is None
+
+
 def test_unigram_precision_hand_cases():
     assert unigram_precision([4, 5, 6, EOS], [4, 5, 6, EOS]) == 1.0
     assert unigram_precision([4, 4, 7, EOS], [4, 5, 6, EOS]) == pytest.approx(1 / 3)
