@@ -31,7 +31,9 @@ naming the op and the output shape, and so does backward when it reaches a
 node whose output gradient holds NaN/Inf.
 """
 
+import ctypes
 import math
+import platform
 from contextlib import contextmanager
 
 import numpy as np
@@ -129,6 +131,29 @@ class Tape:
 
 
 _ACTIVE_TAPE = None
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_heap_thresholds():
+    """Keep freed memory in this process's heap; True if glibc took both.
+
+    A tape block frees its whole batch graph at once when it ends. glibc's
+    dynamic thresholds then trim that memory back to the OS, and the next
+    batch, which needs the same arrays again, faults every page back in.
+    Arrays under 32 MiB stay on the heap, and the heap's free top is kept
+    up to 256 MiB. Setting either value turns the dynamic thresholds off,
+    so both are set. Other C libraries are left as they are."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+    trim_set = mallopt(_M_TRIM_THRESHOLD, 256 << 20) == 1
+    return mmap_set and trim_set
+
+
+HEAP_PINNED = _pin_heap_thresholds()
 
 
 @contextmanager

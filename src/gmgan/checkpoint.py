@@ -56,7 +56,7 @@ class _Reader:
 
 def _unpack_sections(reader):
     count = reader.u32()
-    sections = []
+    sections = {}
     for _ in range(count):
         raw_name = reader.take(reader.u32())
         try:
@@ -64,13 +64,15 @@ def _unpack_sections(reader):
         except UnicodeDecodeError as e:
             raise CheckpointError("section name %r is not UTF-8"
                                   % bytes(raw_name)) from e
+        if name in sections:
+            raise CheckpointError("duplicate checkpoint section %r" % name)
         ndim = reader.u32()
         shape = struct.unpack("<%dQ" % ndim, reader.take(8 * ndim)) if ndim else ()
         # Python ints: a product past 2**64 must not wrap to a small size;
         # take() then refuses any size beyond the rest of the payload.
         size = math.prod(shape)
         data = np.frombuffer(reader.take(8 * size), dtype="<f8").reshape(shape)
-        sections.append((name, data.copy()))
+        sections[name] = data.copy()
     return sections
 
 
@@ -130,7 +132,10 @@ def read_checkpoint(path):
     except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
         raise CheckpointError("checkpoint config is not UTF-8 JSON: %s"
                               % e) from e
-    sections = dict(_unpack_sections(reader))
+    sections = _unpack_sections(reader)
+    if reader.pos != len(payload):
+        raise CheckpointError("%d bytes follow the last checkpoint section"
+                              % (len(payload) - reader.pos))
     return config_blob, sections
 
 

@@ -11,6 +11,9 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import autodiff as ad
 from .checkpoint import load_models, save_models
 from .corpus import (EOS, UNK, GrammarSpec, Vocabulary, load_corpus,
                      save_corpus, sample_grammar, sample_grammar_styled,
@@ -26,6 +29,8 @@ from .trainer import (Models, Optimizers, TrainConfig, pretrain_mle,
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _PATH_KEYS = {"corpus", "vocab", "grammar", "out_dir", "log"}
 _DATA_KEYS = {"train_samples", "val_samples"}
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -111,14 +116,33 @@ def _load_training_data(config, paths, data):
     return sentences[n_val:], sentences[:n_val], vocab, grammar, None
 
 
-def _open_log(paths, out_dir):
+def _log_header(config):
+    """What a run's numbers depend on besides its code: the run config and
+    seed, numpy and its BLAS, the BLAS thread variables (None when unset)
+    and whether the allocator thresholds were pinned."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):         # numpy before 1.26
+        blas = {}
+    return {"stage": "header", "config": dataclasses.asdict(config),
+            "seed": config.seed, "numpy": np.__version__,
+            "blas": {"name": blas.get("name"),
+                     "version": blas.get("version")},
+            "blas_threads": {var: os.environ.get(var)
+                             for var in _BLAS_THREAD_VARS},
+            "heap_pinned": ad.HEAP_PINNED}
+
+
+def _open_log(paths, out_dir, config):
     log_path = paths.get("log")
     if log_path is None and out_dir is not None:
         log_path = str(Path(out_dir) / "train.log.jsonl")
     if log_path is None:
         return None
     Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-    return open(log_path, "a", encoding="utf-8")
+    log = open(log_path, "a", encoding="utf-8")
+    log.write(json.dumps(_log_header(config)) + "\n")
+    return log
 
 
 def _snapshot_fn(out_dir, vocab):
@@ -163,7 +187,7 @@ def cmd_train(args):
     out_dir = paths.get("out_dir", args.out_dir)
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    log = _open_log(paths, out_dir)
+    log = _open_log(paths, out_dir, config)
     try:
         if args.stage == "style":
             if labelled is None:

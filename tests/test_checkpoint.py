@@ -196,9 +196,9 @@ def test_checkpoint_is_flushed_and_synced_before_it_replaces_the_target(
                       ("fsync dir", tmp_path.stat().st_ino)]
 
 
-def _crc_valid_file(path, config_bytes, sections):
-    """A GMG1 file with a correct CRC, from raw config bytes and
-    (raw name bytes, array) sections."""
+def _crc_valid_file(path, config_bytes, sections, tail=b""):
+    """A GMG1 file with a correct CRC, from raw config bytes,
+    (raw name bytes, array) sections and `tail` bytes after the last one."""
     body = [struct.pack("<I", len(config_bytes)), config_bytes,
             struct.pack("<I", len(sections))]
     for name, arr in sections:
@@ -206,7 +206,7 @@ def _crc_valid_file(path, config_bytes, sections):
         body += [struct.pack("<I", len(name)), name,
                  struct.pack("<I", arr.ndim),
                  struct.pack("<%dQ" % arr.ndim, *arr.shape), arr.tobytes()]
-    payload = b"".join(body)
+    payload = b"".join(body + [tail])
     path.write_bytes(MAGIC + struct.pack("<I", VERSION)
                      + struct.pack("<Q", len(payload))
                      + struct.pack("<I", zlib.crc32(payload)) + payload)
@@ -253,6 +253,16 @@ def _name_not_utf8(blob, sections):
             [(b"\xff\xfe" + sections[0][0], sections[0][1])] + sections[1:])
 
 
+def _duplicate_section(blob, sections):
+    # a later copy with other values must not replace the first
+    name, arr = sections[0]
+    return json.dumps(blob).encode("utf-8"), sections + [(name, arr + 1.0)]
+
+
+def _trailing_bytes(blob, sections):
+    return json.dumps(blob).encode("utf-8"), sections, bytes(8)
+
+
 def _blob_field(name, path, value):
     """A corruption, called `name`, that sets the config blob entry at
     `path` (a tuple of keys) to value."""
@@ -290,7 +300,7 @@ def _nan_parameter(blob, sections):
 
 @pytest.mark.parametrize("corrupt", [
     _not_json, _no_train_config, _unknown_train_config_key, _missing_moment,
-    _name_not_utf8,
+    _name_not_utf8, _duplicate_section, _trailing_bytes,
     _blob_field("_style_labels_string", ("style_labels",), "x"),
     _blob_field("_style_labels_list", ("style_labels",), [2]),
     _vocab_tokens_ints,
@@ -305,10 +315,9 @@ def test_malformed_checkpoint_refused_with_exit_2(tmp_path, corrupt):
     save_models(good, models, vocab, optimizers=Optimizers(models,
                                                           models.config))
     blob, sections = read_checkpoint(good)
-    config_bytes, raw_sections = corrupt(
-        blob, [(name.encode("utf-8"), arr) for name, arr in sections.items()])
     path = tmp_path / "bad.gmg"
-    _crc_valid_file(path, config_bytes, raw_sections)
+    _crc_valid_file(path, *corrupt(
+        blob, [(name.encode("utf-8"), arr) for name, arr in sections.items()]))
     with pytest.raises(CheckpointError):
         load_models(path)
     assert main(["generate", "--checkpoint", str(path), "--num", "1",

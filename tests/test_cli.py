@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gmgan import autodiff as ad
 from gmgan import cli
 from gmgan.cli import ConfigError, load_run_config, main
 from gmgan.corpus import EOS, desk_grammar, desk_style_grammar, sample_grammar
@@ -87,7 +88,26 @@ def test_train_mle_writes_loadable_checkpoint(tmp_path):
     assert opt is not None
     log = tmp_path / "out" / "train.log.jsonl"
     entries = [json.loads(l) for l in log.read_text().splitlines()]
-    assert entries and entries[0]["stage"] == "mle"
+    assert [e["stage"] for e in entries[:2]] == ["header", "mle"]
+
+
+def test_train_log_opens_with_header(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 0
+    log = (tmp_path / "out" / "train.log.jsonl").read_text().splitlines()
+    header = json.loads(log[0])
+    assert set(header) == {"stage", "config", "seed", "numpy", "blas",
+                           "blas_threads", "heap_pinned"}
+    assert header["stage"] == "header"
+    assert header["config"]["seed"] == header["seed"]
+    assert header["numpy"] == np.__version__
+    assert set(header["blas"]) == {"name", "version"}
+    assert header["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert header["blas_threads"]["MKL_NUM_THREADS"] is None
+    assert header["heap_pinned"] is ad.HEAP_PINNED
+    assert sum(json.loads(l)["stage"] == "header" for l in log) == 1
 
 
 def test_adversarial_without_pretrain_exits_2(tmp_path):

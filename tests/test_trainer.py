@@ -1,6 +1,13 @@
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gmgan
 from gmgan import autodiff as ad
 from gmgan import encoder, generator, style, trainer
 from gmgan.corpus import BOS, EOS, PAD, UNK, desk_grammar, sample_grammar
@@ -191,6 +198,48 @@ def test_guider_updates_do_not_touch_generator_group():
     _guider_phase(sents, models, opt, config, epoch=0)
     for n, t in models.generator_tensors():
         assert np.array_equal(before[n], t.values), n
+
+
+_FAULTS_PER_STEP_PAIR = textwrap.dedent("""
+    import resource, sys
+    sys.path.insert(0, sys.argv[1])
+    from gmgan.corpus import desk_grammar, sample_grammar
+    from gmgan.encoder import ModelProfile
+    from gmgan.trainer import (Models, Optimizers, TrainConfig,
+                               guider_update, mle_step)
+    profile = ModelProfile(64, 128, 64, (64, 128), (5, 5), (2, 2), max_len=16)
+    grammar = desk_grammar()
+    vocab = grammar.vocabulary()
+    sents = sample_grammar(grammar, 320, seed=7, vocab=vocab, max_len=16)
+    config = TrainConfig(seed=7, profile=profile, max_len=16, batch_size=32)
+    models = Models(len(vocab), config)
+    optimizers = Optimizers(models, config)
+
+    def step_pair(i):
+        batch = sents[32 * i:32 * (i + 1)]
+        mle_step(batch, models, optimizers)
+        guider_update(batch, models, optimizers, config.c)
+
+    for i in range(3):
+        step_pair(i)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(3, 10):
+        step_pair(i)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    print((after - before) / 7)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are pinned only on glibc")
+def test_mle_and_guider_steps_do_not_page_fault_after_warm_up():
+    # every tape block frees its batch graph at once; the heap must keep
+    # that memory for the next batch instead of returning it to the OS.
+    # A fresh process counts only these steps' faults.
+    src = str(Path(gmgan.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP_PAIR, src],
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 100
 
 
 # ---------------------------------------------------------------------------
