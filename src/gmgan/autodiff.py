@@ -15,12 +15,17 @@ to theirs bit for bit (tests/test_autodiff.py keeps those compositions as
 oracles).
 
 lstm_cell also runs T steps whose inputs are all known, as in teacher
-forcing: x then holds T*B rows, one input product covers every step, and
-the backward takes each weight gradient with one product over all steps.
-Its outputs and input gradients equal those of T one-step calls bit for
-bit; its weight gradients sum the same terms in another order.
+forcing: x then holds every step's rows, one input product covers every
+step, and the backward takes each weight gradient with one product over
+all steps. Its outputs and input gradients equal those of T one-step calls
+bit for bit; its weight gradients sum the same terms in another order.
+Given per-step batch sizes it runs a packed batch, sorted longest first:
+step t computes only the first batch_sizes[t] rows, the real (step, row)
+pairs, so no padded pair costs a step. `packed_sizes` and `packed_index`
+build that layout; `row_stable_matmul` gives a lone row the bits it has in
+a larger product.
 
-matmul takes 2-D operands, lstm_cell (B, d) or (T*B, d) rows and conv1d
+matmul takes 2-D operands, lstm_cell (B, d) rows per step and conv1d
 (B, L, C) sequences: a single example is a batch of one; other ranks raise
 DimensionError.
 
@@ -552,20 +557,76 @@ def row_cosine(a, b):
 # recurrent and convolutional cells
 # ---------------------------------------------------------------------------
 
-def lstm_cell(x, hidden, cell, w_x, w_h, b):
+def row_stable_matmul(a, b):
+    """a @ b of 2-D arrays, each row's bits independent of the other rows.
+
+    With this OpenBLAS a row of a product of two or more rows has the same
+    bits whichever rows share the product, at the DESK shapes that
+    tests/test_autodiff.py pins, but numpy sends a one-row product to gemv,
+    whose bits differ; a lone row is computed as the first of two.
+    Products whose row count varies with how a batch is packed call this.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
+def packed_sizes(steps):
+    """Per-step row counts of a packed batch: entry t counts the rows that
+    run more than t steps. `steps` gives each row's step count and must be
+    non-increasing, as in a batch sorted longest first; no steps give []."""
+    steps = np.asarray(steps)
+    if not steps.size or steps[0] <= 0:
+        return []
+    return np.count_nonzero(steps[:, None] > np.arange(steps[0]),
+                            axis=0).tolist()
+
+
+def check_batch_sizes(sizes, batch, rows=None):
+    """The per-step row counts as a list of ints; DimensionError unless
+    there is at least one, each is positive and at most the one before, the
+    first is at most `batch` and, given `rows`, they sum to it."""
+    sizes = [int(s) for s in sizes]
+    if (not sizes or sizes[-1] < 1 or sizes[0] > batch
+            or any(a < b for a, b in zip(sizes, sizes[1:]))
+            or (rows is not None and sum(sizes) != rows)):
+        raise DimensionError(
+            "batch sizes %r are not positive, non-increasing row counts of "
+            "at most %d rows%s" % (sizes, batch, "" if rows is None
+                                   else " summing to %d" % rows))
+    return sizes
+
+
+def packed_index(sizes):
+    """(step, row) arrays of the rows of a packed batch: step t holds rows
+    0..sizes[t]-1 of the batch, steps one after another."""
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return step, np.arange(len(step)) - np.repeat(starts, sizes)
+
+
+def lstm_cell(x, hidden, cell, w_x, w_h, b, batch_sizes=None):
     """T standard LSTM steps over known inputs, fused into one node with two
     tape entries.
 
-    hidden and cell are the (B, H) state before the first step; x holds the
-    T*B input rows in t-major order (rows t*B .. t*B+B-1 feed step t), so
-    T = rows(x) / B >= 1. The fused weight layout is w_x: (d_in, 4H),
-    w_h: (H, 4H), b: (4H,) with gate order input, forget, output, candidate.
-    Returns every step's hidden state (T*B, H), t-major, and the last step's
-    cell (B, H); T = 1 is one plain step. One x @ w_x product covers all
-    steps and only the recurrence h @ w_h runs per step. The backward runs
-    the steps in reverse into one dZ buffer, then takes each weight gradient
-    and x's gradient with one product over all rows (Appleyard et al.,
-    arXiv:1604.01946).
+    hidden and cell are the (B, H) state before the first step. x holds
+    each step's input rows, one step after another. Without batch_sizes
+    every step runs all B rows (rows t*B .. t*B+B-1 feed step t), so
+    T = rows(x) / B >= 1. With batch_sizes (positive, non-increasing, the
+    first at most B, summing to rows(x)), step t runs only the first
+    batch_sizes[t] rows of the batch: the packed layout of a batch sorted
+    longest first, where padding is never computed. The fused weight
+    layout is w_x: (d_in, 4H), w_h: (H, 4H), b: (4H,) with gate order
+    input, forget, output, candidate.
+
+    Returns every step's hidden rows, laid out as x, and the (B, H) cell of
+    each row after its own last step (a row that never steps keeps its
+    initial cell); T = 1 is one plain step. One x @ w_x product covers all
+    steps and only the recurrence h @ w_h runs per step; a step narrower
+    than the batch computes it through row_stable_matmul, so that its rows
+    keep their bits. The backward runs the steps in reverse into one dZ
+    buffer, then takes each weight gradient and x's gradient with one
+    product over all rows (Appleyard et al., arXiv:1604.01946).
 
     new_hidden's entry runs the whole backward and reads new_cell's gradient
     (None counts as zero); new_cell's, recorded after it, only gives
@@ -576,66 +637,105 @@ def lstm_cell(x, hidden, cell, w_x, w_h, b):
     h_dim = hv.shape[-1]
     n = hv.shape[0]
     if (xv.ndim != 2 or hv.ndim != 2 or cv.shape != hv.shape
-            or not 0 < n <= xv.shape[0] or xv.shape[0] % n
             or xv.shape[1] != w_x.shape[0]
             or w_x.shape[1] != 4 * h_dim or w_h.shape != (h_dim, 4 * h_dim)
-            or b.shape != (4 * h_dim,)):
+            or b.shape != (4 * h_dim,)
+            or (batch_sizes is None
+                and (not 0 < n <= xv.shape[0] or xv.shape[0] % n))):
         raise DimensionError(
             "lstm_cell shapes are inconsistent: x %r, hidden %r, cell %r, "
             "w_x %r, w_h %r, b %r" % (x.shape, hidden.shape, cell.shape,
                                       w_x.shape, w_h.shape, b.shape))
     rows = xv.shape[0]
-    zx = xv @ w_x.values
-    # per step t: the state it starts from (hs[t], cs[t]), its gates and
-    # tanh(c); hs[t + 1] and cs[t + 1] are its outputs
-    hs, cs, sigs, gs, tcs = [hv], [cv], [], [], []
-    for r0 in range(0, rows, n):
-        z = zx[r0:r0 + n] + hs[-1] @ w_h.values + b.values
+    sizes = ([n] * (rows // n) if batch_sizes is None
+             else check_batch_sizes(batch_sizes, n, rows))
+    steps = len(sizes)
+    w_hv = w_h.values
+    zx = (row_stable_matmul(xv, w_x.values) if rows < n
+          else xv @ w_x.values)
+    # a row stepped every time ends with the last step's cell; otherwise
+    # each row's cell is copied out at its last step
+    last_cell = None if sizes[-1] == n else cv.copy()
+    # per step t: the state rows it reads (hps[t], cps[t]), its gates and
+    # tanh(c), and its hidden output
+    h, c = hv, cv
+    hps, cps, sigs, gs, tcs, hs = [], [], [], [], [], []
+    r0 = 0
+    for t, m in enumerate(sizes):
+        if m < h.shape[0]:
+            h, c = h[:m], c[:m]
+        rec = row_stable_matmul(h, w_hv) if m < n else h @ w_hv
+        z = zx[r0:r0 + m] + rec + b.values
         sig = _sigmoid(z[:, :3 * h_dim])
         i, f, o = sig[:, :h_dim], sig[:, h_dim:2 * h_dim], sig[:, 2 * h_dim:]
         g = np.tanh(z[:, 3 * h_dim:])
-        c_new = f * cs[-1] + i * g
+        c_new = f * c + i * g
         tc = np.tanh(c_new)
-        hs.append(o * tc)
-        cs.append(c_new)
+        hps.append(h)
+        cps.append(c)
+        h, c = o * tc, c_new
+        hs.append(h)
         sigs.append(sig)
         gs.append(g)
         tcs.append(tc)
-    new_hidden = _fresh(np.concatenate(hs[1:]), "lstm_cell")
-    new_cell = _fresh(cs[-1], "lstm_cell")
+        if last_cell is not None:
+            ended = sizes[t + 1] if t + 1 < steps else 0
+            last_cell[ended:m] = c_new[ended:]
+        r0 += m
+    new_hidden = _fresh(hs[0] if steps == 1 else np.concatenate(hs),
+                        "lstm_cell")
+    new_cell = _fresh(c if last_cell is None else last_cell, "lstm_cell")
     tp = _track(x, hidden, cell, w_x, w_h, b)
     if tp:
         def bw(g_h):
             dz = np.empty((rows, 4 * h_dim))
-            dc_next, dh_next = new_cell.grad, None
-            for t in range(len(sigs) - 1, -1, -1):
-                sig, g, tc = sigs[t], gs[t], tcs[t]
-                d = dz[t * n:(t + 1) * n]
-                gh = g_h[t * n:(t + 1) * n]
-                if dh_next is not None:
-                    gh = gh + dh_next
+            cell_g = new_cell.grad
+            dc_next, dh_next = None, None
+            r1 = rows
+            for t in range(steps - 1, -1, -1):
+                sig, g, tc, m = sigs[t], gs[t], tcs[t], sizes[t]
+                d = dz[r1 - m:r1]
+                gh = g_h[r1 - m:r1].copy()
+                if dh_next is not None:   # from the rows that step on
+                    gh[:len(dh_next)] += dh_next
                 dc = gh * sig[:, 2 * h_dim:] * (1.0 - tc * tc)
-                if dc_next is not None:
-                    dc = dc_next + dc
+                # rows that step on get the cell gradient from step t + 1,
+                # rows whose last step is t from new_cell
+                k = 0 if dc_next is None else len(dc_next)
+                if k:
+                    dc[:k] += dc_next
+                if cell_g is not None and k < m:
+                    dc[k:] += cell_g[k:m]
                 # each gate gradient is formed in the composed ops' order
                 d[:, :h_dim] = dc * g
-                d[:, h_dim:2 * h_dim] = dc * cs[t]
+                d[:, h_dim:2 * h_dim] = dc * cps[t]
                 d[:, 2 * h_dim:3 * h_dim] = gh * tc
                 d[:, :3 * h_dim] = d[:, :3 * h_dim] * sig * (1.0 - sig)
                 d[:, 3 * h_dim:] = dc * sig[:, :h_dim] * (1.0 - g * g)
                 dc_next = dc * sig[:, h_dim:2 * h_dim]
                 if t or hidden.requires_grad:
-                    dh_next = d @ w_h.values.T
+                    dh_next = (row_stable_matmul(d, w_hv.T) if m < n
+                               else d @ w_hv.T)
+                r1 -= m
             if cell.requires_grad:
+                if len(dc_next) < n:   # rows that never stepped
+                    rest = (np.zeros((n - len(dc_next), h_dim))
+                            if cell_g is None else cell_g[len(dc_next):])
+                    dc_next = np.concatenate([dc_next, rest])
                 cell.accumulate_grad(dc_next)
             if b.requires_grad:
                 b.accumulate_grad(dz.sum(axis=0))
             if hidden.requires_grad:
+                if len(dh_next) < n:
+                    dh_next = np.concatenate(
+                        [dh_next, np.zeros((n - len(dh_next), h_dim))])
                 hidden.accumulate_grad(dh_next)
             if w_h.requires_grad:
-                w_h.accumulate_grad(np.concatenate(hs[:-1]).T @ dz)
+                h_in = hps[0] if steps == 1 else np.concatenate(hps)
+                w_h.accumulate_grad(h_in.T @ dz)
             if x.requires_grad:
-                x.accumulate_grad(dz @ w_x.values.T)
+                x.accumulate_grad(row_stable_matmul(dz, w_x.values.T)
+                                  if rows < n else dz @ w_x.values.T)
             if w_x.requires_grad:
                 w_x.accumulate_grad(xv.T @ dz)
         tp.record(new_hidden, bw)

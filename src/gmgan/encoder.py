@@ -9,10 +9,11 @@ Two paths compute features. `encode_batch` runs the network on a prefix
 matrix and may record gradients; sampling calls it once per step because
 its next prefix is not known until the step's token is drawn.
 `prefix_features` serves prefixes known in advance (teacher forcing, the
-guider's training targets): it computes each distinct conv window of all
-prefixes of a batch once, forward only, with the same bits as per-step
-`encode_batch` calls wherever a row subset of a product equals the full
-product (every shape of the DESK encoder).
+guider's training targets): it computes each distinct conv window of the
+prefixes a batch reads once (all of them, or a packed subset), forward
+only, with the same bits as per-step `encode_batch` calls wherever a row
+subset of a product equals the full product (every shape of the DESK
+encoder).
 """
 
 import dataclasses
@@ -187,17 +188,15 @@ def _distinct_windows(ids, base):
     return ids[first], inverse
 
 
-def _affine(x, w, b):
-    """x @ w + b. A one-row product goes to gemv, whose bits differ from
-    gemm's, so a single row is computed as the first of two."""
-    if x.shape[0] == 1:
-        return (np.concatenate([x, x]) @ w)[:1] + b
-    return x @ w + b
+def prefix_features(rows, params, n, batch_sizes=None):
+    """No-grad features of the prefixes rows[:, :t+1] (PAD after) for t < n,
+    for any TokenCNN; rows is a (B, pad_width) id matrix.
 
-
-def prefix_features(rows, params, n):
-    """No-grad (n, B, out_dim) features of the prefixes rows[:, :t+1] (PAD
-    after) for t < n, for any TokenCNN; rows is a (B, pad_width) id matrix.
+    Without batch_sizes the result is (n, B, out_dim): every prefix of
+    every row. With batch_sizes (n row counts, as lstm_cell takes them) it
+    is packed, (sum(batch_sizes), out_dim): step t holds the length-t
+    prefixes of rows 0..batch_sizes[t]-1 only, so the prefixes a caller
+    does not read are never encoded.
 
     Each conv layer keys its windows by the ids of their inputs (token ids,
     then the previous layer's distinct-window ids), runs one product over
@@ -205,28 +204,32 @@ def prefix_features(rows, params, n):
     """
     width = params.profile.pad_width
     batch = rows.shape[0]
-    if rows.shape != (batch, width) or not 1 <= n <= width:
+    if (rows.shape != (batch, width) or not 1 <= n <= width
+            or (batch_sizes is not None and len(batch_sizes) != n)):
         raise DimensionError("cannot take %d prefixes of rows shaped %r"
                              % (n, rows.shape))
-    known = np.arange(width) <= np.arange(n)[:, None]              # (n, W)
-    ids = np.where(known[:, None, :], rows, PAD).reshape(n * batch, width)
+    step, row = ad.packed_index([batch] * n if batch_sizes is None
+                                else ad.check_batch_sizes(batch_sizes, batch))
+    ids = np.where(np.arange(width) <= step[:, None], rows[row], PAD)
     table = params.embedding.values
     for (kernel, bias, w, s), n_win in zip(params.layers,
                                            params.profile.conv_lengths()):
         win = ids[:, (np.arange(n_win) * s)[:, None] + np.arange(w)]
         distinct, inverse = _distinct_windows(win.reshape(-1, w), len(table))
         x = table[distinct].reshape(len(distinct), -1)
-        table = np.maximum(_affine(x, kernel.values, bias.values), 0.0)
-        ids = inverse.reshape(n * batch, n_win)
+        table = np.maximum(ad.row_stable_matmul(x, kernel.values)
+                           + bias.values, 0.0)
+        ids = inverse.reshape(len(step), n_win)
     distinct, inverse = _distinct_windows(ids, len(table))
-    out = _affine(table[distinct].reshape(len(distinct), -1),
-                  params.mlp_w.values, params.mlp_b.values)
+    out = (ad.row_stable_matmul(table[distinct].reshape(len(distinct), -1),
+                                params.mlp_w.values) + params.mlp_b.values)
     if params.final_relu:
         out = np.maximum(out, 0.0)
     # diverged parameters: callers wrap these as constants, which refuse NaN
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("prefix features are non-finite")
-    return out[inverse].reshape(n, batch, -1)
+    out = out[inverse]
+    return out if batch_sizes is not None else out.reshape(n, batch, -1)
 
 
 def draw_initial_noise(rng, feature_dim, scale=1.0):

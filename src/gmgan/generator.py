@@ -16,14 +16,16 @@ still describe the work done.
 Known sentences need no loop: the targets and every prefix feature are
 known before the first step, the features from one
 `encoder.prefix_features` call that computes each distinct conv window
-once. `teacher_forced_log_probs` therefore runs each stage once over all
-(step, row) pairs: one multi-step `guider_step`, one multi-step
-`lstm_cell` for the decoder, and one `gated_logits`, `log_softmax` and
-`pick`. So an MLE batch, a policy-gradient batch or a validation chunk
-counts one `guider_step` call and at most one decoder `lstm_cell` call,
-whatever its length. `teacher_force_trace`, the reward-inspection trace of
-one real sentence, likewise makes one `prefix_features` call and one
-multi-step `guider_step`.
+once. `teacher_forced_log_probs` therefore sorts the batch longest first
+and runs each stage once over the real (step, row) pairs only, packed so
+that step t holds the rows longer than t: one multi-step `guider_step`,
+one multi-step `lstm_cell` for the decoder, and one `gated_logits`,
+`log_softmax` and `pick`; no padded pair is computed. So an MLE batch, a
+policy-gradient batch or a validation chunk counts one `guider_step` call
+and at most one decoder `lstm_cell` call, whatever its length.
+`teacher_force_trace`, the reward-inspection trace of one real sentence,
+likewise makes one `prefix_features` call and one multi-step
+`guider_step`.
 """
 
 from dataclasses import dataclass
@@ -204,13 +206,19 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     """Batched teacher-forced forward pass with gating active.
 
     Every input is known before the first step: the targets, and every
-    prefix feature from one `prefix_features` call. So each stage runs once
-    over all T*B (step, row) pairs in t-major order: one multi-step
-    guider_step with its head, one gather of the target embeddings, one
-    multi-step lstm_cell for the decoder, then gated_logits, log_softmax and
-    pick. Returns (logp (B,T) tensor, loss mask (B,T), target matrix).
-    Gradients flow through the decoder path and the encoder via the initial
-    state; the guider rollout and its feature inputs are held constant.
+    prefix feature that is read. So the rows are sorted longest first and
+    each stage runs once over the real (step, row) pairs only, packed as
+    lstm_cell takes them (step t holds the rows longer than t): one
+    `prefix_features` call, one multi-step guider_step with its head, one
+    gather of the target embeddings, one multi-step lstm_cell for the
+    decoder, then gated_logits, log_softmax and pick.
+
+    Returns (logp (B,T) tensor, loss mask (B,T), target matrix), in the
+    caller's row order; the log-probs of padded entries are 0.0.
+    init_features and labels, when given, hold one row per sentence.
+    Gradients flow through the decoder path and the encoder via the
+    initial state; the guider rollout and its feature inputs are held
+    constant.
     """
     tgt = _targets(batch)
     n, steps = tgt.shape
@@ -218,23 +226,46 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     rows = sentence_rows(batch, prof.pad_width)   # refuses overlong input
     if init_features is None:
         init_features = encode_batch(rows, enc)   # gradients flow
-    feats = prefix_features(rows, enc, steps).reshape(steps * n, -1)
+    elif init_features.shape != (n, prof.feature_dim):
+        raise DimensionError("initial features %r for %d sentences"
+                             % (init_features.shape, n))
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != (n,):
+            raise DimensionError("%r labels for %d sentences"
+                                 % (labels.shape, n))
+    lengths = np.array([len(s) for s in batch])
+    order = np.argsort(-lengths, kind="stable")
+    sizes = ad.packed_sizes(lengths[order])       # step t: rows longer than t
+    feats = prefix_features(rows[order], enc, steps, batch_sizes=sizes)
+    step, rank = ad.packed_index(sizes)
     s0 = initial_hidden(init_features, gen)
+    h0 = ad.gather_rows(s0, order)
     with ad.no_grad():
-        gui_state = (initial_state(s0.detach()) if labels is None
-                     else initial_state_for_labels(gui, labels))
+        sorted_labels = None if labels is None else labels[order]
+        gui_state = (initial_state(h0.detach()) if labels is None
+                     else initial_state_for_labels(gui, sorted_labels))
         pred = guider_step(gui_state, ad.constant(feats), gui,
-                           labels=labels)[0]
-    dec_h = s0
-    if steps > 1:  # the decoder consumes every target but the last
-        emb = ad.gather_rows(gen.embedding, tgt[:, :-1].T.reshape(-1))
-        hs = ad.lstm_cell(emb, s0, ad.constant(np.zeros((n, prof.hidden_dim))),
-                          gen.dec_w_x, gen.dec_w_h, gen.dec_b)[0]
-        dec_h = ad.concat([s0, hs])
+                           labels=sorted_labels, batch_sizes=sizes)[0]
+    tokens = tgt[order[rank], step]
+    dec_h = h0 if sizes[0] == n else ad.gather_rows(s0, order[:sizes[0]])
+    if steps > 1:  # step t >= 1 consumes each of its rows' target t - 1
+        emb = ad.gather_rows(gen.embedding,
+                             tgt[order[rank[sizes[0]:]], step[sizes[0]:] - 1])
+        hs = ad.lstm_cell(emb, h0, ad.constant(np.zeros((n, prof.hidden_dim))),
+                          gen.dec_w_x, gen.dec_w_h, gen.dec_b,
+                          batch_sizes=sizes[1:])[0]
+        dec_h = ad.concat([dec_h, hs])
     logp = ad.log_softmax(gated_logits(dec_h, pred, gen))
-    picked = ad.pick(logp, (np.arange(steps) * n + np.arange(n)[:, None])
-                     .reshape(-1), tgt.reshape(-1))
-    return ad.reshape(picked, (n, steps)), scored_tokens(tgt), tgt
+    picked = ad.pick(logp, np.arange(len(step)), tokens)
+    # back to (B, T) in the caller's order; padded entries read a zero row
+    where = np.full((n, steps), len(step))
+    where[order[rank], step] = np.arange(len(step))
+    padded = ad.concat([ad.reshape(picked, (len(step), 1)),
+                        ad.constant(np.zeros((1, 1)))])
+    logp_mat = ad.reshape(ad.gather_rows(padded, where.reshape(-1)),
+                          (n, steps))
+    return logp_mat, scored_tokens(tgt), tgt
 
 
 def scored_tokens(tokens):

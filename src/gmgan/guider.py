@@ -62,15 +62,18 @@ def initial_state_for_labels(params, labels):
     return initial_state(ad.gather_rows(params.label_init, labels))
 
 
-def guider_step(state, f, params, labels=None):
-    """Advance the guider over the (T*B, feature_dim) features f, T >= 1
-    steps of B rows in t-major order (B is the state's row count); returns
-    the (T*B, feature_dim) predictions and the new state.
+def guider_step(state, f, params, labels=None, batch_sizes=None):
+    """Advance the guider over the feature rows f (feature_dim wide) of
+    T >= 1 steps; returns the predictions, one per row of f, and the new
+    state.
 
-    A one-step call (T = 1) gives a state to continue from. A multi-step
-    call's state holds every step's hidden rows beside the last cell, so
-    stepping on from it raises DimensionError. In style mode labels must be
-    given (length B); outside style mode they must not be.
+    Without batch_sizes every step holds all B rows of the state, t-major;
+    with them f is packed as lstm_cell takes it, step t holding rows
+    0..batch_sizes[t]-1. A one-step call (T = 1) gives a state to continue
+    from. A multi-step call's state holds every step's hidden rows beside
+    the last cell, so stepping on from it raises DimensionError. In style
+    mode labels must be given (length B); outside style mode they must not
+    be.
     """
     if (labels is not None) != bool(params.num_labels):
         raise ContractError("labels are required exactly in style mode")
@@ -80,14 +83,17 @@ def guider_step(state, f, params, labels=None):
     x = f
     if params.num_labels:  # each row's label, one-hot, after its feature
         labels = np.asarray(labels, dtype=np.intp)
-        if labels.ndim != 1 or f.shape[0] % len(labels):
-            raise DimensionError("%d guider rows do not repeat %r labels"
-                                 % (f.shape[0], labels.shape))
-        steps = f.shape[0] // len(labels)
-        one_hot = np.eye(params.num_labels)[np.tile(labels, steps)]
+        n = state.hidden.shape[0]
+        if labels.shape != (n,):
+            raise DimensionError("%r labels for %d guider rows"
+                                 % (labels.shape, n))
+        sizes = [n] * (f.shape[0] // n) if batch_sizes is None else batch_sizes
+        rows = ad.packed_index(ad.check_batch_sizes(sizes, n, f.shape[0]))[1]
+        one_hot = np.eye(params.num_labels)[labels[rows]]
         x = ad.concat([x, ad.constant(one_hot)], axis=1)
     new_h, new_c = ad.lstm_cell(x, state.hidden, state.cell,
-                                params.w_x, params.w_h, params.b)
+                                params.w_x, params.w_h, params.b,
+                                batch_sizes=batch_sizes)
     pred = ad.add(ad.matmul(new_h, params.head_w), params.head_b)
     return pred, GuiderState(new_h, new_c)
 
@@ -103,35 +109,54 @@ def dual_cosines(target, pred, anchor):
 
 def guider_loss_batch(step_features, lengths, c, params, init_state,
                       labels=None):
-    """Pooled guider loss over a padded batch.
+    """Pooled guider loss over a batch of sequences of mixed lengths.
 
-    step_features is a (T_max + 1, B, feature_dim) array: step_features[t]
-    holds every sequence's length-t prefix feature; sequence b contributes
-    terms for t with t + c <= lengths[b]. Each term is the dual cosine
-    objective: the prediction made after consuming step_features[t] is
-    matched against step_features[t + c], and its movement from
-    step_features[t] against the real movement. One multi-step guider_step
-    makes every prediction, and each cosine runs once over all (t, b) rows.
-    The loss is the negated mean over all valid terms, so a single sequence
-    is a B=1 call.
+    step_features is a (T_max + 1, B, feature_dim) array whose entry [t, b]
+    is sequence b's length-t prefix feature; entries past lengths[b] are
+    never read. Sequence b contributes a term for each t with
+    t + c <= lengths[b], none when it is shorter than c. Each term is the
+    dual cosine objective: the prediction made after consuming
+    step_features[t] is matched against step_features[t + c], and its
+    movement from step_features[t] against the real movement.
+
+    The sequences are sorted longest first and one packed multi-step
+    guider_step makes every prediction: step t runs only the sequences with
+    a term at t. Each cosine then runs once over the real terms, and the
+    loss is their negated mean, so a single sequence is a B=1 call.
+    init_state (and labels, in style mode) hold B rows in the caller's
+    order.
     """
     if c < 1:
         raise ContractError("lookahead c must be >= 1")
     lengths = np.asarray(lengths)
-    t_top = int(lengths.max()) - c
-    if t_top < 0:
-        raise ContractError("no sequence is longer than the lookahead")
     feats = np.asarray(step_features)
-    n_rows = (t_top + 1) * feats.shape[1]
-    anchor = feats[:t_top + 1].reshape(n_rows, -1)
-    target = feats[c:t_top + c + 1].reshape(n_rows, -1)
-    pred, _ = guider_step(init_state, ad.constant(anchor), params,
-                          labels=labels)
-    mask = (lengths >= np.arange(c, t_top + c + 1)[:, None]).reshape(-1)
+    n = len(lengths)
+    if (feats.ndim != 3 or feats.shape[1] != n
+            or feats.shape[0] <= lengths.max()
+            or init_state.hidden.shape[0] != n):
+        raise DimensionError(
+            "step features %r and %d initial rows do not fit %d lengths up "
+            "to %d" % (feats.shape, init_state.hidden.shape[0], n,
+                       lengths.max()))
+    order = np.argsort(-lengths, kind="stable")
+    sizes = ad.packed_sizes(lengths[order] - c + 1)   # terms t = 0..len - c
+    if not sizes:
+        raise ContractError("no sequence is longer than the lookahead")
+    step, rank = ad.packed_index(sizes)
+    row = order[rank]
+    anchor, target = feats[step, row], feats[step + c, row]
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != (n,):
+            raise DimensionError("%r labels for %d sequences"
+                                 % (labels.shape, n))
+        labels = labels[order]
+    state = GuiderState(ad.gather_rows(init_state.hidden, order),
+                        ad.gather_rows(init_state.cell, order))
+    pred, _ = guider_step(state, ad.constant(anchor), params, labels=labels,
+                          batch_sizes=sizes)
     direct, direction = dual_cosines(target, pred, anchor)
-    total = ad.tsum(ad.mul(ad.add(direct, direction),
-                           ad.constant(mask.astype(np.float64))))
-    return ad.scale(total, -1.0 / int(mask.sum()))
+    return ad.scale(ad.tsum(ad.add(direct, direction)), -1.0 / len(step))
 
 
 def objective_cosines(features, params, init_state, c, labels=None):

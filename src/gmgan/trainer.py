@@ -192,13 +192,21 @@ def guider_update(batch, models, optimizers, c, labels=None):
     lengths = np.array([len(s) for s in batch])
     if lengths.max() < c:
         return None
-    # constant features of every [BOS]+prefix, for t = 0..T_max
-    rows = sentence_rows(batch, models.profile.pad_width)
-    feats = prefix_features(rows, models.encoder, lengths.max() + 1)
+    # constant features of every [BOS]+prefix up to each whole sentence,
+    # computed packed (longest first) and laid out as (t, b) for the loss;
+    # t = lengths[b] is sentence b's whole feature
+    order = np.argsort(-lengths, kind="stable")
+    sizes = ad.packed_sizes(lengths[order] + 1)
+    rows = sentence_rows([batch[i] for i in order], models.profile.pad_width)
+    step, rank = ad.packed_index(sizes)
+    feats = np.zeros((len(sizes), len(batch), models.profile.feature_dim))
+    feats[step, order[rank]] = prefix_features(rows, models.encoder,
+                                               len(sizes), batch_sizes=sizes)
     with ad.tape():
         if labels is None:
             with ad.no_grad():
-                init = initial_state(initial_hidden(ad.constant(feats[-1]),
+                whole = feats[lengths, np.arange(len(batch))]
+                init = initial_state(initial_hidden(ad.constant(whole),
                                                     models.generator))
         else:
             init = initial_state_for_labels(models.guider, labels)

@@ -610,6 +610,130 @@ def test_multi_step_lstm_cell_shapes():
     with pytest.raises(DimensionError):   # every step's hidden, one cell
         ad.lstm_cell(t(rng.normal(size=(6, 3))), hid, cel, w_x, w_h, b)
 
+# (inner size, columns) of each DESK product whose row count varies with
+# batching: the encoder's conv layers and MLP, the decoder's and the
+# guider's x @ W_x and h @ W_h, their heads and the initial projection;
+# the vocabulary head with 40 words (tests/test_decode.py) and the 72 of
+# desk_style_grammar. Heads narrower than 4 columns are not row-subset
+# exact and are left out. With desk_grammar's 60 words the head is exact
+# only between products on the same side of OpenBLAS's small-matrix path
+# (rows * 60 * 128 <= 1e6, so up to 130 rows): a column count that is 1 to
+# 4 past a multiple of 8 takes another kernel for the last columns there.
+DESK_PRODUCTS = {"encoder.conv0": (320, 64), "encoder.conv1": (320, 128),
+                 "encoder.mlp": (256, 128), "decoder.x_w_x": (64, 256),
+                 "decoder.h_w_h": (64, 256), "guider.x_w_x": (128, 256),
+                 "guider.labelled_x_w_x": (130, 256),
+                 "guider.h_w_h": (64, 256), "guider.head": (64, 128),
+                 "decoder.out_head": (64, 128), "decoder.gate": (128, 128),
+                 "decoder.vocab_head_40": (128, 40),
+                 "decoder.vocab_head_72": (128, 72),
+                 "generator.init": (128, 64)}
+
+
+@pytest.mark.parametrize("name", sorted(DESK_PRODUCTS))
+def test_products_are_row_subset_exact_at_desk_shapes(name):
+    # packing, the distinct-window encoder and every batch-size change rest
+    # on this: a row's bits do not depend on which rows share its product
+    inner, cols = DESK_PRODUCTS[name]
+    rng = np.random.default_rng(inner + cols)
+    a = rng.normal(size=(512, inner))
+    w = rng.normal(scale=0.1, size=(inner, cols))
+    full = a @ w
+    for m in range(2, 33):
+        for rows in (np.arange(m), np.sort(rng.choice(512, m, replace=False))):
+            assert np.array_equal(a[rows] @ w, full[rows]), (name, m)
+    for i in (0, 511):   # a lone row, as one of two
+        assert np.array_equal(ad.row_stable_matmul(a[i:i + 1], w),
+                              full[i:i + 1]), name
+
+
+def _packed_data(rng, sizes, batch, d_in, h):
+    return {"x": rng.normal(scale=2.0, size=(sum(sizes), d_in)),
+            "hidden": rng.normal(size=(batch, h)),
+            "cell": rng.normal(size=(batch, h)),
+            "w_x": rng.normal(scale=0.5, size=(d_in, 4 * h)),
+            "w_h": rng.normal(scale=0.5, size=(h, 4 * h)),
+            "b": rng.normal(size=4 * h)}
+
+
+@pytest.mark.parametrize("sizes,batch", [
+    ([3, 2, 1], 3),        # the last step runs one row of three
+    ([2, 2, 1, 1], 4),     # rows 2 and 3 never step; two one-row steps
+    ([1], 2),              # one one-row step
+    ([2, 2, 2], 2),        # every row steps: the uniform layout
+])
+@pytest.mark.parametrize("loss_on", [("hidden", "cell"), ("cell",)])
+def test_packed_lstm_cell_vs_finite_differences(sizes, batch, loss_on):
+    rng = np.random.default_rng(93 + len(sizes))
+    data = _packed_data(rng, sizes, batch, 3, 4)
+    p_h = rng.normal(size=(sum(sizes), 4)) * ("hidden" in loss_on)
+    p_c = rng.normal(size=(batch, 4))
+    ts = {k: t(v, grad=True) for k, v in data.items()}
+
+    def graph():
+        hid, cel = ad.lstm_cell(ts["x"], ts["hidden"], ts["cell"], ts["w_x"],
+                                ts["w_h"], ts["b"], batch_sizes=sizes)
+        return ad.add(ad.tsum(ad.mul(hid, t(p_h))),
+                      ad.tsum(ad.mul(cel, t(p_c))))
+
+    with ad.tape():
+        loss = graph()
+    ad.backward(loss)
+
+    def forward():
+        with ad.no_grad():
+            return graph().item()
+
+    check_grads(forward, list(ts.values()), tol=1e-5)
+    if sizes[0] < batch:   # a row that never steps passes its state through
+        assert not ts["hidden"].grad[sizes[0]:].any()
+        assert np.array_equal(ts["cell"].grad[sizes[0]:], p_c[sizes[0]:])
+
+
+@pytest.mark.parametrize("d_in,h", [(64, 64), (128, 64)],
+                         ids=["decoder", "guider"])
+def test_packed_lstm_rows_equal_uniform_calls_at_desk(d_in, h):
+    # the uniform calls run the whole padded batch, for as many steps as
+    # each row's length; the packed call runs only the real pairs, down to
+    # one-row steps at the end, and rows that never step
+    rng = np.random.default_rng(96)
+    batch, steps = 32, 11
+    lengths = np.concatenate([[steps, steps - 1],
+                              np.sort(rng.integers(1, steps, size=batch - 4))
+                              [::-1], [0, 0]])
+    sizes = ad.packed_sizes(lengths)
+    assert sizes[-1] == 1 and sizes[0] == batch - 2
+    data = _packed_data(rng, [batch] * steps, batch, d_in, h)
+    step, row = ad.packed_index(sizes)
+    args = [t(data[k]) for k in ("hidden", "cell", "w_x", "w_h", "b")]
+    hid, cel = ad.lstm_cell(t(data["x"][step * batch + row]), *args,
+                            batch_sizes=sizes)
+    for n in range(1, steps + 1):
+        u_hid, u_cel = ad.lstm_cell(t(data["x"][:n * batch]), *args)
+        done = step < n
+        assert np.array_equal(hid.values[done],
+                              u_hid.values[step[done] * batch + row[done]])
+        assert np.array_equal(cel.values[lengths == n],
+                              u_cel.values[lengths == n])
+    assert np.array_equal(cel.values[lengths == 0], data["cell"][-2:])
+
+
+def test_packed_batch_sizes_are_checked():
+    rng = np.random.default_rng(97)
+    w_x, w_h, b = _lstm_params(rng, 3, 4)
+    state = t(np.zeros((3, 4)))
+    x = t(rng.normal(size=(5, 3)))
+    for sizes in ([2, 3], [3, 2, 0], [4, 1], [3, 1], [3, 3], [], [3, -1, 3]):
+        with pytest.raises(DimensionError):   # increasing, empty, > B, sum
+            ad.lstm_cell(x, state, state, w_x, w_h, b, batch_sizes=sizes)
+    hid, cel = ad.lstm_cell(x, state, state, w_x, w_h, b, batch_sizes=[3, 2])
+    assert hid.shape == (5, 4) and cel.shape == (3, 4)
+    assert ad.packed_sizes([4, 2, 2, 0]) == [3, 3, 1, 1]
+    assert ad.packed_sizes([0, 0]) == [] and ad.packed_sizes([]) == []
+    step, row = ad.packed_index([3, 1])
+    assert step.tolist() == [0, 0, 0, 1] and row.tolist() == [0, 1, 2, 0]
+
+
 def _conv_grads(conv_fn, data, width, stride, apply_relu):
     x, kernel, bias = (t(data[k], grad=True) for k in ("x", "kernel", "bias"))
     with ad.tape():

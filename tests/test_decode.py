@@ -4,11 +4,13 @@
 reward traces) and `oracle_teacher_forced_log_probs` (the batched MLE and
 policy-gradient pass) are kept here as they were written before the merge.
 Every comparison of sampled traces and of log-probs is exact: tokens,
-features, predictions and every gradient, except the parameter gradients
-that teacher forcing now sums over all steps in one product (TIME_SUMMED
-below). A forced trace reads every prefix from `prefix_features`, whose
-products run over many rows, so its features and predictions are compared
-to 1e-14 relative.
+features, predictions and the log-probs of real tokens (teacher forcing
+computes no padded pair; those entries read 0.0). Gradients are exact
+except where teacher forcing now sums over all steps in one product
+(TIME_SUMMED below) or runs a packed step's backward over fewer rows
+(INITIAL_STATE). A forced trace reads every prefix from
+`prefix_features`, whose products run over many rows, so its features and
+predictions are compared to 1e-14 relative.
 """
 
 import functools
@@ -22,8 +24,9 @@ from gmgan.encoder import (EncoderParams, ModelProfile, encode_batch, pad_rows,
                            prefix_features)
 from gmgan.errors import ContractError, DimensionError
 from gmgan.generator import (GenerationTrace, GeneratorParams, _draw,
-                             gated_logits, initial_hidden, sample_sequence,
-                             teacher_force_trace, teacher_forced_log_probs)
+                             gated_logits, initial_hidden, mle_loss,
+                             sample_sequence, teacher_force_trace,
+                             teacher_forced_log_probs)
 from gmgan.guider import (GuiderParams, guider_step, initial_state,
                           initial_state_for_labels)
 
@@ -215,12 +218,22 @@ def grads_after(run, tensors):
     return logp.values, grads
 
 
-# Parameters whose gradient the time-batched pass sums in another order: one
-# product over every (step, row) pair, or one gather of every step's
-# targets, where the per-step loop added one term per step.
+# Parameters whose gradient the time-batched, packed pass sums in another
+# order: one product over every real (step, row) pair, or one gather of
+# every step's targets, where the per-step loop added one term per step
+# and a zero term for each padded pair.
 TIME_SUMMED = {"encoder.embedding", "generator.dec.w_x", "generator.dec.w_h",
                "generator.dec.b", "generator.out.w", "generator.out.b",
                "generator.gate.w", "generator.gate.b", "generator.vocab.w"}
+# Gradients that flow back into the initial state. Packing gives a late
+# step only the rows still running, and OpenBLAS multiplies fewer than
+# about 18 rows by a transposed weight (the backward's g @ W.T) with
+# another kernel, so these bits also move (measured <= 7e-16 of the
+# largest entry).
+INITIAL_STATE = {"encoder.conv0.kernel", "encoder.conv0.bias",
+                 "encoder.conv1.kernel", "encoder.conv1.bias",
+                 "encoder.mlp.w", "encoder.mlp.b", "generator.init.w",
+                 "generator.init.b", "init_features"}
 
 
 @pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
@@ -242,10 +255,12 @@ def test_teacher_forced_batch_equals_oracle(profile, vocab_size, batch, init,
                                 requires_grad=True)
                       if init == "given" else None)
         tensors = enc.tensors() + gen.tensors() + gui.tensors()
-        if init_feats is not None:   # a non-leaf input: its gradient is exact
+        if init_feats is not None:   # a non-leaf input
             tensors.append(("init_features", init_feats))
         t_max = max(len(s) for s in sents)
-        weights = ad.constant(rng.normal(size=(batch, t_max)))
+        real = np.arange(t_max) < np.array([len(s) for s in sents])[:, None]
+        # padded pairs are not computed, so they carry no weight
+        weights = ad.constant(rng.normal(size=(batch, t_max)) * real)
 
         def loss(fn):
             def run():
@@ -264,17 +279,51 @@ def test_teacher_forced_batch_equals_oracle(profile, vocab_size, batch, init,
                 oracle, known=prefix_features(rows, enc, t_max))
         got, got_grads = grads_after(loss(teacher_forced_log_probs), tensors)
         want, want_grads = grads_after(loss(oracle), tensors)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got[real], want[real])
+        assert not got[~real].any() and (~real).any()
         for (name, _), a, b in zip(tensors, got_grads, want_grads):
             assert (a is None) == (b is None), name
             if a is None:
                 continue
-            if name in TIME_SUMMED:
-                # measured <= 2e-15 of the largest entry
+            if name in TIME_SUMMED | INITIAL_STATE:
+                # measured <= 3e-15 of the largest entry
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
             else:
                 assert np.array_equal(a, b), name
         assert any(g is not None for g in got_grads)
+
+
+def test_batch_with_empty_sentences_scores_as_before():
+    # an empty sentence never steps: its row reads 0.0 and adds nothing to
+    # the loss, as its all-PAD row did when padded pairs were computed
+    enc, gen, gui = build(DESK, 40, False, seed=55)
+    rng = np.random.default_rng(56)
+    sents = [[], random_sentence(rng, 40, DESK.max_len), [],
+             random_sentence(rng, 40, DESK.max_len), [EOS]]
+    with ad.no_grad():
+        got, mask, _ = teacher_forced_log_probs(sents, enc, gen, gui)
+        want, _ = oracle_teacher_forced_log_probs(sents, enc, gen, gui)
+        loss = mle_loss(sents, enc, gen, gui).item()
+    real = np.arange(got.shape[1]) < np.array([len(s) for s in sents])[:, None]
+    assert np.array_equal(got.values[real], want.values[real])
+    assert not got.values[~real].any() and not mask[[0, 2]].any()
+    assert loss == -float((want.values * mask).sum()) / mask.sum()
+    with pytest.raises(DimensionError):   # no sentence has a step
+        teacher_forced_log_probs([[], []], enc, gen, gui)
+
+
+def test_teacher_forcing_refuses_rows_that_are_not_the_batch():
+    enc, gen, gui = build(TINY, 12, True, seed=57)
+    batch = [[4, 5, EOS], [6, EOS], [EOS], [4, EOS]]
+    labels = np.array([0, 1, 1, 0])
+    teacher_forced_log_probs(batch, enc, gen, gui, labels=labels)
+    with pytest.raises(DimensionError):   # 8 initial features for 4
+        teacher_forced_log_probs(batch, enc, gen, gui, labels=labels,
+                                 init_features=ad.constant(
+                                     np.zeros((8, TINY.feature_dim))))
+    with pytest.raises(DimensionError):   # 8 guider initial rows for 4
+        teacher_forced_log_probs(batch, enc, gen, gui,
+                                 labels=np.zeros(8, dtype=int))
 
 
 def test_teacher_forcing_refuses_mid_sentence_eos_and_overlong_input():

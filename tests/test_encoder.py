@@ -247,6 +247,18 @@ def test_prefix_features_near_per_step_encodes(kind, profile, out_dim):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("profile", [DESK, STYLE], ids=["desk", "style"])
+def test_packed_prefix_features_are_rows_of_all_prefixes(profile):
+    rng = np.random.default_rng(8)
+    params = token_cnn("encoder", profile, 40, seed=9)
+    rows = known_rows(profile, 40, 16, rng)
+    for sizes in ([16, 9, 9, 4, 1, 1], [1], [16] * 3, [5, 2]):
+        packed = prefix_features(rows, params, len(sizes), batch_sizes=sizes)
+        step, row = ad.packed_index(sizes)
+        every = prefix_features(rows, params, len(sizes))
+        assert np.array_equal(packed, every[step, row])
+
+
 def test_prefix_features_reject_bad_shapes():
     params = tiny_params()
     rows = known_rows(TINY, 12, 3, np.random.default_rng(7))
@@ -255,3 +267,6 @@ def test_prefix_features_reject_bad_shapes():
             prefix_features(rows, params, n)
     with pytest.raises(DimensionError):
         prefix_features(rows[:, :-1], params, 2)
+    for n, sizes in ((2, [3]), (2, [2, 3]), (1, [4]), (2, [3, 0])):
+        with pytest.raises(DimensionError):
+            prefix_features(rows, params, n, batch_sizes=sizes)

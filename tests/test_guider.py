@@ -110,7 +110,7 @@ def lookup_step(seq, predict):
                 return predict(k)
         raise AssertionError("unknown feature")
 
-    def step(state, f, params, labels=None):
+    def step(state, f, params, labels=None, batch_sizes=None):
         return ad.constant(np.array([lookup(row) for row in f.values])), state
     return step
 
@@ -173,6 +173,61 @@ def test_guider_loss_matches_numpy_oracle():
         terms.append(np_cos(feats_np[t + c], p)
                      + np_cos(feats_np[t + c] - feats_np[t], p - feats_np[t]))
     assert abs(loss.item() - (-float(np.mean(terms)))) < 1e-10
+
+
+@pytest.mark.parametrize("num_labels", [0, 2], ids=["plain", "labelled"])
+def test_guider_loss_batch_of_mixed_lengths_equals_pooled_sequences(
+        num_labels):
+    # rows of 1 and 2 < c features contribute no term; the others are packed
+    params = tiny_guider(seed=21, num_labels=num_labels)
+    rng = np.random.default_rng(22)
+    c, lengths = 3, np.array([5, 1, 9, 3, 2, 9, 4, 0, 7])
+    n = len(lengths)
+    feats = np.abs(rng.normal(size=(lengths.max() + 1, n, TINY.feature_dim)))
+    feats[np.arange(lengths.max() + 1)[:, None] > lengths] = np.nan  # unread
+    labels = rng.integers(2, size=n) if num_labels else None
+    hidden = ad.Tensor(rng.normal(size=(n, TINY.hidden_dim)),
+                       requires_grad=True)
+
+    def init(rows):
+        if num_labels:
+            return initial_state_for_labels(params, labels[rows])
+        return initial_state(ad.gather_rows(hidden, rows))
+
+    with ad.no_grad():
+        pooled = guider_loss_batch(feats, lengths, c, params,
+                                   init(np.arange(n)), labels=labels).item()
+        total, count = 0.0, 0
+        for i in np.nonzero(lengths >= c)[0]:
+            seq = feats[:lengths[i] + 1, i:i + 1]
+            total += guider_loss_batch(
+                seq, lengths[i:i + 1], c, params, init(np.array([i])),
+                labels=None if labels is None else labels[i:i + 1]).item() \
+                * (lengths[i] + 1 - c)
+            count += lengths[i] + 1 - c
+    assert abs(pooled - total / count) < 1e-13
+
+
+def test_guider_loss_batch_refuses_rows_that_do_not_fit():
+    params = tiny_guider(num_labels=2)
+    rng = np.random.default_rng(23)
+    feats = np.abs(rng.normal(size=(5, 4, TINY.feature_dim)))
+    lengths = [4, 2, 3, 4]
+    good = initial_state_for_labels(params, np.array([0, 1, 0, 1]))
+    guider_loss_batch(feats, lengths, 2, params, good,
+                      labels=np.array([0, 1, 0, 1]))
+    for bad_feats, init, labels in [
+            (feats, initial_state_for_labels(params, np.zeros(8, int)),
+             np.zeros(4, int)),                    # 8 initial rows for 4
+            (feats, good, np.zeros(8, int)),       # 8 labels for 4
+            (feats[:, :3], good, np.zeros(4, int)),
+            (feats[:4], good, np.zeros(4, int))]:  # no feature at t = 4
+        with pytest.raises(DimensionError):
+            guider_loss_batch(bad_feats, lengths, 2, params, init,
+                              labels=labels)
+    with pytest.raises(DimensionError):   # packed steps need B labels
+        guider_step(good, ad.constant(feats[0, :3]), params,
+                    labels=np.zeros(3, int), batch_sizes=[3])
 
 
 def test_guider_loss_requires_lookahead_room():
