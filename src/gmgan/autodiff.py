@@ -37,6 +37,7 @@ node whose output gradient holds NaN/Inf.
 """
 
 import ctypes
+import functools
 import math
 import platform
 from contextlib import contextmanager
@@ -747,6 +748,21 @@ def lstm_cell(x, hidden, cell, w_x, w_h, b, batch_sizes=None):
     return new_hidden, new_cell
 
 
+@functools.lru_cache(maxsize=256)
+def _conv_windows(batch, length, width, stride):
+    """conv1d's window layout for one input shape: each window's first
+    position, and the row of each window entry in the (B*L, in_ch)
+    flattening. Built once per shape; read-only, since calls share them."""
+    n_win = (length - width) // stride + 1
+    starts = np.arange(n_win) * stride
+    win = starts[:, None] + np.arange(width)[None, :]            # (n_win, width)
+    offs = (np.arange(batch) * length)[:, None, None]
+    idx = (offs + win[None, :, :]).reshape(-1)                   # B*n_win*width
+    starts.flags.writeable = False
+    idx.flags.writeable = False
+    return starts, idx
+
+
 def conv1d(x, kernel, bias, width, stride, apply_relu=True):
     """Valid cross-correlation over the time axis, then optional ReLU.
 
@@ -767,12 +783,8 @@ def conv1d(x, kernel, bias, width, stride, apply_relu=True):
     if bias.shape != (out_ch,):
         raise DimensionError("conv bias shape %r != (%d,)"
                              % (bias.shape, out_ch))
-    n_win = (length - width) // stride + 1
-    # window row indices into the (B*L, in_ch) flattening
-    starts = np.arange(n_win) * stride
-    win = starts[:, None] + np.arange(width)[None, :]            # (n_win, width)
-    offs = (np.arange(batch) * length)[:, None, None]
-    idx = (offs + win[None, :, :]).reshape(-1)                   # B*n_win*width
+    starts, idx = _conv_windows(batch, length, width, stride)
+    n_win = len(starts)
     windows = xv.reshape(batch * length, in_ch)[idx].reshape(
         batch * n_win, width * in_ch)
     y = windows @ kernel.values + bias.values

@@ -3,6 +3,8 @@
 Layout: magic "GMG1" | version u32 | payload length u64 | crc32 u32 | payload.
 The payload holds a JSON config blob and little-endian float64 arrays; the
 CRC covers the payload, and load refuses on any magic/version/CRC mismatch.
+A read hands out read-only views of the one buffer that holds the file; a
+model load copies each section once into its tensor or optimizer moment.
 Round-trips are bit-exact.
 """
 
@@ -71,8 +73,9 @@ def _unpack_sections(reader):
         # Python ints: a product past 2**64 must not wrap to a small size;
         # take() then refuses any size beyond the rest of the payload.
         size = math.prod(shape)
-        data = np.frombuffer(reader.take(8 * size), dtype="<f8").reshape(shape)
-        sections[name] = data.copy()
+        # a view of the file's immutable bytes, so it is read-only
+        sections[name] = np.frombuffer(reader.take(8 * size),
+                                       dtype="<f8").reshape(shape)
     return sections
 
 
@@ -111,7 +114,8 @@ def write_checkpoint(path, sections, config_blob):
 
 
 def read_checkpoint(path):
-    """Returns (config_blob, sections dict). Refuses corrupt files."""
+    """Returns (config_blob, sections dict of read-only views of the file's
+    bytes). Refuses corrupt files."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 20 or raw[:4] != MAGIC:
@@ -158,8 +162,18 @@ def save_models(path, models, vocab, optimizers=None):
     write_checkpoint(path, sections, blob)
 
 
+class _ZeroInit:
+    """An init rng that draws nothing: every parameter it makes starts at
+    zero, for a load that then copies each one in from its section."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
 def load_models(path):
     """Rebuild Models (and optimizer state, when present) from a checkpoint.
+    Draws nothing from the init stream.
 
     Returns (models, vocab, optimizers_or_None, config_blob).
     """
@@ -168,7 +182,8 @@ def load_models(path):
     bad = [name for name, arr in sections.items() if not np.isfinite(arr).all()]
     if bad:
         raise CheckpointError("non-finite values in %s" % ", ".join(bad))
-    models = Models(len(vocab), config, style_labels=style_labels)
+    models = Models(len(vocab), config, style_labels=style_labels,
+                    init_rng=_ZeroInit())
     for name, t in models.all_tensors():
         arr = _section(sections, name)
         if arr.shape != t.values.shape:

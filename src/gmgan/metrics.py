@@ -131,19 +131,27 @@ def bleu(candidate, references, k):
 
 
 def test_bleu(samples, references, k):
-    """Mean BLEU of each sample against the whole reference set."""
+    """Mean BLEU of each sample against the whole reference set.
+
+    `references` is a list of token lists, or the `NgramTables` of those
+    lists without their EOS for orders up to at least k."""
     if not samples or not references:
         raise ContractError("samples and references must be non-empty")
-    tables = NgramTables([strip_eos(r) for r in references], k)
+    tables = (references if isinstance(references, NgramTables)
+              else NgramTables([strip_eos(r) for r in references], k))
     return sum(bleu(strip_eos(s), tables, k) for s in samples) / len(samples)
 
 
-def self_bleu(samples, k):
-    """Mean leave-one-out BLEU of each sample against the other samples."""
+def self_bleu(samples, k, tables=None):
+    """Mean leave-one-out BLEU of each sample against the other samples.
+
+    `tables`, when given, are the `NgramTables` of these samples without
+    their EOS for orders up to at least k."""
     if len(samples) < 2:
         raise ContractError("self-BLEU needs at least two samples")
     stripped = [strip_eos(s) for s in samples]
-    tables = NgramTables(stripped, k)
+    if tables is None:
+        tables = NgramTables(stripped, k)
     total = 0.0
     for i, s in enumerate(stripped):
         total += bleu(s, tables.without(i), k)
@@ -196,8 +204,12 @@ class BleuReport:
 
 
 def bleu_report(samples, references, test_ks=(2, 3, 4, 5), self_ks=(2, 3, 4)):
-    tests = {k: test_bleu(samples, references, k) for k in test_ks}
-    selfs = {k: self_bleu(samples, k) for k in self_ks}
+    """Every order's scores from one reference table and one sample table,
+    each built for the highest order asked of it."""
+    ref_tables = NgramTables([strip_eos(r) for r in references], max(test_ks))
+    tests = {k: test_bleu(samples, ref_tables, k) for k in test_ks}
+    sample_tables = NgramTables([strip_eos(s) for s in samples], max(self_ks))
+    selfs = {k: self_bleu(samples, k, sample_tables) for k in self_ks}
     f1s = {k: f1_bleu(tests[k], selfs[k]) for k in self_ks if k in tests}
     return BleuReport(tests, selfs, f1s, len(samples), len(references))
 

@@ -112,13 +112,17 @@ def stream_rng(seed, domain, *indices):
 
 
 class Models:
-    """Encoder, generator, guider and discriminator built over one profile."""
+    """Encoder, generator, guider and discriminator built over one profile.
 
-    def __init__(self, vocab_size, config, style_labels=0):
+    The parameters are drawn from the seed's "init" stream, or from
+    `init_rng` when given: a checkpoint load passes one that draws nothing
+    and leaves each parameter zero until its section is copied in."""
+
+    def __init__(self, vocab_size, config, style_labels=0, init_rng=None):
         self.config = config
         self.profile = get_profile(config.profile, max_len=config.max_len)
         self.vocab_size = vocab_size
-        rng = stream_rng(config.seed, "init")
+        rng = init_rng or stream_rng(config.seed, "init")
         self.encoder = EncoderParams(vocab_size, self.profile, rng)
         self.generator = GeneratorParams(vocab_size, self.profile, rng,
                                          self.encoder.embedding)

@@ -747,19 +747,34 @@ def _conv_grads(conv_fn, data, width, stride, apply_relu):
 @pytest.mark.parametrize("apply_relu", [True, False])
 @pytest.mark.parametrize("batch", [1, 3])
 def test_fused_conv1d_equals_composed_ops(width, stride, apply_relu, batch):
+    # the case's shape, another batch size, then the case's shape again:
+    # conv1d's window indices are cached per shape, and a stale one fails
     rng = np.random.default_rng(41 + width + stride)
     length, in_ch, out_ch = 11, 4, 3
-    data = {"x": rng.normal(size=(batch, length, in_ch)),
-            "kernel": rng.normal(size=(width * in_ch, out_ch)),
-            "bias": rng.normal(size=out_ch),
-            "proj": rng.normal(size=(batch, length, out_ch))}
-    f_out, f_grads = _conv_grads(ad.conv1d, data, width, stride, apply_relu)
-    o_out, o_grads = _conv_grads(oracle_conv1d, data, width, stride, apply_relu)
-    assert np.array_equal(f_out, o_out)
-    if apply_relu:
-        assert (f_out == 0.0).any()   # the ReLU mask is exercised
-    for fg, og in zip(f_grads, o_grads):
-        assert np.array_equal(fg, og)
+    for rows in (batch, 2, batch):
+        data = {"x": rng.normal(size=(rows, length, in_ch)),
+                "kernel": rng.normal(size=(width * in_ch, out_ch)),
+                "bias": rng.normal(size=out_ch),
+                "proj": rng.normal(size=(rows, length, out_ch))}
+        f_out, f_grads = _conv_grads(ad.conv1d, data, width, stride,
+                                     apply_relu)
+        o_out, o_grads = _conv_grads(oracle_conv1d, data, width, stride,
+                                     apply_relu)
+        assert np.array_equal(f_out, o_out)
+        if apply_relu:
+            assert (f_out == 0.0).any()   # the ReLU mask is exercised
+        for fg, og in zip(f_grads, o_grads):
+            assert np.array_equal(fg, og)
+
+
+def test_conv_window_indices_are_built_once_and_read_only():
+    starts, idx = ad._conv_windows(3, 11, 5, 2)
+    assert ad._conv_windows(3, 11, 5, 2)[1] is idx
+    assert starts.tolist() == [0, 2, 4, 6] and len(idx) == 3 * 4 * 5
+    for arr in (starts, idx):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_fused_conv1d_equals_composed_ops_at_desk_size():

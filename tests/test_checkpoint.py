@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from gmgan import checkpoint
+from gmgan import checkpoint, trainer
 from gmgan.checkpoint import (MAGIC, VERSION, load_models, read_checkpoint,
                               save_models, write_checkpoint)
 from gmgan.cli import main
@@ -69,9 +69,73 @@ def test_optimizer_state_round_trip(tmp_path):
     _, _, opt2, _ = load_models(path)
     assert opt2 is not None
     assert opt2.generator.t == 1
-    for name in opt.generator.m:
-        assert np.array_equal(opt.generator.m[name], opt2.generator.m[name])
-        assert np.array_equal(opt.generator.v[name], opt2.generator.v[name])
+    for group in ("generator", "guider", "discriminator"):
+        mine, theirs = getattr(opt, group), getattr(opt2, group)
+        for name in mine.m:
+            assert mine.m[name].tobytes() == theirs.m[name].tobytes()
+            assert mine.v[name].tobytes() == theirs.v[name].tobytes()
+
+
+def test_load_draws_nothing_from_the_init_stream(tmp_path, monkeypatch):
+    vocab, models = tiny_setup()
+    path = tmp_path / "m.gmg"
+    save_models(path, models, vocab,
+                optimizers=Optimizers(models, models.config))
+    domains, stream_rng = [], trainer.stream_rng
+
+    def counting_stream_rng(seed, domain, *indices):
+        domains.append(domain)
+        return stream_rng(seed, domain, *indices)
+
+    monkeypatch.setattr(trainer, "stream_rng", counting_stream_rng)
+    loaded, _, _, _ = load_models(path)
+    assert domains == []
+    for (_, ta), (_, tb) in zip(models.all_tensors(), loaded.all_tensors()):
+        assert ta.values.tobytes() == tb.values.tobytes()
+
+
+def test_read_sections_are_read_only(tmp_path):
+    write_checkpoint(tmp_path / "c.gmg", [("a", np.arange(6.0).reshape(2, 3)),
+                                          ("b", np.float64(2.5))], {})
+    _, sections = read_checkpoint(tmp_path / "c.gmg")
+    for arr in sections.values():
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+def test_loaded_state_is_writable_and_apart_from_the_file(tmp_path,
+                                                         monkeypatch):
+    vocab, models = tiny_setup()
+    opt = Optimizers(models, models.config)
+    for _, t in models.generator_tensors():
+        t.grad = np.ones_like(t.values)
+    opt.generator.step()
+    path = tmp_path / "m.gmg"
+    save_models(path, models, vocab, optimizers=opt)
+    reads = []
+
+    def kept_read(p):
+        reads.append(read_checkpoint(p))
+        return reads[-1]
+
+    monkeypatch.setattr(checkpoint, "read_checkpoint", kept_read)
+    loaded, _, opt2, _ = load_models(path)
+    sections = reads[0][1]   # the very arrays the load copied from
+    before = {name: arr.tobytes() for name, arr in sections.items()}
+    state = [t.values for _, t in loaded.all_tensors()]
+    for group in ("generator", "guider", "discriminator"):
+        adam = getattr(opt2, group)
+        state += list(adam.m.values()) + list(adam.v.values())
+    assert not any(np.shares_memory(a, s) for a in state
+                   for s in sections.values())
+    for _, t in loaded.generator_tensors():   # one Adam step after the load
+        t.grad = np.ones_like(t.values)
+    opt2.generator.step()
+    assert opt2.generator.t == 2
+    assert {name: arr.tobytes() for name, arr in sections.items()} == before
+    assert (loaded.generator.vocab_w.values.tobytes()
+            != before["generator.vocab.w"])
 
 
 def test_corrupt_crc_refused(tmp_path):
@@ -248,6 +312,13 @@ def _missing_moment(blob, sections):
             [(name, arr) for name, arr in sections if name != drop])
 
 
+def _moment_transposed(blob, sections):
+    # same element count as the (vocab, embed) parameter, other shape
+    name = b"optim.generator.encoder.embedding.m"
+    return (json.dumps(blob).encode("utf-8"),
+            [(n, arr.T if n == name else arr) for n, arr in sections])
+
+
 def _name_not_utf8(blob, sections):
     return (json.dumps(blob).encode("utf-8"),
             [(b"\xff\xfe" + sections[0][0], sections[0][1])] + sections[1:])
@@ -308,7 +379,11 @@ def _nan_parameter(blob, sections):
                 ("train_config", "profile", "conv_channels"), "ab"),
     _section_values("_feature_norm_empty", b"meta.feature_norm", []),
     _section_values("_feature_norm_nan", b"meta.feature_norm", [np.nan]),
-    _nan_parameter])
+    _nan_parameter,
+    _section_values("_step_empty", b"optim.generator.step", []),
+    _section_values("_step_negative", b"optim.guider.step", [-3.0]),
+    _section_values("_step_fractional", b"optim.generator.step", [2.5]),
+    _moment_transposed])
 def test_malformed_checkpoint_refused_with_exit_2(tmp_path, corrupt):
     vocab, models = tiny_setup()
     good = tmp_path / "good.gmg"

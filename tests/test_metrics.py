@@ -333,6 +333,7 @@ def test_reference_tables_are_built_once_per_call(monkeypatch):
 
     def counting_ngrams(tokens, n):
         calls["ngrams"] += 1
+        calls["ref_ngrams"] += bool(tokens) and tokens[0] >= 100
         return ngrams(tokens, n)
 
     monkeypatch.setattr(gmgan.metrics, "ngrams", counting_ngrams)
@@ -345,3 +346,17 @@ def test_reference_tables_are_built_once_per_call(monkeypatch):
         calls.clear()
         self_bleu(samples, k)
         assert calls["ngrams"] <= 3 * k * len(samples)
+    # a report builds one reference table and one sample table, each for
+    # its highest order; the references here use words the samples lack
+    refs = [[t + 100 for t in r] for r in refs]
+    test_ks, self_ks = (2, 3, 4, 5), (2, 3, 4)
+    calls.clear()
+    report = bleu_report(samples, refs, test_ks, self_ks)
+    assert calls["ref_ngrams"] <= max(test_ks) * len(refs)
+    # the sample table, then each sample scored once per order asked
+    assert calls["ngrams"] - calls["ref_ngrams"] <= (
+        max(self_ks) + sum(test_ks) + sum(self_ks)) * len(samples)
+    monkeypatch.undo()
+    assert report.test_bleu == {k: mean_test_bleu(samples, refs, k)
+                                for k in test_ks}
+    assert report.self_bleu == {k: self_bleu(samples, k) for k in self_ks}
