@@ -215,31 +215,23 @@ def cmd_train(args):
                 ("rl_epochs", "g_steps", "d_steps", "ablation", "rl_mix",
                  "eval_samples")})
             optimizers = optimizers or Optimizers(models, config)
-            evaluator = _make_evaluator(grammar, vocab, val, config)
-            run_gmgan(train, val, models, config, optimizers=optimizers,
-                      evaluator=evaluator, log=log,
-                      checkpoint_fn=_snapshot_fn(out_dir, vocab))
+        else:  # mle or all
+            models = Models(len(vocab), config)
+            optimizers = Optimizers(models, config)
+            pretrain_mle(train, val, models, config, optimizers=optimizers,
+                         log=log)
             if out_dir:
-                save_models(str(Path(out_dir) / "gmgan.gmg"), models, vocab,
+                save_models(str(Path(out_dir) / "mle.gmg"), models, vocab,
                             optimizers=optimizers)
-            return 0
-
-        # mle or all
-        models = Models(len(vocab), config)
-        optimizers = Optimizers(models, config)
-        pretrain_mle(train, val, models, config, optimizers=optimizers,
-                     log=log)
+            if args.stage == "mle":
+                return 0
+        evaluator = _make_evaluator(grammar, vocab, val, config)
+        run_gmgan(train, val, models, config, optimizers=optimizers,
+                  evaluator=evaluator, log=log,
+                  checkpoint_fn=_snapshot_fn(out_dir, vocab))
         if out_dir:
-            save_models(str(Path(out_dir) / "mle.gmg"), models, vocab,
+            save_models(str(Path(out_dir) / "gmgan.gmg"), models, vocab,
                         optimizers=optimizers)
-        if args.stage == "all":
-            evaluator = _make_evaluator(grammar, vocab, val, config)
-            run_gmgan(train, val, models, config, optimizers=optimizers,
-                      evaluator=evaluator, log=log,
-                      checkpoint_fn=_snapshot_fn(out_dir, vocab))
-            if out_dir:
-                save_models(str(Path(out_dir) / "gmgan.gmg"), models, vocab,
-                            optimizers=optimizers)
         return 0
     finally:
         if log is not None:
@@ -251,14 +243,12 @@ def cmd_generate(args):
     if args.num < 1:
         raise ConfigError("--num must be >= 1, got %d" % args.num)
     models, vocab, _, _ = load_models(args.checkpoint)
-    if args.label is not None:
-        if models.guider.num_labels != 2:
-            print("error: checkpoint is not a style model", file=sys.stderr)
-            return 2
-        if args.input is None:
-            print("error: style generation needs --input sentences",
-                  file=sys.stderr)
-            return 2
+    if args.label is not None and not models.guider.num_labels:
+        raise ConfigError("checkpoint is not a style model")
+    if models.guider.num_labels:
+        if args.label is None or args.input is None:
+            raise ConfigError("%s is a style checkpoint: generate needs "
+                              "--label and --input" % args.checkpoint)
         sources, _ = load_corpus(args.input, vocab,
                                  max_len=models.profile.max_len)
         out_sents = [transfer_greedy(src, args.label, models)
@@ -304,6 +294,9 @@ def cmd_eval(args):
 
 def cmd_inspect_rewards(args):
     models, vocab, _, _ = load_models(args.checkpoint)
+    if models.guider.num_labels:
+        raise ConfigError("%s is a style checkpoint: inspect-rewards does not "
+                          "take style checkpoints" % args.checkpoint)
     words = args.sentence.split()
     if not words:
         print("error: empty sentence", file=sys.stderr)

@@ -36,7 +36,7 @@ from . import autodiff as ad
 from .corpus import BOS, EOS, PAD, UNK
 from .encoder import encode_batch, prefix_features, sentence_rows
 from .errors import ContractError, DimensionError
-from .guider import guider_step, initial_state, initial_state_for_labels
+from .guider import guider_step, initial_state
 
 LOGIT_MASK = -1e30
 
@@ -147,15 +147,14 @@ def decode(init_feats, gen, gui, enc, labels, steps, rng, mode):
     with ad.no_grad():
         s0 = initial_hidden(init_feats, gen)
         dec_h, dec_c = s0, ad.constant(np.zeros((n, prof.hidden_dim)))
-        gui_state = (initial_state(s0) if labels is None
-                     else initial_state_for_labels(gui, labels))
+        gui_state = initial_state(gui, s0, labels)
         rows = np.full((n, prof.pad_width), PAD, dtype=np.intp)
         rows[:, 0] = BOS
         alive = np.ones(n, dtype=bool)
         features, predictions = [], []
         for t in range(steps):
             f_t = encode_batch(rows, enc)
-            pred, gui_state = guider_step(gui_state, f_t, gui, labels=labels)
+            pred, gui_state = guider_step(gui_state, f_t, gui)
             probs = ad.softmax(gated_logits(dec_h, pred, gen)).values
             tok = np.array([_draw(p, rng, mode) for p in probs])
             features.append(f_t.values)
@@ -213,8 +212,8 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     gather of the target embeddings, one multi-step lstm_cell for the
     decoder, then gated_logits, log_softmax and pick.
 
-    Returns (logp (B,T) tensor, loss mask (B,T), target matrix), in the
-    caller's row order; the log-probs of padded entries are 0.0.
+    Returns (logp (B,T) tensor, loss mask (B,T)), in the caller's row
+    order; the log-probs of padded entries are 0.0.
     init_features and labels, when given, hold one row per sentence.
     Gradients flow through the decoder path and the encoder via the
     initial state; the guider rollout and its feature inputs are held
@@ -242,11 +241,10 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     s0 = initial_hidden(init_features, gen)
     h0 = ad.gather_rows(s0, order)
     with ad.no_grad():
-        sorted_labels = None if labels is None else labels[order]
-        gui_state = (initial_state(h0.detach()) if labels is None
-                     else initial_state_for_labels(gui, sorted_labels))
+        gui_state = initial_state(gui, h0.detach(),
+                                  None if labels is None else labels[order])
         pred = guider_step(gui_state, ad.constant(feats), gui,
-                           labels=sorted_labels, batch_sizes=sizes)[0]
+                           batch_sizes=sizes)[0]
     tokens = tgt[order[rank], step]
     dec_h = h0 if sizes[0] == n else ad.gather_rows(s0, order[:sizes[0]])
     if steps > 1:  # step t >= 1 consumes each of its rows' target t - 1
@@ -265,7 +263,7 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
                         ad.constant(np.zeros((1, 1)))])
     logp_mat = ad.reshape(ad.gather_rows(padded, where.reshape(-1)),
                           (n, steps))
-    return logp_mat, scored_tokens(tgt), tgt
+    return logp_mat, scored_tokens(tgt)
 
 
 def scored_tokens(tokens):
@@ -277,8 +275,8 @@ def scored_tokens(tokens):
 def mle_loss(batch, enc, gen, gui, labels=None, init_features=None):
     """Mean negative log-likelihood per token under teacher forcing;
     init_features as in teacher_forced_log_probs."""
-    logp_mat, mask, _ = teacher_forced_log_probs(batch, enc, gen, gui, labels,
-                                                 init_features)
+    logp_mat, mask = teacher_forced_log_probs(batch, enc, gen, gui, labels,
+                                              init_features)
     count = int(mask.sum())
     if count == 0:
         raise ContractError("batch contains no scorable tokens")
@@ -295,13 +293,11 @@ def teacher_force_trace(sentence, enc, gen, gui, label=None):
     if not tgt.size:
         raise DimensionError("cannot trace an empty sentence")
     rows = sentence_rows(tgt, enc.profile.pad_width)   # refuses overlong input
-    labels = None if label is None else np.array([label])
     with ad.no_grad():
         init = encode_batch(rows, enc)
         feats = prefix_features(rows, enc, tgt.size + 1)[:, 0]
-        gui_state = (initial_state(initial_hidden(init, gen)) if labels is None
-                     else initial_state_for_labels(gui, labels))
-        pred = guider_step(gui_state, ad.constant(feats[:-1]), gui,
-                           labels=labels)[0]
+        gui_state = initial_state(gui, initial_hidden(init, gen),
+                                  None if label is None else [label])
+        pred = guider_step(gui_state, ad.constant(feats[:-1]), gui)[0]
     return GenerationTrace(tgt[0].tolist(), list(feats), list(pred.values),
                            init.values[0].copy())

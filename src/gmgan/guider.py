@@ -2,6 +2,10 @@
 feature c steps ahead. Trained on real sentences with a dual cosine objective
 (match the future feature and the feature-changing direction); its rollouts
 gate the decoder and score generated steps.
+
+In style mode the guider is conditioned on each row's target label, which
+the state carries: `initial_state` seeds a row from its label's embedding,
+and every `guider_step` appends the row's one-hot label to its input.
 """
 
 from dataclasses import dataclass
@@ -14,8 +18,18 @@ from .errors import ContractError, DimensionError
 
 @dataclass
 class GuiderState:
+    """The (B, H) cell, the hidden rows (B of them, or T*B after a
+    multi-step call) and, in style mode only, one label id per cell row."""
     hidden: ad.Tensor
     cell: ad.Tensor
+    labels: np.ndarray = None
+
+    def __post_init__(self):
+        if self.labels is not None:
+            self.labels = np.asarray(self.labels, dtype=np.intp)
+            if self.labels.shape != self.cell.shape[:1]:
+                raise DimensionError("%r labels for %d guider rows"
+                                     % (self.labels.shape, self.cell.shape[0]))
 
 
 class GuiderParams:
@@ -48,21 +62,18 @@ class GuiderParams:
         return out
 
 
-def initial_state(hidden):
-    """State seeded with a (B, H) batch of hidden rows and a zero cell."""
-    return GuiderState(hidden, ad.constant(np.zeros(hidden.shape)))
+def initial_state(params, hidden, labels=None):
+    """State with a zero cell, seeded with a (B, H) batch of hidden rows or,
+    in style mode, with each row's label embedding (1-D label ids, one per
+    row; hidden is then not read)."""
+    if labels is not None:
+        if params.label_init is None:
+            raise ContractError("guider was built without style labels")
+        hidden = ad.gather_rows(params.label_init, labels)
+    return GuiderState(hidden, ad.constant(np.zeros(hidden.shape)), labels)
 
 
-def initial_state_for_labels(params, labels):
-    """Style mode: each row's label embedding is its initial hidden state.
-
-    labels is a 1-D array of label ids, one per row."""
-    if params.label_init is None:
-        raise ContractError("guider was built without style labels")
-    return initial_state(ad.gather_rows(params.label_init, labels))
-
-
-def guider_step(state, f, params, labels=None, batch_sizes=None):
+def guider_step(state, f, params, batch_sizes=None):
     """Advance the guider over the feature rows f (feature_dim wide) of
     T >= 1 steps; returns the predictions, one per row of f, and the new
     state.
@@ -71,31 +82,26 @@ def guider_step(state, f, params, labels=None, batch_sizes=None):
     with them f is packed as lstm_cell takes it, step t holding rows
     0..batch_sizes[t]-1. A one-step call (T = 1) gives a state to continue
     from. A multi-step call's state holds every step's hidden rows beside
-    the last cell, so stepping on from it raises DimensionError. In style
-    mode labels must be given (length B); outside style mode they must not
-    be.
+    the last cell, so stepping on from it raises DimensionError. The state
+    carries labels exactly in style mode.
     """
-    if (labels is not None) != bool(params.num_labels):
+    if (state.labels is not None) != bool(params.num_labels):
         raise ContractError("labels are required exactly in style mode")
     if f.values.ndim != 2 or f.shape[1] != params.profile.feature_dim:
         raise DimensionError("guider input %r is not (B, %d)"
                              % (f.shape, params.profile.feature_dim))
     x = f
     if params.num_labels:  # each row's label, one-hot, after its feature
-        labels = np.asarray(labels, dtype=np.intp)
-        n = state.hidden.shape[0]
-        if labels.shape != (n,):
-            raise DimensionError("%r labels for %d guider rows"
-                                 % (labels.shape, n))
+        n = len(state.labels)
         sizes = [n] * (f.shape[0] // n) if batch_sizes is None else batch_sizes
         rows = ad.packed_index(ad.check_batch_sizes(sizes, n, f.shape[0]))[1]
-        one_hot = np.eye(params.num_labels)[labels[rows]]
+        one_hot = np.eye(params.num_labels)[state.labels[rows]]
         x = ad.concat([x, ad.constant(one_hot)], axis=1)
     new_h, new_c = ad.lstm_cell(x, state.hidden, state.cell,
                                 params.w_x, params.w_h, params.b,
                                 batch_sizes=batch_sizes)
     pred = ad.add(ad.matmul(new_h, params.head_w), params.head_b)
-    return pred, GuiderState(new_h, new_c)
+    return pred, GuiderState(new_h, new_c, state.labels)
 
 
 def dual_cosines(target, pred, anchor):
@@ -107,8 +113,7 @@ def dual_cosines(target, pred, anchor):
             ad.row_cosine(ad.constant(target - anchor), moved))
 
 
-def guider_loss_batch(step_features, lengths, c, params, init_state,
-                      labels=None):
+def guider_loss_batch(step_features, lengths, c, params, init_state):
     """Pooled guider loss over a batch of sequences of mixed lengths.
 
     step_features is a (T_max + 1, B, feature_dim) array whose entry [t, b]
@@ -123,8 +128,8 @@ def guider_loss_batch(step_features, lengths, c, params, init_state,
     guider_step makes every prediction: step t runs only the sequences with
     a term at t. Each cosine then runs once over the real terms, and the
     loss is their negated mean, so a single sequence is a B=1 call.
-    init_state (and labels, in style mode) hold B rows in the caller's
-    order.
+    init_state holds B rows (and, in style mode, their labels) in the
+    caller's order.
     """
     if c < 1:
         raise ContractError("lookahead c must be >= 1")
@@ -145,21 +150,17 @@ def guider_loss_batch(step_features, lengths, c, params, init_state,
     step, rank = ad.packed_index(sizes)
     row = order[rank]
     anchor, target = feats[step, row], feats[step + c, row]
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise DimensionError("%r labels for %d sequences"
-                                 % (labels.shape, n))
-        labels = labels[order]
+    labels = init_state.labels
     state = GuiderState(ad.gather_rows(init_state.hidden, order),
-                        ad.gather_rows(init_state.cell, order))
-    pred, _ = guider_step(state, ad.constant(anchor), params, labels=labels,
+                        ad.gather_rows(init_state.cell, order),
+                        None if labels is None else labels[order])
+    pred, _ = guider_step(state, ad.constant(anchor), params,
                           batch_sizes=sizes)
     direct, direction = dual_cosines(target, pred, anchor)
     return ad.scale(ad.tsum(ad.add(direct, direction)), -1.0 / len(step))
 
 
-def objective_cosines(features, params, init_state, c, labels=None):
+def objective_cosines(features, params, init_state, c):
     """Mean of each cosine term separately (diagnostics / acceptance).
 
     features are the (1, feature_dim) tensors f_0..f_T of one sequence.
@@ -169,7 +170,6 @@ def objective_cosines(features, params, init_state, c, labels=None):
     feats = np.concatenate([f.values for f in features])
     target, anchor = feats[c:], feats[:-c]
     with ad.no_grad():
-        pred = guider_step(init_state, ad.constant(anchor), params,
-                           labels=labels)[0]
+        pred = guider_step(init_state, ad.constant(anchor), params)[0]
         direct, direction = dual_cosines(target, pred, anchor)
     return float(direct.values.mean()), float(direction.values.mean())

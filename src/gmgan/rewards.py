@@ -4,27 +4,15 @@ The per-step reward averages, over a c-step window, the cosine match between
 the feature actually reached and the feature the guider predicted c steps
 earlier, plus the match between their movement directions. The discounted
 return of those rewards, scaled by the discriminator's final reward, is the
-Q-value the policy gradient uses.
+Q-value the policy gradient uses: `compute_reward_trace` returns one Q array
+per generated sequence, one value per step.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import constant
 from .errors import ContractError
 from .guider import dual_cosines
-
-
-@dataclass
-class RewardTrace:
-    """Per-step reward record for one generated sequence."""
-    r_g: np.ndarray       # feature-matching reward per step, length T
-    r_f: float            # final (adversarial) reward in [0, 1]
-    returns: np.ndarray   # discounted cumulative rewards
-    q: np.ndarray         # returns scaled by the final reward
-    gamma: float
-    c: int
 
 
 def feature_matching_reward(trace, c):
@@ -83,22 +71,20 @@ def q_values(returns, r_f):
 
 def compute_reward_trace(trace, r_f, c, gamma, convention="relative",
                          mode="both"):
-    """Full reward pipeline for one generation trace.
+    """Full reward pipeline for one generation trace: its length-T Q array.
 
     mode selects the ablation: "both" (Q = R * r_f), "final-only"
     (Q = r_f at every step), or "stepwise-only" (Q = R, discriminator ignored).
     """
-    r_g = feature_matching_reward(trace, c)
-    returns = discounted_cumulative(r_g, gamma, convention)
+    returns = discounted_cumulative(feature_matching_reward(trace, c), gamma,
+                                    convention)
     if mode == "both":
-        q = q_values(returns, r_f)
-    elif mode == "final-only":
-        q = np.full_like(returns, r_f)
-    elif mode == "stepwise-only":
-        q = returns.copy()
-    else:
-        raise ContractError("unknown reward mode %r" % (mode,))
-    return RewardTrace(r_g, float(r_f), returns, q, gamma, c)
+        return q_values(returns, r_f)
+    if mode == "final-only":
+        return np.full_like(returns, r_f)
+    if mode == "stepwise-only":
+        return returns
+    raise ContractError("unknown reward mode %r" % (mode,))
 
 
 class RewardBaseline:

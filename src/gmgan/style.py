@@ -17,7 +17,7 @@ from .encoder import (TokenCNN, encode_batch, mean_feature_norm, pad_rows,
                       sentence_rows)
 from .errors import ContractError
 from .generator import gated_logits, initial_hidden, mle_loss, sample_sequence
-from .guider import guider_step, initial_state_for_labels
+from .guider import guider_step, initial_state
 from .metrics import ngrams, strip_eos
 from .optim import Adam
 from .trainer import (Optimizers, check_finite, guider_update, mle_step,
@@ -48,6 +48,25 @@ def classifier_accuracy(classifier, labelled):
     return float(np.mean(pred == np.array([l for _, l in labelled])))
 
 
+def _fit_cross_entropy(labelled, log_probs, opt, seed, domain, epochs,
+                      batch_size):
+    """Minimise the mean cross-entropy of `log_probs(sentences) -> (B, 2)`
+    against the labels: per epoch one pass over `labelled` in batches drawn
+    from the (seed, domain, epoch) stream, one `opt` step per batch."""
+    for epoch in range(epochs):
+        rng = stream_rng(seed, domain, epoch)
+        for idx in shuffled_batches(len(labelled), batch_size, rng):
+            labels = np.array([labelled[i][1] for i in idx])
+            with ad.tape():
+                logp = log_probs([labelled[i][0] for i in idx])
+                picked = ad.pick(logp, np.arange(len(idx)), labels)
+                loss = ad.scale(ad.tsum(picked), -1.0 / len(idx))
+                check_finite(loss)
+                ad.backward(loss)
+            opt.step()
+            opt.zero_grad()
+
+
 def train_style_classifier(labelled, vocab_size, profile, seed, epochs=4,
                            lr=3e-3, batch_size=32):
     """Fit the sentence-level style classifier; the caller freezes it."""
@@ -56,20 +75,10 @@ def train_style_classifier(labelled, vocab_size, profile, seed, epochs=4,
                                        stream_rng(seed, "classifier_init"))
     opt = Adam(classifier.tensors(), lr=lr,
                frozen_rows={"classifier.embedding": [PAD]})
-    for epoch in range(epochs):
-        rng = stream_rng(seed, "classifier_batch", epoch)
-        for idx in shuffled_batches(len(labelled), batch_size, rng):
-            batch = [labelled[i] for i in idx]
-            rows = pad_rows([list(s) for s, _ in batch], profile.pad_width)
-            labels = np.array([l for _, l in batch])
-            with ad.tape():
-                logp = ad.log_softmax(classifier.apply_rows(rows))
-                picked = ad.pick(logp, np.arange(len(batch)), labels)
-                loss = ad.scale(ad.tsum(picked), -1.0 / len(batch))
-                check_finite(loss)
-                ad.backward(loss)
-            opt.step()
-            opt.zero_grad()
+    _fit_cross_entropy(
+        labelled, lambda sents: ad.log_softmax(classifier.apply_rows(
+            pad_rows([list(s) for s in sents], profile.pad_width))),
+        opt, seed, "classifier_batch", epochs, batch_size)
     return classifier
 
 
@@ -91,22 +100,11 @@ def train_latent_probe(labelled, models, seed, epochs=6, lr=0.01,
                        batch_size=64):
     probe = LatentProbe(models.profile.feature_dim,
                         stream_rng(seed, "probe_init"))
-    opt = Adam(probe.tensors(), lr=lr)
-    for epoch in range(epochs):
-        rng = stream_rng(seed, "probe_batch", epoch)
-        for idx in shuffled_batches(len(labelled), batch_size, rng):
-            batch = [labelled[i] for i in idx]
-            rows = sentence_rows([s for s, _ in batch],
-                                 models.profile.pad_width)
-            feats = encode_batch(rows, models.encoder, stop_gradient=True)
-            labels = np.array([l for _, l in batch])
-            with ad.tape():
-                logp = probe.log_probs(feats)
-                loss = ad.scale(ad.tsum(ad.pick(logp, np.arange(len(batch)),
-                                                labels)), -1.0 / len(batch))
-                ad.backward(loss)
-            opt.step()
-            opt.zero_grad()
+    _fit_cross_entropy(
+        labelled, lambda sents: probe.log_probs(encode_batch(
+            sentence_rows(sents, models.profile.pad_width), models.encoder,
+            stop_gradient=True)),
+        Adam(probe.tensors(), lr=lr), seed, "probe_batch", epochs, batch_size)
     return probe
 
 
@@ -146,7 +144,7 @@ def soft_transfer_rollout(init_feats, target_labels, models, classifier,
     dec_h = initial_hidden(init_feats, models.generator)
     dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
     with ad.no_grad():  # the guider gates the decoder as a constant
-        gui_state = initial_state_for_labels(models.guider, target_labels)
+        gui_state = initial_state(models.guider, dec_h, target_labels)
 
     bos_emb = models.encoder.embedding.values[BOS]
     enc_prefix = np.zeros((n, width, prof.embed_dim))
@@ -157,8 +155,7 @@ def soft_transfer_rollout(init_feats, target_labels, models, classifier,
     for t in range(prof.max_len):
         with ad.no_grad():
             f_t = models.encoder.apply(ad.constant(enc_prefix))
-            pred, gui_state = guider_step(gui_state, f_t, models.guider,
-                                          labels=target_labels)
+            pred, gui_state = guider_step(gui_state, f_t, models.guider)
         logits = gated_logits(dec_h, pred, models.generator)
         alive_mask = ad.constant(np.repeat(alive[:, None], prof.embed_dim,
                                            axis=1))

@@ -28,8 +28,7 @@ from .errors import ContractError, TrainingDiverged
 from .generator import (GeneratorParams, initial_hidden, mle_loss,
                         sample_sequence, scored_tokens,
                         teacher_forced_log_probs)
-from .guider import (GuiderParams, guider_loss_batch, initial_state,
-                     initial_state_for_labels)
+from .guider import GuiderParams, guider_loss_batch, initial_state
 from .optim import Adam
 from .rewards import RewardBaseline, compute_reward_trace
 
@@ -206,16 +205,12 @@ def guider_update(batch, models, optimizers, c, labels=None):
     feats = np.zeros((len(sizes), len(batch), models.profile.feature_dim))
     feats[step, order[rank]] = prefix_features(rows, models.encoder,
                                                len(sizes), batch_sizes=sizes)
-    with ad.tape():
-        if labels is None:
-            with ad.no_grad():
-                whole = feats[lengths, np.arange(len(batch))]
-                init = initial_state(initial_hidden(ad.constant(whole),
-                                                    models.generator))
-        else:
-            init = initial_state_for_labels(models.guider, labels)
-        loss = guider_loss_batch(feats, lengths, c, models.guider, init,
-                                 labels=labels)
+    with ad.tape():   # label_init, in style mode, trains with the guider
+        with ad.no_grad():
+            whole = feats[lengths, np.arange(len(batch))]
+            hidden = initial_hidden(ad.constant(whole), models.generator)
+        init = initial_state(models.guider, hidden, labels)
+        loss = guider_loss_batch(feats, lengths, c, models.guider, init)
         val = check_finite(loss)
         ad.backward(loss)
     optimizers.guider.step()
@@ -304,9 +299,9 @@ def rollout_traces(init_sentences, models, rng):
 
 def _scored_rollouts(train_sentences, models, config, rng):
     """Roll out from rollout_batch random real sentences, score the samples
-    with the discriminator and build their reward traces.
+    with the discriminator and compute their Q arrays.
 
-    Returns (traces, reward traces, discriminator scores).
+    Returns (traces, Q arrays).
     """
     init_idx = rng.integers(len(train_sentences), size=config.rollout_batch)
     traces = rollout_traces([train_sentences[k] for k in init_idx], models,
@@ -315,11 +310,11 @@ def _scored_rollouts(train_sentences, models, config, rng):
         finals = score_batch(
             [t.sentence(models.profile.max_len) for t in traces],
             models.discriminator).values
-    rtraces = [compute_reward_trace(t, float(finals[k]), config.c,
-                                    config.gamma, config.discount_convention,
-                                    mode=config.ablation)
-               for k, t in enumerate(traces)]
-    return traces, rtraces, finals
+    return traces, [compute_reward_trace(t, float(finals[k]), config.c,
+                                         config.gamma,
+                                         config.discount_convention,
+                                         mode=config.ablation)
+                    for k, t in enumerate(traces)]
 
 
 def sample_from_noise(models, n, seed, mode="sample"):
@@ -335,22 +330,19 @@ def sample_from_noise(models, n, seed, mode="sample"):
     return sentences
 
 
-def policy_gradient_step(traces, reward_traces, models, optimizers,
-                         advantages=None, mle_batch=None, lam=1.0):
-    """One generator update from sampled traces and their rewards.
+def policy_gradient_step(traces, advantages, models, optimizers,
+                         mle_batch=None, lam=1.0):
+    """One generator update from sampled traces and their per-step
+    advantages (Q arrays, or Q less a baseline).
 
     The surrogate is -sum_t adv[t] * log p(y_t), averaged over traces, mixed
     with the MLE loss as (1-lam)*MLE + lam*PG when an MLE batch is supplied.
     A batch whose advantages are all exactly zero (and no MLE part) is a
     guaranteed no-op. Only generator-side parameters move.
     """
-    if len(traces) != len(reward_traces):
-        raise ContractError("traces and reward traces disagree in length")
-    if advantages is None:
-        advantages = [rt.q for rt in reward_traces]
-    for trace, adv in zip(traces, advantages):
-        if len(adv) != trace.length:
-            raise ContractError("advantage length does not match trace")
+    if (len(traces) != len(advantages)
+            or any(len(a) != t.length for t, a in zip(traces, advantages))):
+        raise ContractError("advantages do not match the traces' lengths")
     flat_max = max((float(np.abs(a).max()) for a in advantages
                     if len(a)), default=0.0)
     if flat_max == 0.0 and mle_batch is None:
@@ -367,7 +359,7 @@ def policy_gradient_step(traces, reward_traces, models, optimizers,
 
     stats = {}
     with ad.tape():
-        logp_mat, _, _ = teacher_forced_log_probs(
+        logp_mat, _ = teacher_forced_log_probs(
             token_batch, models.encoder, models.generator, models.guider,
             init_features=init_feats)
         # per-token normalization keeps the gradient scale commensurate with
@@ -433,20 +425,17 @@ def run_gmgan(train_sentences, val_sentences, models, config,
                 if warm_baseline:
                     # pre-ramp epochs feed the EMA baseline so the first real
                     # policy updates see centered advantages
-                    _, rtraces, _ = _scored_rollouts(train_sentences, models,
-                                                     config, rng_roll)
-                    baseline.advantages([rt.q for rt in rtraces])
+                    baseline.advantages(_scored_rollouts(
+                        train_sentences, models, config, rng_roll)[1])
                 continue
             for _ in range(config.g_steps):
-                traces, rtraces, finals = _scored_rollouts(
-                    train_sentences, models, config, rng_roll)
-                advs = ([rt.q for rt in rtraces] if baseline is None
-                        else baseline.advantages([rt.q for rt in rtraces]))
+                traces, qs = _scored_rollouts(train_sentences, models, config,
+                                              rng_roll)
+                advs = qs if baseline is None else baseline.advantages(qs)
                 stats = policy_gradient_step(
-                    traces, rtraces, models, optimizers, advantages=advs,
+                    traces, advs, models, optimizers,
                     mle_batch=batch if lam < 1.0 else None, lam=lam)
-                stats["mean_q"] = float(np.mean([rt.q.mean() for rt in rtraces]))
-                stats["mean_r_f"] = float(np.mean(finals))
+                stats["mean_q"] = float(np.mean([q.mean() for q in qs]))
                 gen_stats.append(stats)
         d_losses = []
         for _ in range(config.d_steps):

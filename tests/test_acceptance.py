@@ -254,7 +254,8 @@ def test_criterion_1_gradient_correctness():
                  for _ in range(3)]
 
         def gui_loss():
-            state = initial_state(ad.constant(np.zeros((1, TINY.hidden_dim))))
+            state = initial_state(gui, ad.constant(
+                np.zeros((1, TINY.hidden_dim))))
             pred = None
             for f in feats:
                 pred, state = guider_step(state, ad.constant(f), gui)
@@ -434,7 +435,8 @@ def _heldout_cosines(models, sentences, c, n=60):
                                            models.profile.pad_width),
                                   models.encoder)
                      for t in range(len(s) + 1)]
-            init = initial_state(initial_hidden(feats[-1], models.generator))
+            init = initial_state(models.guider,
+                                 initial_hidden(feats[-1], models.generator))
             d, q = objective_cosines(feats, models.guider, init, c)
             direct.append(d)
             direction.append(q)
@@ -460,7 +462,6 @@ def test_criterion_6_guider_learning(desk_corpus, pretrained):
 
 def test_criterion_7_policy_gradient_sanity():
     from gmgan.generator import LOGIT_MASK
-    from gmgan.rewards import RewardTrace
 
     config = TrainConfig(seed=77, profile=TINY, max_len=12, c=2,
                          lr_generator=0.05, lr_guider=1e-3)
@@ -472,14 +473,10 @@ def test_criterion_7_policy_gradient_sanity():
 
     def p_best():
         with ad.no_grad():
-            logp, _, _ = teacher_forced_log_probs(
+            logp, _ = teacher_forced_log_probs(
                 [[4]], models.encoder, models.generator, models.guider,
                 init_features=ad.constant(init.reshape(1, -1)))
             return float(np.exp(logp.values[0, 0]))
-
-    def reward_trace(q):
-        q = np.asarray([q], dtype=np.float64)
-        return RewardTrace(q, 1.0, q.copy(), q.copy(), 0.25, 2)
 
     p0 = p_best()
     steps_taken = None
@@ -487,9 +484,8 @@ def test_criterion_7_policy_gradient_sanity():
         traces = [sample_sequence(init, models.generator, models.guider,
                                   models.encoder, rng=rng, max_len=1)
                   for _ in range(8)]
-        rtraces = [reward_trace(1.0 if t.tokens[0] == 4 else 0.0)
-                   for t in traces]
-        policy_gradient_step(traces, rtraces, models, opt)
+        advs = [np.array([1.0 if t.tokens[0] == 4 else 0.0]) for t in traces]
+        policy_gradient_step(traces, advs, models, opt)
         if p_best() > 0.9:
             steps_taken = step + 1
             break
@@ -500,7 +496,7 @@ def test_criterion_7_policy_gradient_sanity():
     traces = [sample_sequence(init, models.generator, models.guider,
                               models.encoder, rng=rng, max_len=1)
               for _ in range(4)]
-    out = policy_gradient_step(traces, [reward_trace(0.0) for _ in traces],
+    out = policy_gradient_step(traces, [np.zeros(1) for _ in traces],
                                models, opt)
     assert out["skipped"]
     for n, t in models.all_tensors():

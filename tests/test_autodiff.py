@@ -10,8 +10,7 @@ from gmgan.corpus import desk_grammar, sample_grammar
 from gmgan.encoder import ModelProfile
 from gmgan.errors import ContractError, DimensionError, TapeError
 from gmgan.generator import GeneratorParams, initial_hidden, mle_loss
-from gmgan.guider import (GuiderParams, guider_step, initial_state,
-                          initial_state_for_labels)
+from gmgan.guider import GuiderParams, guider_step, initial_state
 from gmgan.trainer import Models, TrainConfig
 from helpers import check_grads, rel_err
 
@@ -901,18 +900,18 @@ def _unbatched_call(kind):
                                  t(np.zeros(3)), 3, 2)
     if kind == "guider_step":
         gui = GuiderParams(prof, rng)
-        return lambda: guider_step(initial_state(t(np.zeros(8))),
+        return lambda: guider_step(initial_state(gui, t(np.zeros(8))),
                                    t(np.ones(10)), gui)
     if kind == "initial_hidden":
         gen = GeneratorParams(12, prof, rng, ad.init_matrix(rng, 12, 6))
         return lambda: initial_hidden(t(np.ones(10)), gen)
     styled = GuiderParams(prof, rng, num_labels=2)
-    return lambda: initial_state_for_labels(styled, 1)
+    return lambda: initial_state(styled, None, 1)
 
 
 @pytest.mark.parametrize("kind", ["matmul", "lstm_cell", "conv1d",
                                   "guider_step", "initial_hidden",
-                                  "initial_state_for_labels"])
+                                  "initial_state"])
 def test_unbatched_input_raises_dimension_error(kind):
     with pytest.raises(DimensionError):
         _unbatched_call(kind)()

@@ -282,6 +282,42 @@ def test_generate_label_on_plain_checkpoint_exits_2(tmp_path):
                  "--out", str(tmp_path / "o.txt")]) == 2
 
 
+@pytest.fixture(scope="module")
+def untrained_style_checkpoint(tmp_path_factory):
+    from gmgan.checkpoint import save_models
+    vocab = desk_style_grammar().vocabulary()
+    path = tmp_path_factory.mktemp("ckpt") / "style.gmg"
+    save_models(str(path), cli.Models(len(vocab), TrainConfig(
+        profile=ModelProfile(**TINY_PROFILE), max_len=12, style_mode=True),
+        style_labels=2), vocab)
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [[], ["--label", "1"], ["--input", "x.txt"]],
+                         ids=["no-label", "no-input", "no-label-with-input"])
+def test_generate_on_style_checkpoint_needs_label_and_input(
+        untrained_style_checkpoint, tmp_path, capsys, args):
+    out = tmp_path / "o.txt"
+    assert main(["generate", "--checkpoint", untrained_style_checkpoint,
+                 "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ("is a style checkpoint: generate needs --label and --input"
+            in err)
+    assert not out.exists()
+
+
+def test_inspect_rewards_refuses_style_checkpoint(untrained_style_checkpoint,
+                                                  capsys):
+    assert main(["inspect-rewards", "--checkpoint",
+                 untrained_style_checkpoint, "--sentence",
+                 "the cat sees the dog"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ("is a style checkpoint: inspect-rewards does not take style "
+            "checkpoints" in err)
+
+
 def test_style_stage_and_label_generation(tmp_path):
     grammar = tmp_path / "style_grammar.json"
     desk_style_grammar().save(grammar)

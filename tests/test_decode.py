@@ -27,8 +27,7 @@ from gmgan.generator import (GenerationTrace, GeneratorParams, _draw,
                              gated_logits, initial_hidden, mle_loss,
                              sample_sequence, teacher_force_trace,
                              teacher_forced_log_probs)
-from gmgan.guider import (GuiderParams, guider_step, initial_state,
-                          initial_state_for_labels)
+from gmgan.guider import GuiderParams, guider_step, initial_state
 
 TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
 DESK = ModelProfile(64, 128, 64, (64, 128), (5, 5), (2, 2), max_len=16)
@@ -46,16 +45,13 @@ def oracle_decode(init_t, gen, gui, enc, label, steps, choose):
     with ad.no_grad():
         s0 = initial_hidden(init_t, gen)
         dec_h, dec_c = s0, ad.constant(np.zeros((1, prof.hidden_dim)))
-        if label is None:
-            gui_state = initial_state(s0)
-        else:
-            gui_state = initial_state_for_labels(gui, labels)
+        gui_state = initial_state(gui, s0, labels)
         prefix = [BOS]
         tokens, features, predictions = [], [], []
         for t in range(steps):
             f = encode_one(prefix, enc)
             features.append(f.values[0].copy())
-            pred, gui_state = guider_step(gui_state, f, gui, labels=labels)
+            pred, gui_state = guider_step(gui_state, f, gui)
             predictions.append(pred.values[0].copy())
             logits = gated_logits(dec_h, pred, gen)
             token = choose(t, logits)
@@ -101,10 +97,7 @@ def oracle_teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     dec_h = s0
     dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
     with ad.no_grad():
-        if labels is None:
-            gui_state = initial_state(s0.detach())
-        else:
-            gui_state = initial_state_for_labels(gui, labels)
+        gui_state = initial_state(gui, s0.detach(), labels)
     cols = []
     rows_t = np.full_like(full_rows, PAD)
     for t in range(t_max):
@@ -112,7 +105,7 @@ def oracle_teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
         f_t = (encode_batch(rows_t, enc, stop_gradient=True) if known is None
                else ad.constant(known[t]))
         with ad.no_grad():
-            pred, gui_state = guider_step(gui_state, f_t, gui, labels=labels)
+            pred, gui_state = guider_step(gui_state, f_t, gui)
         logp = ad.log_softmax(gated_logits(dec_h, pred.detach(), gen))
         cols.append(ad.reshape(ad.pick(logp, np.arange(n), tgt[:, t]), (n, 1)))
         emb = ad.gather_rows(gen.embedding, tgt[:, t])
@@ -301,7 +294,7 @@ def test_batch_with_empty_sentences_scores_as_before():
     sents = [[], random_sentence(rng, 40, DESK.max_len), [],
              random_sentence(rng, 40, DESK.max_len), [EOS]]
     with ad.no_grad():
-        got, mask, _ = teacher_forced_log_probs(sents, enc, gen, gui)
+        got, mask = teacher_forced_log_probs(sents, enc, gen, gui)
         want, _ = oracle_teacher_forced_log_probs(sents, enc, gen, gui)
         loss = mle_loss(sents, enc, gen, gui).item()
     real = np.arange(got.shape[1]) < np.array([len(s) for s in sents])[:, None]

@@ -6,8 +6,7 @@ from gmgan import guider as gui_mod
 from gmgan.encoder import ModelProfile
 from gmgan.errors import ContractError, DimensionError
 from gmgan.guider import (GuiderParams, guider_loss_batch, guider_step,
-                          initial_state, initial_state_for_labels,
-                          objective_cosines)
+                          initial_state, objective_cosines)
 from helpers import check_grads, rel_err
 from test_rewards import np_cos
 
@@ -78,17 +77,31 @@ def test_label_contract():
     plain = tiny_guider()
     styled = tiny_guider(num_labels=2)
     state = zero_init()
+    labelled = gui_mod.GuiderState(state.hidden, state.cell, np.array([1]))
     f = feature(np.random.default_rng(5))
     with pytest.raises(ContractError):
-        guider_step(state, f, plain, labels=np.array([1]))
+        guider_step(labelled, f, plain)
     with pytest.raises(ContractError):
         guider_step(state, f, styled)
-    pred, _ = guider_step(state, f, styled, labels=np.array([1]))
+    pred, after = guider_step(labelled, f, styled)
     assert pred.shape == (1, TINY.feature_dim)
+    assert np.array_equal(after.labels, [1])   # the labels ride along
     with pytest.raises(ContractError):
-        initial_state_for_labels(plain, np.array([0]))
-    st = initial_state_for_labels(styled, np.array([1]))
+        initial_state(plain, state.hidden, np.array([0]))
+    st = initial_state(styled, state.hidden, np.array([1]))
     assert np.array_equal(st.hidden.values, styled.label_init.values[[1]])
+    assert np.array_equal(st.labels, [1])
+
+
+def test_state_needs_one_label_per_row():
+    rows = ad.constant(np.zeros((4, TINY.hidden_dim)))
+    for labels in (np.zeros(8, int), np.zeros(3, int), np.zeros((4, 1), int)):
+        with pytest.raises(DimensionError):
+            gui_mod.GuiderState(rows, rows, labels)
+    # a multi-step state's hidden holds T*B rows; the labels follow the cell
+    steps = ad.constant(np.zeros((12, TINY.hidden_dim)))
+    assert gui_mod.GuiderState(steps, rows, np.zeros(4, int)).labels.shape \
+        == (4,)
 
 
 def one_sequence(feats):
@@ -98,7 +111,7 @@ def one_sequence(feats):
 
 
 def zero_init(batch=1):
-    return initial_state(ad.constant(np.zeros((batch, TINY.hidden_dim))))
+    return initial_state(None, ad.constant(np.zeros((batch, TINY.hidden_dim))))
 
 
 def lookup_step(seq, predict):
@@ -110,7 +123,7 @@ def lookup_step(seq, predict):
                 return predict(k)
         raise AssertionError("unknown feature")
 
-    def step(state, f, params, labels=None, batch_sizes=None):
+    def step(state, f, params, batch_sizes=None):
         return ad.constant(np.array([lookup(row) for row in f.values])), state
     return step
 
@@ -190,19 +203,17 @@ def test_guider_loss_batch_of_mixed_lengths_equals_pooled_sequences(
                        requires_grad=True)
 
     def init(rows):
-        if num_labels:
-            return initial_state_for_labels(params, labels[rows])
-        return initial_state(ad.gather_rows(hidden, rows))
+        return initial_state(params, ad.gather_rows(hidden, rows),
+                             None if labels is None else labels[rows])
 
     with ad.no_grad():
         pooled = guider_loss_batch(feats, lengths, c, params,
-                                   init(np.arange(n)), labels=labels).item()
+                                   init(np.arange(n))).item()
         total, count = 0.0, 0
         for i in np.nonzero(lengths >= c)[0]:
             seq = feats[:lengths[i] + 1, i:i + 1]
-            total += guider_loss_batch(
-                seq, lengths[i:i + 1], c, params, init(np.array([i])),
-                labels=None if labels is None else labels[i:i + 1]).item() \
+            total += guider_loss_batch(seq, lengths[i:i + 1], c, params,
+                                       init(np.array([i]))).item() \
                 * (lengths[i] + 1 - c)
             count += lengths[i] + 1 - c
     assert abs(pooled - total / count) < 1e-13
@@ -213,21 +224,14 @@ def test_guider_loss_batch_refuses_rows_that_do_not_fit():
     rng = np.random.default_rng(23)
     feats = np.abs(rng.normal(size=(5, 4, TINY.feature_dim)))
     lengths = [4, 2, 3, 4]
-    good = initial_state_for_labels(params, np.array([0, 1, 0, 1]))
-    guider_loss_batch(feats, lengths, 2, params, good,
-                      labels=np.array([0, 1, 0, 1]))
-    for bad_feats, init, labels in [
-            (feats, initial_state_for_labels(params, np.zeros(8, int)),
-             np.zeros(4, int)),                    # 8 initial rows for 4
-            (feats, good, np.zeros(8, int)),       # 8 labels for 4
-            (feats[:, :3], good, np.zeros(4, int)),
-            (feats[:4], good, np.zeros(4, int))]:  # no feature at t = 4
+    good = initial_state(params, None, np.array([0, 1, 0, 1]))
+    guider_loss_batch(feats, lengths, 2, params, good)
+    for bad_feats, init in [
+            (feats, initial_state(params, None, np.zeros(8, int))),  # 8 rows
+            (feats[:, :3], good),
+            (feats[:4], good)]:  # no feature at t = 4
         with pytest.raises(DimensionError):
-            guider_loss_batch(bad_feats, lengths, 2, params, init,
-                              labels=labels)
-    with pytest.raises(DimensionError):   # packed steps need B labels
-        guider_step(good, ad.constant(feats[0, :3]), params,
-                    labels=np.zeros(3, int), batch_sizes=[3])
+            guider_loss_batch(bad_feats, lengths, 2, params, init)
 
 
 def test_guider_loss_requires_lookahead_room():
@@ -317,9 +321,9 @@ def _guider_run(params, feats, h0, labels, steps):
             [ad.Tensor(feats[s * batch:(s + 1) * batch], requires_grad=True)
              for s in range(steps)])
     with ad.tape():
-        state, preds = gui_mod.GuiderState(hidden, cell), []
+        state, preds = gui_mod.GuiderState(hidden, cell, labels), []
         for x in rows:
-            pred, state = guider_step(state, x, params, labels=labels)
+            pred, state = guider_step(state, x, params)
             preds.append(pred)
         pred = ad.concat(preds)
         w = np.random.default_rng(7).normal(size=pred.shape)
@@ -356,14 +360,11 @@ def test_multi_step_guider_step_equals_one_step_calls(num_labels):
 def test_stepping_on_from_a_multi_step_state_raises():
     params = tiny_guider(num_labels=2)
     rng = np.random.default_rng(20)
-    init = initial_state_for_labels(params, np.array([0, 1]))
+    init = initial_state(params, None, np.array([0, 1]))
     feats = ad.constant(np.abs(rng.normal(size=(6, TINY.feature_dim))))
-    labels = np.array([0, 1])
-    pred, state = guider_step(init, feats, params, labels=labels)
+    pred, state = guider_step(init, feats, params)
     assert pred.shape == (6, TINY.feature_dim)
     with pytest.raises(DimensionError):
-        guider_step(state, ad.constant(feats.values[:2]), params,
-                    labels=labels)
-    with pytest.raises(DimensionError):   # 5 rows are not steps of 2 labels
-        guider_step(init, ad.constant(feats.values[:5]), params,
-                    labels=labels)
+        guider_step(state, ad.constant(feats.values[:2]), params)
+    with pytest.raises(DimensionError):   # 5 rows are not steps of 2 rows
+        guider_step(init, ad.constant(feats.values[:5]), params)

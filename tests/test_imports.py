@@ -109,3 +109,37 @@ def test_one_dual_cosine_and_one_sampling_loop():
     assert not any(isinstance(node, ast.MatMult) for node in rewards)
     assert not any(isinstance(node, ast.FunctionDef) and "cos" in node.name
                    for node in rewards)
+
+
+def _names(node):
+    """Every name a tree defines, binds, imports or reads."""
+    for n in ast.walk(node):
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            yield n.name
+        elif isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.asname or n.name
+
+
+def test_style_labels_live_in_the_guider_state():
+    # a row's style label is part of its guider state: only guider.py
+    # builds a state or reads the label embeddings, no call hands
+    # guider_step labels of its own, and a reward is a plain Q array
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {c.split(":")[0] for c in _callers("GuiderState")} == {"guider.py"}
+    assert {name for name, tree in trees.items()
+            if "label_init" in set(_names(tree))} == {"guider.py"}
+    labelled_steps = [
+        "%s:%d" % (name, node.lineno)
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "guider_step" in set(_names(node.func))
+        and any(k.arg == "labels" for k in node.keywords)]
+    assert not labelled_steps
+    gone = {"RewardTrace", "initial_state_for_labels"}
+    assert {name: gone & set(_names(tree)) for name, tree in trees.items()
+            if gone & set(_names(tree))} == {}

@@ -185,9 +185,10 @@ def test_compute_reward_trace_modes():
                                       mode="final-only")
     stepwise = compute_reward_trace(trace, 0.8, c=2, gamma=0.25,
                                     mode="stepwise-only")
-    assert np.allclose(both.q, both.returns * 0.8, atol=1e-15)
-    assert np.all(final_only.q == 0.8)
-    assert np.array_equal(stepwise.q, stepwise.returns)
+    returns = discounted_cumulative(feature_matching_reward(trace, 2), 0.25)
+    assert np.array_equal(stepwise, returns)
+    assert np.array_equal(both, returns * 0.8)
+    assert final_only.shape == (4,) and np.all(final_only == 0.8)
     with pytest.raises(ContractError):
         compute_reward_trace(trace, 0.8, c=2, gamma=0.25, mode="bogus")
 

@@ -15,7 +15,6 @@ from gmgan.encoder import ModelProfile, prefix_features, sentence_rows
 from gmgan.errors import ContractError
 from gmgan.generator import LOGIT_MASK, gated_logits, sample_sequence
 from gmgan.guider import guider_loss_batch, initial_state
-from gmgan.rewards import RewardTrace
 from gmgan.trainer import (Models, Optimizers, TrainConfig, mle_step,
                            policy_gradient_step, pretrain_mle, rollout_traces,
                            run_gmgan, sample_from_noise, stream_rng,
@@ -97,12 +96,12 @@ def test_guider_loss_batch_matches_per_sequence():
         from gmgan.generator import initial_hidden
         init_h = initial_hidden(ad.constant(feats[-1]), models.generator)
         pooled = guider_loss_batch(feats, lengths, config.c, models.guider,
-                                   initial_state(init_h)).item()
+                                   initial_state(None, init_h)).item()
         total, count = 0.0, 0
         for i, s in enumerate(batch):
             # sequence i alone, as a B=1 batch
             seq = feats[: len(s) + 1, i:i + 1]
-            init = initial_state(ad.constant(init_h.values[i:i + 1]))
+            init = initial_state(None, ad.constant(init_h.values[i:i + 1]))
             n_terms = len(s) + 1 - config.c
             loss_i = guider_loss_batch(seq, [len(s)], config.c, models.guider,
                                        init).item()
@@ -246,20 +245,15 @@ def test_mle_and_guider_steps_do_not_page_fault_after_warm_up():
 # policy gradient
 # ---------------------------------------------------------------------------
 
-def make_reward_trace(q):
-    q = np.asarray(q, dtype=np.float64)
-    return RewardTrace(q.copy(), 1.0, q.copy(), q.copy(), 0.25, 2)
-
-
 def test_zero_advantage_batch_is_bit_noop():
     _, vocab, sents = tiny_corpus(n=8)
     config = tiny_config()
     models = Models(len(vocab), config)
     opt = Optimizers(models, config)
     traces = rollout_traces(sents[:3], models, np.random.default_rng(0))
-    rtraces = [make_reward_trace(np.zeros(t.length)) for t in traces]
     before = snapshot(models)
-    out = policy_gradient_step(traces, rtraces, models, opt)
+    out = policy_gradient_step(traces, [np.zeros(t.length) for t in traces],
+                               models, opt)
     assert out["skipped"]
     assert_snapshots_equal(before, snapshot(models))
 
@@ -278,7 +272,7 @@ def test_single_step_gradient_is_q_times_logp_grad():
 
     def surrogate():
         from gmgan.generator import teacher_forced_log_probs
-        logp, _, _ = teacher_forced_log_probs(
+        logp, _ = teacher_forced_log_probs(
             [[token]], models.encoder, models.generator, models.guider,
             init_features=ad.reshape(init, (1, TINY.feature_dim)))
         return ad.scale(ad.tsum(logp), -q)
@@ -318,11 +312,10 @@ def test_policy_step_moves_generator_not_guider():
     models = Models(len(vocab), config)
     opt = Optimizers(models, config)
     traces = rollout_traces(sents[:4], models, np.random.default_rng(3))
-    rtraces = [make_reward_trace(np.linspace(1.0, 0.5, t.length))
-               for t in traces]
+    advs = [np.linspace(1.0, 0.5, t.length) for t in traces]
     guider_before = {n: t.values.copy() for n, t in models.guider.tensors()}
     gen_before = {n: t.values.copy() for n, t in models.generator.tensors()}
-    out = policy_gradient_step(traces, rtraces, models, opt)
+    out = policy_gradient_step(traces, advs, models, opt)
     assert not out["skipped"]
     for n, t in models.guider.tensors():
         assert np.array_equal(guider_before[n], t.values), n
@@ -344,7 +337,7 @@ def test_three_arm_bandit_reinforce():
                                     models.encoder, seed=0, mode="greedy",
                                     max_len=1)
             from gmgan.generator import teacher_forced_log_probs
-            logp, _, _ = teacher_forced_log_probs(
+            logp, _ = teacher_forced_log_probs(
                 [[4]], models.encoder, models.generator, models.guider,
                 init_features=ad.constant(init.reshape(1, -1)))
             return float(np.exp(logp.values[0, 0]))
@@ -355,9 +348,8 @@ def test_three_arm_bandit_reinforce():
         traces = [sample_sequence(init, models.generator, models.guider,
                                   models.encoder, rng=rng, max_len=1)
                   for _ in range(8)]
-        rtraces = [make_reward_trace(np.array([1.0 if t.tokens[0] == 4 else 0.0]))
-                   for t in traces]
-        policy_gradient_step(traces, rtraces, models, opt)
+        advs = [np.array([1.0 if t.tokens[0] == 4 else 0.0]) for t in traces]
+        policy_gradient_step(traces, advs, models, opt)
         p_final = p_best()
         if p_final > 0.9:
             break
