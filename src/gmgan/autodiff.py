@@ -763,8 +763,8 @@ def _conv_windows(batch, length, width, stride):
     return starts, idx
 
 
-def conv1d(x, kernel, bias, width, stride, apply_relu=True):
-    """Valid cross-correlation over the time axis, then optional ReLU.
+def conv1d(x, kernel, bias, width, stride):
+    """Valid cross-correlation over the time axis, then ReLU.
 
     x is (B, L, in_ch); kernel is (width*in_ch, out_ch), i.e. each output
     channel sees a flattened window of `width` positions. Recorded as one
@@ -787,16 +787,12 @@ def conv1d(x, kernel, bias, width, stride, apply_relu=True):
     n_win = len(starts)
     windows = xv.reshape(batch * length, in_ch)[idx].reshape(
         batch * n_win, width * in_ch)
-    y = windows @ kernel.values + bias.values
-    if apply_relu:
-        y = np.maximum(y, 0.0)
+    y = np.maximum(windows @ kernel.values + bias.values, 0.0)
     out = _fresh(y.reshape(batch, n_win, out_ch), "conv1d")
     tp = _track(x, kernel, bias)
     if tp:
         def bw(g):
-            g = g.reshape(y.shape)
-            if apply_relu:
-                g = g * (y > 0.0)
+            g = g.reshape(y.shape) * (y > 0.0)
             if bias.requires_grad:
                 bias.accumulate_grad(g.sum(axis=0))
             if kernel.requires_grad:
@@ -816,10 +812,10 @@ def conv1d(x, kernel, bias, width, stride, apply_relu=True):
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def init_matrix(rng, rows, cols, scale_override=None):
+def init_matrix(rng, rows, cols):
     """Glorot-scaled normal init as a trainable tensor."""
-    s = scale_override if scale_override is not None else math.sqrt(2.0 / (rows + cols))
-    return Tensor(rng.normal(0.0, s, size=(rows, cols)), requires_grad=True)
+    return Tensor(rng.normal(0.0, math.sqrt(2.0 / (rows + cols)),
+                             size=(rows, cols)), requires_grad=True)
 
 
 def init_vector(dim):

@@ -77,19 +77,16 @@ class Vocabulary:
         return cls(payload["tokens"])
 
 
-def build_vocabulary(token_lines, min_freq=1):
-    counts = Counter()
-    for toks in token_lines:
-        counts.update(toks)
-    kept = [t for t, c in sorted(counts.items()) if c >= min_freq]
-    return Vocabulary(kept)
+def build_vocabulary(token_lines):
+    """A vocabulary of every word in the lines, sorted."""
+    return Vocabulary(sorted({t for toks in token_lines for t in toks}))
 
 
-def load_corpus(path, vocab="build", max_len=25, min_freq=1):
+def load_corpus(path, vocab="build", max_len=25):
     """Read a one-sentence-per-line UTF-8 file into encoded sentences.
 
     vocab may be an existing Vocabulary (unknown words map to UNK) or the
-    string "build" to construct one from the file with a min-frequency cutoff.
+    string "build" to construct one that keeps every word of the file.
     Returns (sentences, vocabulary).
     """
     with open(path, encoding="utf-8") as f:
@@ -97,7 +94,7 @@ def load_corpus(path, vocab="build", max_len=25, min_freq=1):
     if not lines:
         raise ContractError("corpus %r is empty" % (path,))
     if vocab == "build":
-        vocab = build_vocabulary(lines, min_freq=min_freq)
+        vocab = build_vocabulary(lines)
     sentences = [vocab.encode(toks, max_len) for toks in lines]
     return sentences, vocab
 
@@ -166,13 +163,6 @@ class GrammarSpec:
             cum /= cum[-1]  # last entry exactly 1.0 so searchsorted stays in range
             self._choices[lhs] = ([r for r, _ in options], cum)
         self._cnf = None
-
-    @property
-    def nonterminals(self):
-        nts = set(self._by_lhs)
-        if self.style_lexicons:
-            nts.add(STYLE_SLOT)
-        return nts
 
     def terminals(self):
         words = set()

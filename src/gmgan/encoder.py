@@ -129,7 +129,7 @@ class TokenCNN:
                                  % (self.profile.pad_width, emb.shape))
         x = emb
         for kernel, bias, w, s in self.layers:
-            x = ad.conv1d(x, kernel, bias, w, s, apply_relu=True)
+            x = ad.conv1d(x, kernel, bias, w, s)
         batch = x.shape[0]
         flat = ad.reshape(x, (batch, x.shape[1] * x.shape[2]))
         out = ad.add(ad.matmul(flat, self.mlp_w), self.mlp_b)
@@ -166,11 +166,8 @@ def sentence_rows(sentences, pad_width):
     return pad_rows([[BOS] + list(s) for s in sentences], pad_width)
 
 
-def encode_batch(rows, params, stop_gradient=False):
+def encode_batch(rows, params):
     """Encode a (B, pad_width) id matrix to (B, feature_dim) features."""
-    if stop_gradient:
-        with ad.no_grad():
-            return params.apply_rows(rows)
     return params.apply_rows(rows)
 
 
@@ -241,12 +238,13 @@ def draw_initial_noise(rng, feature_dim, scale=1.0):
     return z
 
 
-def mean_feature_norm(sentences, params, batch=64):
+def mean_feature_norm(sentences, params):
     """Average ||Enc(X)|| over a corpus; used to scale sampling noise."""
     total, count = 0.0, 0
-    for i in range(0, len(sentences), batch):
-        rows = sentence_rows(sentences[i:i + batch], params.profile.pad_width)
-        feats = encode_batch(rows, params, stop_gradient=True)
+    for i in range(0, len(sentences), 64):
+        rows = sentence_rows(sentences[i:i + 64], params.profile.pad_width)
+        with ad.no_grad():
+            feats = encode_batch(rows, params)
         total += float(np.linalg.norm(feats.values, axis=1).sum())
         count += len(rows)
     return total / count

@@ -20,7 +20,8 @@ once. `teacher_forced_log_probs` therefore sorts the batch longest first
 and runs each stage once over the real (step, row) pairs only, packed so
 that step t holds the rows longer than t: one multi-step `guider_step`,
 one multi-step `lstm_cell` for the decoder, and one `gated_logits`,
-`log_softmax` and `pick`; no padded pair is computed. So an MLE batch, a
+`log_softmax` and `pick`; no padded pair is computed, and the log-probs
+come back packed, with each pair's row and step. So an MLE batch, a
 policy-gradient batch or a validation chunk counts one `guider_step` call
 and at most one decoder `lstm_cell` call, whatever its length.
 `teacher_force_trace`, the reward-inspection trace of one real sentence,
@@ -183,14 +184,14 @@ def _targets(sentences):
     return tgt
 
 
-def sample_sequence(init_feature, gen, gui, enc, seed=None, rng=None,
-                    mode="sample", style_label=None, max_len=None):
+def sample_sequence(init_feature, gen, gui, enc, rng, mode="sample",
+                    style_label=None, max_len=None):
     """Roll out encode-prefix -> guider step -> gated distribution -> draw,
-    until EOS or max_len. Deterministic under (seed, mode)."""
+    until EOS or max_len, drawing from rng (None for a greedy decode)."""
     if mode not in ("sample", "greedy"):
         raise ContractError("mode must be sample or greedy")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    if rng is None and mode == "sample":
+        raise ContractError("sampling needs an rng")
     init = ad.constant(np.reshape(init_feature, (1, -1)))
     labels = None if style_label is None else np.array([style_label])
     steps = enc.profile.max_len if max_len is None else max_len
@@ -212,8 +213,8 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     gather of the target embeddings, one multi-step lstm_cell for the
     decoder, then gated_logits, log_softmax and pick.
 
-    Returns (logp (B,T) tensor, loss mask (B,T)), in the caller's row
-    order; the log-probs of padded entries are 0.0.
+    Returns (logp, rows, steps): the (P,) log-probs of the P real target
+    tokens in packed order, and each token's row (caller's order) and step.
     init_features and labels, when given, hold one row per sentence.
     Gradients flow through the decoder path and the encoder via the
     initial state; the guider rollout and its feature inputs are held
@@ -222,9 +223,9 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     tgt = _targets(batch)
     n, steps = tgt.shape
     prof = enc.profile
-    rows = sentence_rows(batch, prof.pad_width)   # refuses overlong input
+    ids = sentence_rows(batch, prof.pad_width)    # refuses overlong input
     if init_features is None:
-        init_features = encode_batch(rows, enc)   # gradients flow
+        init_features = encode_batch(ids, enc)    # gradients flow
     elif init_features.shape != (n, prof.feature_dim):
         raise DimensionError("initial features %r for %d sentences"
                              % (init_features.shape, n))
@@ -236,7 +237,7 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     lengths = np.array([len(s) for s in batch])
     order = np.argsort(-lengths, kind="stable")
     sizes = ad.packed_sizes(lengths[order])       # step t: rows longer than t
-    feats = prefix_features(rows[order], enc, steps, batch_sizes=sizes)
+    feats = prefix_features(ids[order], enc, steps, batch_sizes=sizes)
     step, rank = ad.packed_index(sizes)
     s0 = initial_hidden(init_features, gen)
     h0 = ad.gather_rows(s0, order)
@@ -245,25 +246,17 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
                                   None if labels is None else labels[order])
         pred = guider_step(gui_state, ad.constant(feats), gui,
                            batch_sizes=sizes)[0]
-    tokens = tgt[order[rank], step]
+    rows = order[rank]
     dec_h = h0 if sizes[0] == n else ad.gather_rows(s0, order[:sizes[0]])
     if steps > 1:  # step t >= 1 consumes each of its rows' target t - 1
         emb = ad.gather_rows(gen.embedding,
-                             tgt[order[rank[sizes[0]:]], step[sizes[0]:] - 1])
+                             tgt[rows[sizes[0]:], step[sizes[0]:] - 1])
         hs = ad.lstm_cell(emb, h0, ad.constant(np.zeros((n, prof.hidden_dim))),
                           gen.dec_w_x, gen.dec_w_h, gen.dec_b,
                           batch_sizes=sizes[1:])[0]
         dec_h = ad.concat([dec_h, hs])
     logp = ad.log_softmax(gated_logits(dec_h, pred, gen))
-    picked = ad.pick(logp, np.arange(len(step)), tokens)
-    # back to (B, T) in the caller's order; padded entries read a zero row
-    where = np.full((n, steps), len(step))
-    where[order[rank], step] = np.arange(len(step))
-    padded = ad.concat([ad.reshape(picked, (len(step), 1)),
-                        ad.constant(np.zeros((1, 1)))])
-    logp_mat = ad.reshape(ad.gather_rows(padded, where.reshape(-1)),
-                          (n, steps))
-    return logp_mat, scored_tokens(tgt)
+    return ad.pick(logp, np.arange(len(step)), tgt[rows, step]), rows, step
 
 
 def scored_tokens(tokens):
@@ -275,16 +268,17 @@ def scored_tokens(tokens):
 def mle_loss(batch, enc, gen, gui, labels=None, init_features=None):
     """Mean negative log-likelihood per token under teacher forcing;
     init_features as in teacher_forced_log_probs."""
-    logp_mat, mask = teacher_forced_log_probs(batch, enc, gen, gui, labels,
-                                              init_features)
+    logp, rows, steps = teacher_forced_log_probs(batch, enc, gen, gui, labels,
+                                                 init_features)
+    mask = scored_tokens(_targets(batch)[rows, steps])
     count = int(mask.sum())
     if count == 0:
         raise ContractError("batch contains no scorable tokens")
-    masked = ad.mul(logp_mat, ad.constant(mask.astype(np.float64)))
+    masked = ad.mul(logp, ad.constant(mask.astype(np.float64)))
     return ad.scale(ad.tsum(masked), -1.0 / count)
 
 
-def teacher_force_trace(sentence, enc, gen, gui, label=None):
+def teacher_force_trace(sentence, enc, gen, gui):
     """Trace of a real sentence (its features f_0..f_T and the guider's
     predictions along it); used for reward inspection. Every prefix is
     known, so one `prefix_features` call encodes them all and one
@@ -296,8 +290,7 @@ def teacher_force_trace(sentence, enc, gen, gui, label=None):
     with ad.no_grad():
         init = encode_batch(rows, enc)
         feats = prefix_features(rows, enc, tgt.size + 1)[:, 0]
-        gui_state = initial_state(gui, initial_hidden(init, gen),
-                                  None if label is None else [label])
+        gui_state = initial_state(gui, initial_hidden(init, gen))
         pred = guider_step(gui_state, ad.constant(feats[:-1]), gui)[0]
     return GenerationTrace(tgt[0].tolist(), list(feats), list(pred.values),
                            init.values[0].copy())

@@ -184,14 +184,6 @@ class BleuReport:
             "n_samples": self.n_samples,
             "n_references": self.n_references}, indent=1)
 
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        return cls({int(k): v for k, v in raw["test_bleu"].items()},
-                   {int(k): v for k, v in raw["self_bleu"].items()},
-                   {int(k): v for k, v in raw["f1_bleu"].items()},
-                   raw["n_samples"], raw["n_references"])
-
     def table(self):
         lines = ["%-14s %8s" % ("metric", "score")]
         for k, v in self.test_bleu.items():

@@ -2,17 +2,18 @@
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8) with bias correction.
+    """Standard Adam (BETA1, BETA2 and EPS above) with bias correction.
 
     frozen_rows maps a parameter name to row indices whose gradient is zeroed
     before each update (used to pin the PAD embedding row at zero). A missing
     gradient counts as zero.
     """
 
-    def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                 frozen_rows=None):
+    def __init__(self, named_params, lr, frozen_rows=None):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.named_params = list(named_params)
@@ -20,9 +21,6 @@ class Adam:
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.frozen_rows = dict(frozen_rows or {})
         self.t = 0
         self.m = {n: np.zeros_like(p.values) for n, p in self.named_params}
@@ -30,8 +28,8 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name, p in self.named_params:
             g = p.grad
             if g is None:
@@ -42,11 +40,11 @@ class Adam:
                 g[rows] = 0.0
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.values -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
     def zero_grad(self):
         for _, p in self.named_params:

@@ -68,12 +68,12 @@ def _fit_cross_entropy(labelled, log_probs, opt, seed, domain, epochs,
 
 
 def train_style_classifier(labelled, vocab_size, profile, seed, epochs=4,
-                           lr=3e-3, batch_size=32):
+                           batch_size=32):
     """Fit the sentence-level style classifier; the caller freezes it."""
     check_binary_labels(labelled)
     classifier = StyleClassifierParams(vocab_size, profile,
                                        stream_rng(seed, "classifier_init"))
-    opt = Adam(classifier.tensors(), lr=lr,
+    opt = Adam(classifier.tensors(), lr=3e-3,
                frozen_rows={"classifier.embedding": [PAD]})
     _fit_cross_entropy(
         labelled, lambda sents: ad.log_softmax(classifier.apply_rows(
@@ -96,15 +96,18 @@ class LatentProbe:
         return ad.log_softmax(ad.add(ad.matmul(feats, self.w), self.b))
 
 
-def train_latent_probe(labelled, models, seed, epochs=6, lr=0.01,
-                       batch_size=64):
+def train_latent_probe(labelled, models, seed):
     probe = LatentProbe(models.profile.feature_dim,
                         stream_rng(seed, "probe_init"))
-    _fit_cross_entropy(
-        labelled, lambda sents: probe.log_probs(encode_batch(
-            sentence_rows(sents, models.profile.pad_width), models.encoder,
-            stop_gradient=True)),
-        Adam(probe.tensors(), lr=lr), seed, "probe_batch", epochs, batch_size)
+
+    def log_probs(sents):
+        with ad.no_grad():   # the encoder is frozen here
+            feats = encode_batch(sentence_rows(sents, models.profile.pad_width),
+                                 models.encoder)
+        return probe.log_probs(feats)
+
+    _fit_cross_entropy(labelled, log_probs, Adam(probe.tensors(), lr=0.01),
+                       seed, "probe_batch", 6, 64)
     return probe
 
 
@@ -185,9 +188,10 @@ def soft_transfer_rollout(init_feats, target_labels, models, classifier,
 def transfer_greedy(source, target_label, models):
     """Hard transfer at inference: greedy decode under the flipped label."""
     rows = sentence_rows([source], models.profile.pad_width)
-    init = encode_batch(rows, models.encoder, stop_gradient=True).values
+    with ad.no_grad():
+        init = encode_batch(rows, models.encoder).values
     trace = sample_sequence(init, models.generator, models.guider,
-                            models.encoder, seed=0, mode="greedy",
+                            models.encoder, rng=None, mode="greedy",
                             style_label=int(target_label))
     return trace.sentence(models.profile.max_len)
 

@@ -80,6 +80,9 @@ class TrainConfig:
                     or not isinstance(value, _KINDS[type(default)])):
                 raise ContractError("%s must be of type %s, got %r"
                                     % (f.name, type(default).__name__, value))
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError("%s must be finite, got %r"
+                                    % (f.name, value))
         if min(self.batch_size, self.max_len, self.rollout_batch) < 1:
             raise ContractError("batch_size, max_len and rollout_batch must "
                                 "be positive")
@@ -91,14 +94,18 @@ class TrainConfig:
             raise ContractError("learning rates must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ContractError("gamma must lie in [0, 1)")
+        if not 0.0 <= self.baseline_momentum <= 1.0:
+            raise ContractError("baseline_momentum must lie in [0, 1]")
+        if self.soft_argmax_temperature <= 0:
+            raise ContractError("soft_argmax_temperature must be positive")
         if self.c not in VALID_C:
             raise ContractError("c must be one of %r" % (VALID_C,))
         if self.discount_convention not in ("relative", "absolute"):
             raise ContractError("unknown discount convention")
         if self.ablation not in ("both", "final-only", "stepwise-only"):
             raise ContractError("unknown ablation mode")
-        if self.rl_mix != "ramp" and not (isinstance(self.rl_mix, (int, float))
-                                          and 0.0 <= float(self.rl_mix) <= 1.0):
+        if self.rl_mix != "ramp" and not (type(self.rl_mix) in (int, float)
+                                          and 0.0 <= self.rl_mix <= 1.0):
             raise ContractError("rl_mix must be 'ramp' or a float in [0, 1]")
         get_profile(self.profile, max_len=self.max_len)  # the stack must fit
 
@@ -195,20 +202,14 @@ def guider_update(batch, models, optimizers, c, labels=None):
     lengths = np.array([len(s) for s in batch])
     if lengths.max() < c:
         return None
-    # constant features of every [BOS]+prefix up to each whole sentence,
-    # computed packed (longest first) and laid out as (t, b) for the loss;
-    # t = lengths[b] is sentence b's whole feature
-    order = np.argsort(-lengths, kind="stable")
-    sizes = ad.packed_sizes(lengths[order] + 1)
-    rows = sentence_rows([batch[i] for i in order], models.profile.pad_width)
-    step, rank = ad.packed_index(sizes)
-    feats = np.zeros((len(sizes), len(batch), models.profile.feature_dim))
-    feats[step, order[rank]] = prefix_features(rows, models.encoder,
-                                               len(sizes), batch_sizes=sizes)
+    # constant (t, b) features of every [BOS]+prefix; a prefix past the end
+    # of sentence b holds its ids, so feats[t >= lengths[b], b] and
+    # feats[-1] are its whole feature
+    rows = sentence_rows(batch, models.profile.pad_width)
+    feats = prefix_features(rows, models.encoder, lengths.max() + 1)
     with ad.tape():   # label_init, in style mode, trains with the guider
         with ad.no_grad():
-            whole = feats[lengths, np.arange(len(batch))]
-            hidden = initial_hidden(ad.constant(whole), models.generator)
+            hidden = initial_hidden(ad.constant(feats[-1]), models.generator)
         init = initial_state(models.guider, hidden, labels)
         loss = guider_loss_batch(feats, lengths, c, models.guider, init)
         val = check_finite(loss)
@@ -292,7 +293,8 @@ def pretrain_mle(train_sentences, val_sentences, models, config,
 def rollout_traces(init_sentences, models, rng):
     """Sample one trace per initial sentence (training-mode initial states)."""
     rows = sentence_rows(init_sentences, models.profile.pad_width)
-    init_feats = encode_batch(rows, models.encoder, stop_gradient=True).values
+    with ad.no_grad():
+        init_feats = encode_batch(rows, models.encoder).values
     return [sample_sequence(f, models.generator, models.guider,
                             models.encoder, rng=rng) for f in init_feats]
 
@@ -348,24 +350,22 @@ def policy_gradient_step(traces, advantages, models, optimizers,
     if flat_max == 0.0 and mle_batch is None:
         return {"pg_loss": 0.0, "skipped": True}
 
-    n = len(traces)
-    t_max = max(t.length for t in traces)
-    weights = np.zeros((n, t_max))
-    for i, (trace, adv) in enumerate(zip(traces, advantages)):
-        weights[i, : trace.length] = adv
+    lengths = np.array([t.length for t in traces])
     token_batch = [t.tokens for t in traces]
     init_feats = ad.constant(np.stack([t.init_feature for t in traces]))
-    total_steps = sum(t.length for t in traces)
 
     stats = {}
     with ad.tape():
-        logp_mat, _ = teacher_forced_log_probs(
+        logp, rows, steps = teacher_forced_log_probs(
             token_batch, models.encoder, models.generator, models.guider,
             init_features=init_feats)
+        # each pair's advantage, read from the traces' flattened Q arrays
+        weights = np.concatenate(advantages)[(np.cumsum(lengths)
+                                              - lengths)[rows] + steps]
         # per-token normalization keeps the gradient scale commensurate with
         # the MLE term it is blended with
-        pg = ad.scale(ad.tsum(ad.mul(logp_mat, ad.constant(weights))),
-                      -1.0 / total_steps)
+        pg = ad.scale(ad.tsum(ad.mul(logp, ad.constant(weights))),
+                      -1.0 / lengths.sum())
         stats["pg_loss"] = pg.item()
         if mle_batch is not None and lam < 1.0:
             mle = mle_loss(mle_batch, models.encoder, models.generator,

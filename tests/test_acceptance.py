@@ -473,10 +473,10 @@ def test_criterion_7_policy_gradient_sanity():
 
     def p_best():
         with ad.no_grad():
-            logp, _ = teacher_forced_log_probs(
+            logp = teacher_forced_log_probs(
                 [[4]], models.encoder, models.generator, models.guider,
-                init_features=ad.constant(init.reshape(1, -1)))
-            return float(np.exp(logp.values[0, 0]))
+                init_features=ad.constant(init.reshape(1, -1)))[0]
+            return float(np.exp(logp.values[0]))
 
     p0 = p_best()
     steps_taken = None

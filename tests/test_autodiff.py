@@ -359,7 +359,7 @@ def test_conv1d_constant_signal():
     length, width, in_ch, out_ch = 9, 3, 2, 4
     x = t(np.ones((1, length, in_ch)))
     kernel = t(np.full((width * in_ch, out_ch), 1.0 / (width * in_ch)))
-    out = ad.conv1d(x, kernel, t(np.zeros(out_ch)), width, 1, apply_relu=False)
+    out = ad.conv1d(x, kernel, t(np.zeros(out_ch)), width, 1)
     assert out.shape == (1, 7, out_ch)
     assert np.allclose(out.values, 1.0, atol=1e-14)
 
@@ -370,12 +370,13 @@ def test_conv1d_delta_recovers_kernel_column():
     x = np.zeros((1, length, 1))
     x[0, 4, 0] = 1.0
     kern = np.array([[2.0], [-3.0], [5.0]])  # rows: window offsets 0,1,2
-    out = ad.conv1d(t(x), t(kern), t(np.zeros(1)), width, 1, apply_relu=False)
-    # window starting at s sees the delta at offset 4-s: output = kern[4-s]
+    out = ad.conv1d(t(x), t(kern), t(np.zeros(1)), width, 1)
+    # window starting at s sees the delta at offset 4-s: output = kern[4-s],
+    # through the ReLU
     expected = np.zeros((1, 6, 1))
     for s in range(6):
         if 0 <= 4 - s < width:
-            expected[0, s, 0] = kern[4 - s, 0]
+            expected[0, s, 0] = max(kern[4 - s, 0], 0.0)
     assert np.array_equal(out.values, expected)
 
 
@@ -430,7 +431,7 @@ def oracle_lstm_cell(x, hidden, cell, w_x, w_h, b, pre=None):
     return new_hidden, new_cell
 
 
-def oracle_conv1d(x, kernel, bias, width, stride, apply_relu=True):
+def oracle_conv1d(x, kernel, bias, width, stride):
     """conv1d built from generic ops: gather, matmul, bias, ReLU."""
     batch, length, in_ch = x.shape
     n_win = (length - width) // stride + 1
@@ -441,9 +442,7 @@ def oracle_conv1d(x, kernel, bias, width, stride, apply_relu=True):
     flat = ad.reshape(x, (batch * length, in_ch))
     windows = ad.reshape(ad.gather_rows(flat, idx),
                          (batch * n_win, width * in_ch))
-    out = ad.add(ad.matmul(windows, kernel), bias)
-    if apply_relu:
-        out = ad.relu(out)
+    out = ad.relu(ad.add(ad.matmul(windows, kernel), bias))
     return ad.reshape(out, (batch, n_win, kernel.shape[1]))
 
 
@@ -733,35 +732,35 @@ def test_packed_batch_sizes_are_checked():
     assert step.tolist() == [0, 0, 0, 1] and row.tolist() == [0, 1, 2, 0]
 
 
-def _conv_grads(conv_fn, data, width, stride, apply_relu):
+def _conv_grads(conv_fn, data, width, stride):
     x, kernel, bias = (t(data[k], grad=True) for k in ("x", "kernel", "bias"))
     with ad.tape():
-        out = conv_fn(x, kernel, bias, width, stride, apply_relu=apply_relu)
+        out = conv_fn(x, kernel, bias, width, stride)
         loss = ad.tsum(ad.mul(out, t(data["proj"][..., :out.shape[-2], :])))
     ad.backward(loss)
     return out.values, [x.grad, kernel.grad, bias.grad]
 
 
 @pytest.mark.parametrize("width,stride", [(3, 1), (3, 2), (5, 2), (2, 3)])
-@pytest.mark.parametrize("apply_relu", [True, False])
+@pytest.mark.parametrize("clips", [True, False])
 @pytest.mark.parametrize("batch", [1, 3])
-def test_fused_conv1d_equals_composed_ops(width, stride, apply_relu, batch):
+def test_fused_conv1d_equals_composed_ops(width, stride, clips, batch):
     # the case's shape, another batch size, then the case's shape again:
-    # conv1d's window indices are cached per shape, and a stale one fails
+    # conv1d's window indices are cached per shape, and a stale one fails.
+    # clips: signed data, so the ReLU zeroes some outputs; otherwise
+    # nonnegative data, so it passes every output through
     rng = np.random.default_rng(41 + width + stride)
     length, in_ch, out_ch = 11, 4, 3
+    draw = rng.normal if clips else rng.uniform
     for rows in (batch, 2, batch):
-        data = {"x": rng.normal(size=(rows, length, in_ch)),
-                "kernel": rng.normal(size=(width * in_ch, out_ch)),
-                "bias": rng.normal(size=out_ch),
+        data = {"x": draw(size=(rows, length, in_ch)),
+                "kernel": draw(size=(width * in_ch, out_ch)),
+                "bias": draw(size=out_ch),
                 "proj": rng.normal(size=(rows, length, out_ch))}
-        f_out, f_grads = _conv_grads(ad.conv1d, data, width, stride,
-                                     apply_relu)
-        o_out, o_grads = _conv_grads(oracle_conv1d, data, width, stride,
-                                     apply_relu)
+        f_out, f_grads = _conv_grads(ad.conv1d, data, width, stride)
+        o_out, o_grads = _conv_grads(oracle_conv1d, data, width, stride)
         assert np.array_equal(f_out, o_out)
-        if apply_relu:
-            assert (f_out == 0.0).any()   # the ReLU mask is exercised
+        assert (f_out == 0.0).any() == clips   # the ReLU mask, both ways
         for fg, og in zip(f_grads, o_grads):
             assert np.array_equal(fg, og)
 
@@ -782,8 +781,8 @@ def test_fused_conv1d_equals_composed_ops_at_desk_size():
             "kernel": rng.normal(scale=0.1, size=(5 * 64, 64)),
             "bias": rng.normal(size=64),
             "proj": rng.normal(size=(32, 7, 64))}
-    f_out, f_grads = _conv_grads(ad.conv1d, data, 5, 2, True)
-    o_out, o_grads = _conv_grads(oracle_conv1d, data, 5, 2, True)
+    f_out, f_grads = _conv_grads(ad.conv1d, data, 5, 2)
+    o_out, o_grads = _conv_grads(oracle_conv1d, data, 5, 2)
     assert np.array_equal(f_out, o_out)
     for fg, og in zip(f_grads, o_grads):
         assert np.array_equal(fg, og)

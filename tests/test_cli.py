@@ -59,6 +59,16 @@ def test_malformed_config_exits_2(tmp_path, capsys, overrides):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_non_finite_learning_rate_exits_2_before_training(tmp_path, capsys):
+    # JSON's NaN parses to a float; it must not reach the first epoch
+    cfg = write_config(tmp_path, lr_generator=float("nan"))
+    assert main(["train", "--config", str(cfg), "--stage", "all"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid training config: lr_generator "
+                          "must be finite")
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_gmg_seed_exits_2_naming_the_range(tmp_path, capsys,
                                                     monkeypatch):
     monkeypatch.setenv("GMG_SEED", "-1")

@@ -27,15 +27,6 @@ def test_unknown_word_maps_to_unk(tmp_path):
     assert sents == [[vocab.id_of("a"), UNK, EOS]]
 
 
-def test_min_frequency_cutoff(tmp_path):
-    p = tmp_path / "c.txt"
-    p.write_text("a a b\na c\n", encoding="utf-8")
-    sents, vocab = load_corpus(p, "build", min_freq=2)
-    assert vocab.id_of("a") != UNK
-    assert vocab.id_of("b") == UNK  # below the cutoff
-    assert vocab.id_of("c") == UNK
-
-
 def test_empty_corpus_rejected(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("\n\n", encoding="utf-8")

@@ -5,15 +5,13 @@ reward traces) and `oracle_teacher_forced_log_probs` (the batched MLE and
 policy-gradient pass) are kept here as they were written before the merge.
 Every comparison of sampled traces and of log-probs is exact: tokens,
 features, predictions and the log-probs of real tokens (teacher forcing
-computes no padded pair; those entries read 0.0). Gradients are exact
+returns only the real pairs). Gradients are exact
 except where teacher forcing now sums over all steps in one product
 (TIME_SUMMED below) or runs a packed step's backward over fewer rows
 (INITIAL_STATE). A forced trace reads every prefix from
 `prefix_features`, whose products run over many rows, so its features and
 predictions are compared to 1e-14 relative.
 """
-
-import functools
 
 import numpy as np
 import pytest
@@ -25,8 +23,8 @@ from gmgan.encoder import (EncoderParams, ModelProfile, encode_batch, pad_rows,
 from gmgan.errors import ContractError, DimensionError
 from gmgan.generator import (GenerationTrace, GeneratorParams, _draw,
                              gated_logits, initial_hidden, mle_loss,
-                             sample_sequence, teacher_force_trace,
-                             teacher_forced_log_probs)
+                             sample_sequence, scored_tokens,
+                             teacher_force_trace, teacher_forced_log_probs)
 from gmgan.guider import GuiderParams, guider_step, initial_state
 
 TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
@@ -74,10 +72,10 @@ def oracle_sample(init, gen, gui, enc, rng, mode, label):
                          label, enc.profile.max_len, choose)
 
 
-def oracle_force(sentence, gen, gui, enc, label):
+def oracle_force(sentence, gen, gui, enc):
     with ad.no_grad():
         init = encode_one([BOS] + list(sentence), enc)
-    return oracle_decode(init, gen, gui, enc, label, len(sentence),
+    return oracle_decode(init, gen, gui, enc, None, len(sentence),
                          lambda t, logits: sentence[t])
 
 
@@ -102,8 +100,11 @@ def oracle_teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     rows_t = np.full_like(full_rows, PAD)
     for t in range(t_max):
         rows_t[:, : t + 1] = full_rows[:, : t + 1]
-        f_t = (encode_batch(rows_t, enc, stop_gradient=True) if known is None
-               else ad.constant(known[t]))
+        if known is None:
+            with ad.no_grad():
+                f_t = encode_batch(rows_t, enc)
+        else:
+            f_t = ad.constant(known[t])
         with ad.no_grad():
             pred, gui_state = guider_step(gui_state, f_t, gui)
         logp = ad.log_softmax(gated_logits(dec_h, pred.detach(), gen))
@@ -167,18 +168,15 @@ def test_sampled_traces_equal_oracle(profile, vocab_size, n, mode, labelled):
         assert ends == {"eos-only", "max-len", "eos"}
 
 
-@pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
 @pytest.mark.parametrize("profile,vocab_size,n", CASES, ids=["tiny", "desk"])
-def test_forced_traces_equal_oracle(profile, vocab_size, n, labelled):
-    enc, gen, gui = build(profile, vocab_size, labelled, seed=31)
+def test_forced_traces_equal_oracle(profile, vocab_size, n):
+    enc, gen, gui = build(profile, vocab_size, False, seed=31)
     rng = np.random.default_rng(32)
     for k in range(n):
         sent = random_sentence(rng, vocab_size, profile.max_len,
                                eos=k % 5 != 0)
-        label = k % 2 if labelled else None
-        assert_traces_equal(teacher_force_trace(sent, enc, gen, gui, label),
-                            oracle_force(sent, gen, gui, enc, label),
-                            rel=1e-14)
+        assert_traces_equal(teacher_force_trace(sent, enc, gen, gui),
+                            oracle_force(sent, gen, gui, enc), rel=1e-14)
 
 
 @pytest.mark.parametrize("stop", ["eos-only", "max-len"])
@@ -190,7 +188,8 @@ def test_stopping_rules_equal_oracle(stop):
         gen.action_mask.values[EOS] = -1e30   # EOS can never be drawn
     init = np.random.default_rng(42).normal(size=TINY.feature_dim)
     for mode in ("sample", "greedy"):
-        got = sample_sequence(init, gen, gui, enc, seed=5, mode=mode)
+        got = sample_sequence(init, gen, gui, enc, np.random.default_rng(5),
+                              mode=mode)
         want = oracle_sample(init, gen, gui, enc, np.random.default_rng(5),
                              mode, None)
         assert_traces_equal(got, want)
@@ -199,7 +198,8 @@ def test_stopping_rules_equal_oracle(stop):
 
 
 def grads_after(run, tensors):
-    """(log-probs, every tensor's gradient) of one backward through run()."""
+    """(log-probs, every tensor's gradient) of one backward through run(),
+    which returns the (B, T) log-prob values and the loss."""
     for _, t in tensors:
         t.zero_grad()
     with ad.tape():
@@ -208,7 +208,7 @@ def grads_after(run, tensors):
     grads = [None if t.grad is None else t.grad.copy() for _, t in tensors]
     for _, t in tensors:
         t.zero_grad()
-    return logp.values, grads
+    return logp, grads
 
 
 # Parameters whose gradient the time-batched, packed pass sums in another
@@ -253,27 +253,37 @@ def test_teacher_forced_batch_equals_oracle(profile, vocab_size, batch, init,
         t_max = max(len(s) for s in sents)
         real = np.arange(t_max) < np.array([len(s) for s in sents])[:, None]
         # padded pairs are not computed, so they carry no weight
-        weights = ad.constant(rng.normal(size=(batch, t_max)) * real)
+        weights = rng.normal(size=(batch, t_max)) * real
+        pairs = []
 
-        def loss(fn):
-            def run():
-                out = fn(sents, enc, gen, gui, labels=labels,
-                         init_features=init_feats)
-                return out[0], ad.tsum(ad.mul(out[0], weights))
-            return run
+        def forced():   # the packed pairs, scattered to the oracle's layout
+            logp, rows, steps = teacher_forced_log_probs(
+                sents, enc, gen, gui, labels=labels, init_features=init_feats)
+            pairs.append(list(zip(rows.tolist(), steps.tolist())))
+            mat = np.zeros((batch, t_max))
+            mat[rows, steps] = logp.values
+            return mat, ad.tsum(ad.mul(logp, ad.constant(weights[rows,
+                                                                 steps])))
 
-        oracle = oracle_teacher_forced_log_probs
-        if profile is TINY:
-            # TINY's products are not row-subset exact (tests/test_encoder.py
-            # bounds prefix_features there), so the oracle reads the same
-            # features; at DESK it encodes every prefix itself
-            rows = pad_rows([[BOS] + s for s in sents], profile.pad_width)
-            oracle = functools.partial(
-                oracle, known=prefix_features(rows, enc, t_max))
-        got, got_grads = grads_after(loss(teacher_forced_log_probs), tensors)
-        want, want_grads = grads_after(loss(oracle), tensors)
+        # TINY's products are not row-subset exact (tests/test_encoder.py
+        # bounds prefix_features there), so the oracle reads the same
+        # features; at DESK it encodes every prefix itself
+        known = (prefix_features(pad_rows([[BOS] + s for s in sents],
+                                          profile.pad_width), enc, t_max)
+                 if profile is TINY else None)
+
+        def oracle():
+            logp = oracle_teacher_forced_log_probs(
+                sents, enc, gen, gui, labels=labels, init_features=init_feats,
+                known=known)[0]
+            return logp.values, ad.tsum(ad.mul(logp, ad.constant(weights)))
+
+        got, got_grads = grads_after(forced, tensors)
+        want, want_grads = grads_after(oracle, tensors)
+        # each real (row, step) pair exactly once, and no padded one
+        assert sorted(pairs[0]) == [tuple(p) for p in np.argwhere(real)]
+        assert (~real).any()
         assert np.array_equal(got[real], want[real])
-        assert not got[~real].any() and (~real).any()
         for (name, _), a, b in zip(tensors, got_grads, want_grads):
             assert (a is None) == (b is None), name
             if a is None:
@@ -287,20 +297,22 @@ def test_teacher_forced_batch_equals_oracle(profile, vocab_size, batch, init,
 
 
 def test_batch_with_empty_sentences_scores_as_before():
-    # an empty sentence never steps: its row reads 0.0 and adds nothing to
-    # the loss, as its all-PAD row did when padded pairs were computed
+    # an empty sentence never steps: it has no pair and adds nothing to the
+    # loss, as its all-PAD row did when padded pairs were computed
     enc, gen, gui = build(DESK, 40, False, seed=55)
     rng = np.random.default_rng(56)
     sents = [[], random_sentence(rng, 40, DESK.max_len), [],
              random_sentence(rng, 40, DESK.max_len), [EOS]]
     with ad.no_grad():
-        got, mask = teacher_forced_log_probs(sents, enc, gen, gui)
-        want, _ = oracle_teacher_forced_log_probs(sents, enc, gen, gui)
+        got, rows, steps = teacher_forced_log_probs(sents, enc, gen, gui)
+        want, tgt = oracle_teacher_forced_log_probs(sents, enc, gen, gui)
         loss = mle_loss(sents, enc, gen, gui).item()
-    real = np.arange(got.shape[1]) < np.array([len(s) for s in sents])[:, None]
-    assert np.array_equal(got.values[real], want.values[real])
-    assert not got.values[~real].any() and not mask[[0, 2]].any()
-    assert loss == -float((want.values * mask).sum()) / mask.sum()
+    mask = scored_tokens(tgt)
+    assert sorted(set(rows.tolist())) == [1, 3, 4]
+    assert len(rows) == sum(len(s) for s in sents)
+    assert np.array_equal(got.values, want.values[rows, steps])
+    # mle_loss sums the scored pairs in packed order
+    assert loss == -float((want.values * mask)[rows, steps].sum()) / mask.sum()
     with pytest.raises(DimensionError):   # no sentence has a step
         teacher_forced_log_probs([[], []], enc, gen, gui)
 
@@ -333,5 +345,7 @@ def test_teacher_forcing_refuses_mid_sentence_eos_and_overlong_input():
     with pytest.raises(DimensionError):
         teacher_force_trace([4] * (TINY.max_len + 1), enc, gen, gui)
     with pytest.raises(DimensionError):
-        sample_sequence(np.zeros(TINY.feature_dim), gen, gui, enc, seed=0,
-                        max_len=0)
+        sample_sequence(np.zeros(TINY.feature_dim), gen, gui, enc,
+                        np.random.default_rng(0), max_len=0)
+    with pytest.raises(ContractError):   # sampling draws from an rng
+        sample_sequence(np.zeros(TINY.feature_dim), gen, gui, enc, None)

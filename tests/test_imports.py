@@ -143,3 +143,97 @@ def test_style_labels_live_in_the_guider_state():
     gone = {"RewardTrace", "initial_state_for_labels"}
     assert {name: gone & set(_names(tree)) for name, tree in trees.items()
             if gone & set(_names(tree))} == {}
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+# options with no program caller, each kept for a test that needs it
+UNCALLED_OPTIONS = {
+    ("sample_sequence", "max_len"):
+        "criterion 7's three-arm bandit samples one-token sentences",
+    ("pretrain_mle", "include_guider"):
+        "the reference run of test_trainer's run_gmgan equivalence test",
+    ("validation_mle_loss", "batch_size"):
+        "the chunk-weighting test needs chunks smaller than its corpus",
+}
+# options and methods removed because no program caller used them
+REMOVED = {
+    "conv1d": {"apply_relu"}, "init_matrix": {"scale_override"},
+    "encode_batch": {"stop_gradient"}, "mean_feature_norm": {"batch"},
+    "Adam": {"beta1", "beta2", "eps"}, "build_vocabulary": {"min_freq"},
+    "load_corpus": {"min_freq"}, "train_style_classifier": {"lr"},
+    "train_latent_probe": {"epochs", "lr", "batch_size"},
+    "sample_sequence": {"seed"}, "teacher_force_trace": {"label"},
+    "GrammarSpec": {"nonterminals"}, "BleuReport": {"from_json"},
+}
+
+
+def _signatures(tree):
+    """{callee name: (parameter names, [(name, position or None)] of the
+    parameters with a default)}. A method's positions skip self, and a
+    constructor is keyed by its class, which also lists its methods."""
+    out, parents = {}, {}
+    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        methods = [f for f in cls.body if isinstance(f, ast.FunctionDef)]
+        out[cls.name] = ({f.name for f in methods}, [])
+        parents.update((id(f), cls.name) for f in methods)
+    for func in [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+        a, bound = func.args, int(id(func) in parents)
+        pos = a.posonlyargs + a.args
+        first = len(pos) - len(a.defaults)
+        key = (parents[id(func)] if func.name == "__init__" and bound
+               else func.name)
+        names, defaulted = out.setdefault(key, (set(), []))
+        names.update(arg.arg for arg in pos + a.kwonlyargs)
+        defaulted += [(arg.arg, i - bound)
+                      for i, arg in enumerate(pos[first:], first)]
+        defaulted += [(arg.arg, None)
+                      for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+    return out
+
+
+def _call_arguments(tree):
+    """(callee name, positional count, keyword names) of every call; a
+    `cls(...)` or `super().__init__(...)` call names the class it builds,
+    and a *args or **kwargs call passes everything."""
+    builds = {}
+    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        for node in ast.walk(cls):
+            f = getattr(node, "func", None)
+            if isinstance(f, ast.Name) and f.id == "cls":
+                builds[id(node)] = [cls.name]
+            elif (isinstance(f, ast.Attribute) and f.attr == "__init__"
+                    and isinstance(f.value, ast.Call)
+                    and getattr(f.value.func, "id", None) == "super"):
+                builds[id(node)] = [b.id for b in cls.bases
+                                    if isinstance(b, ast.Name)]
+    for node in [n for n in ast.walk(tree) if isinstance(n, ast.Call)]:
+        f = node.func
+        spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                  or any(k.arg is None for k in node.keywords))
+        for name in builds.get(id(node), [getattr(f, "id", None)
+                                          or getattr(f, "attr", None)]):
+            yield (name, float("inf") if spread else len(node.args),
+                   {k.arg for k in node.keywords})
+
+
+def test_every_option_has_a_program_caller():
+    # an option that no code path sets is one more concept for one
+    # behaviour: each default-valued parameter is passed, by keyword or by
+    # position, somewhere in the package or the benchmark
+    callers = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for name, n_pos, keywords in _call_arguments(
+                ast.parse(path.read_text(encoding="utf-8"))):
+            callers.setdefault(name, []).append((n_pos, keywords))
+    signatures, uncalled = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for key, (names, defaulted) in _signatures(
+                ast.parse(path.read_text(encoding="utf-8"))).items():
+            signatures.setdefault(key, set()).update(names)
+            uncalled |= {(key, param) for param, i in defaulted
+                         if not any(param in kw or i is not None and n > i
+                                    for n, kw in callers.get(key, []))}
+    assert uncalled == set(UNCALLED_OPTIONS)
+    assert set(REMOVED) <= set(signatures)
+    back = {key: REMOVED[key] & signatures[key] for key in REMOVED}
+    assert not any(back.values()), back

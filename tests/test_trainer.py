@@ -67,6 +67,23 @@ def test_config_validation():
         tiny_config(rl_mix=1.5)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("lr_generator", float("nan"), "lr_generator must be finite"),
+    ("weight_entropy", float("inf"), "weight_entropy must be finite"),
+    ("baseline_momentum", 5.0, "baseline_momentum must lie in [0, 1]"),
+    ("baseline_momentum", -0.5, "baseline_momentum must lie in [0, 1]"),
+    ("rl_mix", True, "rl_mix must be 'ramp' or a float"),
+    ("soft_argmax_temperature", 0.0, "soft_argmax_temperature must be "
+                                     "positive"),
+], ids=["nan-lr", "inf-weight", "momentum-above-1", "negative-momentum",
+        "bool-rl-mix", "zero-temperature"])
+def test_config_refuses_non_finite_and_out_of_range_values(field, value,
+                                                           message):
+    with pytest.raises(ContractError) as err:
+        tiny_config(**{field: value})
+    assert message in str(err.value)
+
+
 def test_stream_rng_deterministic_and_separated():
     a = stream_rng(5, "mle_batch", 2).integers(1000, size=4)
     b = stream_rng(5, "mle_batch", 2).integers(1000, size=4)
@@ -264,7 +281,7 @@ def test_single_step_gradient_is_q_times_logp_grad():
     models = Models(len(vocab), config)
     trace = sample_sequence(np.abs(np.random.default_rng(1).normal(
         size=TINY.feature_dim)), models.generator, models.guider,
-        models.encoder, seed=5, max_len=1)
+        models.encoder, np.random.default_rng(5), max_len=1)
     assert trace.length == 1
     q = 0.7
     token = trace.tokens[0]
@@ -272,9 +289,9 @@ def test_single_step_gradient_is_q_times_logp_grad():
 
     def surrogate():
         from gmgan.generator import teacher_forced_log_probs
-        logp, _ = teacher_forced_log_probs(
+        logp = teacher_forced_log_probs(
             [[token]], models.encoder, models.generator, models.guider,
-            init_features=ad.reshape(init, (1, TINY.feature_dim)))
+            init_features=ad.reshape(init, (1, TINY.feature_dim)))[0]
         return ad.scale(ad.tsum(logp), -q)
 
     with ad.tape():
@@ -334,13 +351,13 @@ def test_three_arm_bandit_reinforce():
     def p_best():
         with ad.no_grad():
             trace = sample_sequence(init, models.generator, models.guider,
-                                    models.encoder, seed=0, mode="greedy",
+                                    models.encoder, None, mode="greedy",
                                     max_len=1)
             from gmgan.generator import teacher_forced_log_probs
-            logp, _ = teacher_forced_log_probs(
+            logp = teacher_forced_log_probs(
                 [[4]], models.encoder, models.generator, models.guider,
-                init_features=ad.constant(init.reshape(1, -1)))
-            return float(np.exp(logp.values[0, 0]))
+                init_features=ad.constant(init.reshape(1, -1)))[0]
+            return float(np.exp(logp.values[0]))
 
     p0 = p_best()
     p_final = None
