@@ -381,18 +381,6 @@ def exp(a):
     return out
 
 
-def log(a):
-    if np.any(a.values <= 0.0):
-        raise ContractError("log requires strictly positive values")
-    out = _fresh(np.log(a.values), "log")
-    tp = _track(a)
-    if tp:
-        def bw(g):
-            a.accumulate_grad(g / a.values)
-        tp.record(out, bw)
-    return out
-
-
 def softmax(a):
     """Row-wise (last axis) softmax with max-subtraction for stability."""
     if a.values.size == 0:
@@ -516,6 +504,13 @@ def pick(a, rows, cols):
             a.accumulate_grad(full)
         tp.record(out, bw)
     return out
+
+
+def cross_entropy(logp, labels):
+    """Mean negative log-probability of each row's label in a (B, C) tensor
+    of log-probabilities: the one classifier loss."""
+    n = logp.shape[0]
+    return scale(tsum(pick(logp, np.arange(n), labels)), -1.0 / n)
 
 
 # ---------------------------------------------------------------------------

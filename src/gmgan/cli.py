@@ -85,22 +85,24 @@ def _seed(default, name):
     return seed
 
 
-def _load_training_data(config, paths, data):
-    """Corpus from file or sampled from a grammar; returns
-    (train, val, vocab, grammar_or_None, labelled_pair_or_None)."""
+def _load_training_data(config, paths, data, vocab):
+    """Corpus from file or sampled from a grammar, encoded with `vocab` (a
+    checkpoint's: unknown words become UNK) or, if None, paths.vocab or the
+    data's own; returns (train, val, vocab, grammar_or_None,
+    labelled_pair_or_None)."""
     grammar = None
     if "grammar" in paths:
         grammar = GrammarSpec.load(paths["grammar"])
     if "corpus" in paths:
-        vocab = (Vocabulary.load(paths["vocab"]) if "vocab" in paths
-                 else "build")
-        sentences, vocab = load_corpus(paths["corpus"], vocab,
+        if vocab is None and "vocab" in paths:
+            vocab = Vocabulary.load(paths["vocab"])
+        sentences, vocab = load_corpus(paths["corpus"], vocab or "build",
                                        max_len=config.max_len)
         n_val = max(1, len(sentences) // 10)
         return (sentences[n_val:], sentences[:n_val], vocab, grammar, None)
     if grammar is None:
         raise ConfigError("config needs paths.corpus or paths.grammar")
-    vocab = grammar.vocabulary()
+    vocab = vocab or grammar.vocabulary()
     n_train = int(data.get("train_samples", 2000))
     n_val = int(data.get("val_samples", max(1, n_train // 10)))
     if config.style_mode:
@@ -182,8 +184,24 @@ def cmd_train(args):
     config = dataclasses.replace(config, seed=_seed(config.seed, "seed"))
     if args.stage == "style" and not config.style_mode:
         config = dataclasses.replace(config, style_mode=True)
+    vocab = None
+    if args.stage == "adversarial":
+        if not args.pretrained:
+            print("error: --stage adversarial requires --pretrained",
+                  file=sys.stderr)
+            return 2
+        # the checkpoint comes first: its vocabulary encodes the data
+        models, vocab, optimizers, _ = load_models(args.pretrained)
+        if not models.pretrained:
+            print("error: checkpoint was not pretrained", file=sys.stderr)
+            return 2
+        config = dataclasses.replace(models.config, **{
+            k: getattr(config, k) for k in
+            ("seed", "rl_epochs", "g_steps", "d_steps", "ablation", "rl_mix",
+             "eval_samples")})
+        optimizers = optimizers or Optimizers(models, config)
     train, val, vocab, grammar, labelled = _load_training_data(config, paths,
-                                                               data)
+                                                               data, vocab)
     out_dir = paths.get("out_dir", args.out_dir)
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -201,21 +219,7 @@ def cmd_train(args):
                 save_models(str(Path(out_dir) / "style.gmg"), models, vocab)
             return 0
 
-        if args.stage == "adversarial":
-            if not args.pretrained:
-                print("error: --stage adversarial requires --pretrained",
-                      file=sys.stderr)
-                return 2
-            models, vocab, optimizers, _ = load_models(args.pretrained)
-            if not models.pretrained:
-                print("error: checkpoint was not pretrained", file=sys.stderr)
-                return 2
-            config = dataclasses.replace(models.config, **{
-                k: getattr(config, k) for k in
-                ("rl_epochs", "g_steps", "d_steps", "ablation", "rl_mix",
-                 "eval_samples")})
-            optimizers = optimizers or Optimizers(models, config)
-        else:  # mle or all
+        if args.stage != "adversarial":  # mle or all
             models = Models(len(vocab), config)
             optimizers = Optimizers(models, config)
             pretrain_mle(train, val, models, config, optimizers=optimizers,

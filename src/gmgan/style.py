@@ -59,8 +59,7 @@ def _fit_cross_entropy(labelled, log_probs, opt, seed, domain, epochs,
             labels = np.array([labelled[i][1] for i in idx])
             with ad.tape():
                 logp = log_probs([labelled[i][0] for i in idx])
-                picked = ad.pick(logp, np.arange(len(idx)), labels)
-                loss = ad.scale(ad.tsum(picked), -1.0 / len(idx))
+                loss = ad.cross_entropy(logp, labels)
                 check_finite(loss)
                 ad.backward(loss)
             opt.step()
@@ -123,14 +122,13 @@ def probe_entropy(feats, probe):
 # soft-argmax transfer rollout
 # ---------------------------------------------------------------------------
 
-def soft_argmax_embedding(logits, table, temperature):
-    """Differentiable token selection: expected embedding under the
-    temperature-sharpened distribution. At temperature -> 0 this converges to
-    the embedding of the argmax token."""
+def soft_argmax(logits, temperature):
+    """Differentiable token selection: the temperature-sharpened distribution
+    over tokens. Times an embedding table it gives the expected embedding,
+    which converges to the argmax token's as temperature -> 0."""
     if temperature <= 0:
         raise ContractError("temperature must be positive")
-    soft = ad.softmax(ad.scale(logits, 1.0 / temperature))
-    return ad.matmul(soft, table)
+    return ad.softmax(ad.scale(logits, 1.0 / temperature))
 
 
 def soft_transfer_rollout(init_feats, target_labels, models, classifier,
@@ -162,10 +160,10 @@ def soft_transfer_rollout(init_feats, target_labels, models, classifier,
         logits = gated_logits(dec_h, pred, models.generator)
         alive_mask = ad.constant(np.repeat(alive[:, None], prof.embed_dim,
                                            axis=1))
-        soft_gen = ad.mul(soft_argmax_embedding(logits, models.generator.embedding,
-                                                tau), alive_mask)
-        soft_cls = ad.mul(soft_argmax_embedding(logits, classifier.embedding,
-                                                tau), alive_mask)
+        soft = soft_argmax(logits, tau)
+        soft_gen = ad.mul(ad.matmul(soft, models.generator.embedding),
+                          alive_mask)
+        soft_cls = ad.mul(ad.matmul(soft, classifier.embedding), alive_mask)
         cls_steps.append(ad.reshape(soft_cls, (n, 1, prof.embed_dim)))
         picked = logits.values.argmax(axis=1)
         if t + 1 < width:
@@ -180,9 +178,8 @@ def soft_transfer_rollout(init_feats, target_labels, models, classifier,
     pad_cols = width - len(cls_steps)
     cls_steps.append(ad.constant(np.zeros((n, pad_cols, prof.embed_dim))))
     cls_input = ad.concat(cls_steps, axis=1)
-    logp = ad.log_softmax(classifier.apply(cls_input))
-    return ad.scale(ad.tsum(ad.pick(logp, np.arange(n), target_labels)),
-                    -1.0 / n)
+    return ad.cross_entropy(ad.log_softmax(classifier.apply(cls_input)),
+                            target_labels)
 
 
 def transfer_greedy(source, target_label, models):

@@ -308,10 +308,10 @@ def _scored_rollouts(train_sentences, models, config, rng):
     init_idx = rng.integers(len(train_sentences), size=config.rollout_batch)
     traces = rollout_traces([train_sentences[k] for k in init_idx], models,
                             rng)
-    with ad.no_grad():
-        finals = score_batch(
+    with ad.no_grad():   # r_f: the probability of real, exp of its column
+        finals = np.exp(score_batch(
             [t.sentence(models.profile.max_len) for t in traces],
-            models.discriminator).values
+            models.discriminator).values[:, 1])
     return traces, [compute_reward_trace(t, float(finals[k]), config.c,
                                          config.gamma,
                                          config.discount_convention,

@@ -148,8 +148,6 @@ def test_criterion_1_gradient_correctness():
                      [a]),
             "exp": (lambda: ad.tsum(ad.exp(ad.scale(a, 0.3))),
                     lambda: float(np.exp(0.3 * a.values).sum()), [a]),
-            "log": (lambda: ad.tsum(ad.log(ad.exp(a))),
-                    lambda: float(a.values.sum()), [a]),
             "softmax": (lambda: ad.tsum(ad.mul(ad.softmax(m2), ad.constant(
                 np.ones((3, 5))))), lambda: 3.0, [m2]),
             "log_softmax": (lambda: ad.tsum(ad.mul(ad.log_softmax(m2),

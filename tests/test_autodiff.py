@@ -58,15 +58,16 @@ def test_debug_checks_catch_overflow():
 
 
 def test_debug_checks_name_the_op_of_a_nonfinite_gradient():
-    # log's backward divides by a subnormal conv output: the loss is finite,
-    # the gradient flowing into conv1d is not
+    # a subnormal conv output used twice and scaled by 1e308: the loss is
+    # finite, but the two 1e308 gradient terms flowing into conv1d sum to inf
     x = t(np.full((2, 5, 1), 1e-160), grad=True)
     kernel = t(np.full((3, 1), 1e-160), grad=True)
     bias = t(np.zeros(1), grad=True)
 
     def walk():
         with ad.tape() as tp:
-            loss = ad.tsum(ad.log(ad.conv1d(x, kernel, bias, 3, 1)))
+            c = ad.conv1d(x, kernel, bias, 3, 1)
+            loss = ad.tsum(ad.scale(ad.add(c, c), 1e308))
             assert all(len(node) == 2 for node in tp.nodes)
             with np.errstate(over="ignore", invalid="ignore"):
                 ad.backward(loss)

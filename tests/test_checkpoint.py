@@ -397,3 +397,48 @@ def test_malformed_checkpoint_refused_with_exit_2(tmp_path, corrupt):
         load_models(path)
     assert main(["generate", "--checkpoint", str(path), "--num", "1",
                  "--out", str(tmp_path / "x.txt")]) == 2
+
+
+HEADER_BYTES = 20   # magic, version, payload length, crc32
+_FUZZ_RNG = np.random.default_rng(2024)
+# (kind, where, bit): a kept prefix length (negative counts from the end), a
+# header byte, or a payload position as a fraction of the payload
+FUZZ_CASES = (
+    [("truncate", n, None)
+     for n in (0, 3, 4, 8, 16, 19, 20, 21, 24, 1000, -4096, -8, -1)]
+    + [("header", i, i % 8) for i in range(HEADER_BYTES)]
+    + [("payload", float(f), int(b)) for f, b in zip(
+        _FUZZ_RNG.random(210), _FUZZ_RNG.integers(0, 8, size=210))])
+
+
+@pytest.fixture(scope="module")
+def checkpoint_with_optimizer_state(tmp_path_factory):
+    vocab, models = tiny_setup()
+    opt = Optimizers(models, models.config)
+    for _, t in models.generator_tensors():
+        t.grad = np.ones_like(t.values)
+    opt.generator.step()
+    path = tmp_path_factory.mktemp("fuzz") / "good.gmg"
+    save_models(path, models, vocab, optimizers=opt)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind,where,bit", FUZZ_CASES,
+                         ids=["%s-%d" % (case[0], i)
+                              for i, case in enumerate(FUZZ_CASES)])
+def test_damaged_checkpoint_exits_2_without_traceback(
+        checkpoint_with_optimizer_state, tmp_path, capsys, kind, where, bit):
+    raw = bytearray(checkpoint_with_optimizer_state)
+    if kind == "truncate":
+        raw = raw[:where]
+    else:
+        pos = (where if kind == "header" else HEADER_BYTES
+               + int(where * (len(raw) - HEADER_BYTES)))
+        raw[pos] ^= 1 << bit
+    path, out = tmp_path / "damaged.gmg", tmp_path / "x.txt"
+    path.write_bytes(bytes(raw))
+    assert main(["generate", "--checkpoint", str(path), "--num", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()

@@ -6,7 +6,9 @@ import pytest
 from gmgan import autodiff as ad
 from gmgan import cli
 from gmgan.cli import ConfigError, load_run_config, main
-from gmgan.corpus import EOS, desk_grammar, desk_style_grammar, sample_grammar
+from gmgan.checkpoint import load_models
+from gmgan.corpus import (EOS, desk_grammar, desk_style_grammar,
+                          sample_grammar, save_corpus)
 from gmgan.encoder import ModelProfile
 from gmgan.metrics import bleu_report
 from gmgan.trainer import TrainConfig
@@ -142,6 +144,52 @@ def test_adversarial_stage_from_checkpoint(tmp_path):
     assert main(["train", "--config", str(cfg), "--stage", "adversarial",
                  "--pretrained", str(tmp_path / "out" / "mle.gmg")]) == 0
     assert (tmp_path / "out" / "gmgan.gmg").exists()
+
+
+def write_corpus_config(tmp_path, extra_words=()):
+    """A config that reads its corpus from a file: desk_grammar sentences,
+    the first of them with `extra_words` appended."""
+    g = desk_grammar()
+    vocab = g.vocabulary()
+    corpus = tmp_path / "corpus.txt"
+    save_corpus(corpus, sample_grammar(g, 28, seed=3, vocab=vocab, max_len=9),
+                vocab)
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    lines[0] = " ".join([lines[0]] + list(extra_words))
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write_config(tmp_path, paths={"corpus": str(corpus),
+                                         "out_dir": str(tmp_path / "out")})
+
+
+def test_gmg_seed_reaches_the_adversarial_stage(tmp_path, monkeypatch):
+    # rollouts, batches and discriminator draws follow the run's seed, not
+    # the one stored in the checkpoint; the corpus does not depend on it
+    cfg = write_corpus_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 0
+    outputs = []
+    for seed in ("5", "6", "5"):
+        monkeypatch.setenv("GMG_SEED", seed)
+        assert main(["train", "--config", str(cfg), "--stage", "adversarial",
+                     "--pretrained", str(tmp_path / "out" / "mle.gmg")]) == 0
+        outputs.append((tmp_path / "out" / "gmgan.gmg").read_bytes())
+    assert outputs[0] == outputs[2]
+    assert outputs[0] != outputs[1]
+
+
+def test_adversarial_corpus_is_encoded_with_the_checkpoint_vocabulary(
+        tmp_path, capsys):
+    # words the checkpoint has never seen become UNK, not new ids past the
+    # end of its embedding table
+    cfg = write_corpus_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 0
+    mle = tmp_path / "out" / "mle.gmg"
+    cfg = write_corpus_config(tmp_path, extra_words=("zebra", "quokka"))
+    assert main(["train", "--config", str(cfg), "--stage", "adversarial",
+                 "--pretrained", str(mle)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _, before, _, _ = load_models(mle)
+    _, after, _, _ = load_models(tmp_path / "out" / "gmgan.gmg")
+    assert after.id_to_token == before.id_to_token
 
 
 def test_generate_deterministic_and_greedy(tmp_path):

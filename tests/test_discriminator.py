@@ -7,7 +7,7 @@ from gmgan import autodiff as ad
 from gmgan.corpus import EOS
 from gmgan.discriminator import (DiscriminatorParams, bce_loss, score_batch,
                                  train_step)
-from gmgan.encoder import ModelProfile
+from gmgan.encoder import ModelProfile, pad_rows
 from gmgan.errors import ContractError
 from gmgan.optim import Adam
 from helpers import check_grads, jiggle_params
@@ -23,16 +23,41 @@ def test_zero_params_score_half():
     params = tiny_disc()
     for _, t in params.tensors():
         t.values[:] = 0.0
-    assert score_batch([[4, 5, EOS]], params).values[0] == 0.5
+    logp = score_batch([[4, 5, EOS]], params).values
+    assert logp.shape == (1, 2)
+    assert np.array_equal(logp, np.full((1, 2), math.log(0.5)))
 
 
 def test_scores_in_open_interval():
+    # [fake, real] log-probabilities: each below 0, and their exps sum to 1
     params = tiny_disc(seed=1)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        s = score_batch([list(rng.integers(4, 12, size=5)) + [EOS]],
-                        params).values[0]
-        assert 0.0 < s < 1.0
+        logp = score_batch([list(rng.integers(4, 12, size=5)) + [EOS]],
+                           params).values[0]
+        assert np.all(logp < 0.0)
+        assert abs(np.exp(logp).sum() - 1.0) < 1e-15
+
+
+def test_saturated_logit_keeps_its_gradient():
+    # a logit of about 40 rounds sigmoid to exactly 1.0; the log-probabilities
+    # still give the exact softplus loss and a live gradient
+    params = tiny_disc()
+    params.mlp_b.values[:] = 40.0
+    real, fake = [[4, 5, EOS]], [[6, 7, EOS]]
+    with ad.no_grad():
+        x_real, x_fake = (float(params.apply_rows(pad_rows(
+            [s], TINY.pad_width)).values[0, 0]) for s in (real[0], fake[0]))
+    assert min(x_real, x_fake) > 37.0
+    with ad.tape():
+        loss = bce_loss(real, fake, params)
+        ad.backward(loss)
+    expected = (np.logaddexp(0.0, -x_real) + np.logaddexp(0.0, x_fake)) / 2
+    assert abs(loss.item() - expected) < 1e-12
+    # d loss / d bias = (sigmoid(x_fake) - (1 - sigmoid(x_real))) / 2
+    expected_grad = (1.0 / (1.0 + math.exp(-x_fake))
+                     - 1.0 / (1.0 + math.exp(x_real))) / 2
+    assert abs(params.mlp_b.grad[0] - expected_grad) < 1e-12
 
 
 def test_constant_half_scores_give_ln2():
@@ -89,8 +114,8 @@ def test_training_separates_and_saturates():
     # loss decreases over the first 50 steps on fixed separable batches
     assert losses[49] < losses[0]
     with ad.no_grad():
-        mean_real = float(score_batch(real, params).values.mean())
-        mean_fake = float(score_batch(fake, params).values.mean())
+        mean_real = float(np.exp(score_batch(real, params).values[:, 1]).mean())
+        mean_fake = float(np.exp(score_batch(fake, params).values[:, 1]).mean())
     assert mean_real - mean_fake > 0.4
     # saturated classifier: tiny loss, near-zero gradients
     assert losses[-1] < 1e-3

@@ -237,3 +237,52 @@ def test_every_option_has_a_program_caller():
     assert set(REMOVED) <= set(signatures)
     back = {key: REMOVED[key] & signatures[key] for key in REMOVED}
     assert not any(back.values()), back
+
+
+# autodiff functions that no program code calls, each kept for the tests
+AUTODIFF_TEST_ONLY = {
+    "sigmoid": "the composed-op LSTM oracle of tests/test_autodiff.py",
+    "tanh": "the composed-op LSTM oracle of tests/test_autodiff.py",
+    "slice_cols": "the composed-op LSTM oracle of tests/test_autodiff.py",
+    "set_debug_checks": "only tests switch the NaN/Inf checks on",
+}
+
+
+def _autodiff_calls(path):
+    """Names of the autodiff functions a file calls: as `ad.f` or
+    `autodiff.f`, or bare where autodiff defines or imports them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bare = {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "autodiff"
+            for a in node.names}
+    for node in ast.walk(tree):
+        f = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and f.value.id in ("ad", "autodiff")):
+            yield f.attr
+        elif isinstance(f, ast.Name) and (path.name == "autodiff.py"
+                                          or f.id in bare):
+            yield f.id
+
+
+def test_every_autodiff_function_has_a_program_caller():
+    # autodiff keeps an op only where the models need it, and every
+    # classifier loss is the one cross_entropy
+    tree = ast.parse((SRC / "autodiff.py").read_text(encoding="utf-8"))
+    public = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+              and not f.name.startswith("_")}
+    called = {name for path in sorted(SRC.glob("*.py"))
+              + sorted(PERFBENCH.glob("*.py"))
+              for name in _autodiff_calls(path)}
+    assert public - called == set(AUTODIFF_TEST_ONLY)
+    assert _callers("pick") == {"autodiff.py:cross_entropy",
+                                "generator.py:teacher_forced_log_probs"}
+    # numpy's log and the training log keep the name, so only autodiff's
+    # own definition is checked
+    assert "log" not in public
+    gone = {"_clamped", "_CLAMP", "soft_argmax_embedding"}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: gone & set(_names(t)) for name, t in trees.items()
+            if gone & set(_names(t))} == {}

@@ -10,7 +10,7 @@ from gmgan.encoder import ModelProfile, encode_batch, sentence_rows
 from gmgan.errors import ContractError
 from gmgan.style import (LatentProbe, check_binary_labels,
                          classifier_accuracy, probe_entropy,
-                         run_style_transfer, soft_argmax_embedding,
+                         run_style_transfer, soft_argmax,
                          soft_transfer_rollout, train_style_classifier,
                          transfer_greedy, unigram_precision)
 from gmgan.trainer import Models, TrainConfig
@@ -51,12 +51,12 @@ def test_soft_argmax_converges_to_hard_lookup():
     table = ad.constant(rng.normal(size=(9, 6)))
     logits = np.zeros(9)
     logits[3] = 1.0  # peaked distribution
-    soft = soft_argmax_embedding(ad.constant(logits.reshape(1, -1)), table,
-                                 temperature=1e-4)
+    soft = ad.matmul(soft_argmax(ad.constant(logits.reshape(1, -1)), 1e-4),
+                     table)
     hard = table.values[3]
     assert np.linalg.norm(soft.values.reshape(-1) - hard) < 1e-6
     with pytest.raises(ContractError):
-        soft_argmax_embedding(ad.constant(logits.reshape(1, -1)), table, 0.0)
+        soft_argmax(ad.constant(logits.reshape(1, -1)), 0.0)
 
 
 def test_classifier_learns_lexicon_split():
