@@ -12,7 +12,8 @@ reads new_cell's gradient; new_cell's entry only makes sure that the first
 fires when the cell alone received a gradient. Every gradient receives its
 terms in the order the composed generic ops gave them, so results are equal
 to theirs bit for bit (tests/test_autodiff.py keeps those compositions as
-oracles).
+oracles; the sigmoid, tanh and column-slice ops that only they use live in
+tests/helpers.py).
 
 lstm_cell also runs T steps whose inputs are all known, as in teacher
 forcing: x then holds every step's rows, one input product covers every
@@ -74,23 +75,10 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def size(self):
-        return self.values.size
-
     def item(self):
         if self.values.size != 1:
             raise DimensionError("item() requires a single-element tensor")
         return float(self.values.reshape(-1)[0])
-
-    def detach(self):
-        """A view of the same values that does not participate in backward."""
-        t = Tensor.__new__(Tensor)
-        t.values = self.values
-        t.requires_grad = False
-        t.grad = None
-        t._tape = None
-        return t
 
     def accumulate_grad(self, g):
         if self.grad is None:
@@ -348,28 +336,6 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a):
-    y = _sigmoid(a.values)
-    out = _fresh(y, "sigmoid")
-    tp = _track(a)
-    if tp:
-        def bw(g):
-            a.accumulate_grad(g * y * (1.0 - y))
-        tp.record(out, bw)
-    return out
-
-
-def tanh(a):
-    y = np.tanh(a.values)
-    out = _fresh(y, "tanh")
-    tp = _track(a)
-    if tp:
-        def bw(g):
-            a.accumulate_grad(g * (1.0 - y * y))
-        tp.record(out, bw)
-    return out
-
-
 def exp(a):
     y = np.exp(a.values)
     out = _fresh(y, "exp")
@@ -453,20 +419,6 @@ def concat(tensors, axis=0):
             for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
                 if t.requires_grad:
                     t.accumulate_grad(piece)
-        tp.record(out, bw)
-    return out
-
-
-def slice_cols(a, start, stop):
-    if a.values.ndim != 2:
-        raise DimensionError("slice_cols expects a 2-D tensor")
-    out = _fresh(np.ascontiguousarray(a.values[:, start:stop]), "slice_cols")
-    tp = _track(a)
-    if tp:
-        def bw(g):
-            full = np.zeros_like(a.values)
-            full[:, start:stop] = g
-            a.accumulate_grad(full)
         tp.record(out, bw)
     return out
 

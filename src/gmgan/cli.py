@@ -16,8 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_models, save_models
 from .corpus import (EOS, UNK, GrammarSpec, Vocabulary, load_corpus,
-                     save_corpus, sample_grammar, sample_grammar_styled,
-                     style_oracle)
+                     read_token_lines, save_corpus, sample_grammar,
+                     sample_grammar_styled, style_oracle)
 from .errors import CheckpointError, ContractError, TrainingDiverged
 from .generator import teacher_force_trace
 from .metrics import bleu_report, strip_eos, validity_rate
@@ -42,7 +42,7 @@ def load_run_config(path):
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:    # not UTF-8, or not JSON
         raise ConfigError("cannot read config %s: %s" % (path, e))
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -192,6 +192,10 @@ def cmd_train(args):
             return 2
         # the checkpoint comes first: its vocabulary encodes the data
         models, vocab, optimizers, _ = load_models(args.pretrained)
+        if models.guider.num_labels:
+            raise ConfigError("%s is a style checkpoint: the adversarial "
+                              "stage does not take style checkpoints"
+                              % args.pretrained)
         if not models.pretrained:
             print("error: checkpoint was not pretrained", file=sys.stderr)
             return 2
@@ -247,8 +251,10 @@ def cmd_generate(args):
     if args.num < 1:
         raise ConfigError("--num must be >= 1, got %d" % args.num)
     models, vocab, _, _ = load_models(args.checkpoint)
-    if args.label is not None and not models.guider.num_labels:
-        raise ConfigError("checkpoint is not a style model")
+    if ((args.label is not None or args.input is not None)
+            and not models.guider.num_labels):
+        raise ConfigError("%s is not a style checkpoint: generate takes no "
+                          "--label or --input" % args.checkpoint)
     if models.guider.num_labels:
         if args.label is None or args.input is None:
             raise ConfigError("%s is a style checkpoint: generate needs "
@@ -268,10 +274,8 @@ def cmd_generate(args):
 
 
 def cmd_eval(args):
-    with open(args.samples, encoding="utf-8") as f:
-        samples = [line.split() for line in f if line.strip()]
-    with open(args.references, encoding="utf-8") as f:
-        references = [line.split() for line in f if line.strip()]
+    samples = read_token_lines(args.samples)
+    references = read_token_lines(args.references)
     if len(samples) < 2:
         print("error: self-BLEU needs at least 2 samples", file=sys.stderr)
         return 2

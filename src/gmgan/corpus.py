@@ -8,6 +8,7 @@ scale.
 import json
 import math
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,6 +20,23 @@ NUM_SPECIALS = 4
 
 # nonterminal reserved for label-dependent word choice in style grammars
 STYLE_SLOT = "STYLE"
+
+
+@contextmanager
+def _reading(path):
+    """Report a file that is not UTF-8 text, not JSON, or JSON without the
+    keys or types a loader reads, as a ContractError that names it."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise ContractError("malformed file %s: %s%s" % (
+            path, "missing key " if isinstance(e, KeyError) else "", e)) from e
+
+
+def read_token_lines(path):
+    """The whitespace-split tokens of each non-blank line of a UTF-8 file."""
+    with _reading(path), open(path, encoding="utf-8") as f:
+        return [line.split() for line in f if line.strip()]
 
 
 class Vocabulary:
@@ -70,11 +88,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
+        with _reading(path), open(path, encoding="utf-8") as f:
             payload = json.load(f)
-        if payload.get("specials") != SPECIAL_TOKENS:
-            raise ContractError("vocabulary file has unexpected specials")
-        return cls(payload["tokens"])
+            if payload.get("specials") != SPECIAL_TOKENS:
+                raise ContractError("vocabulary file has unexpected specials")
+            return cls(payload["tokens"])
 
 
 def build_vocabulary(token_lines):
@@ -89,8 +107,7 @@ def load_corpus(path, vocab="build", max_len=25):
     string "build" to construct one that keeps every word of the file.
     Returns (sentences, vocabulary).
     """
-    with open(path, encoding="utf-8") as f:
-        lines = [line.split() for line in f if line.strip()]
+    lines = read_token_lines(path)
     if not lines:
         raise ContractError("corpus %r is empty" % (path,))
     if vocab == "build":
@@ -203,7 +220,7 @@ class GrammarSpec:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
+        with _reading(path), open(path, encoding="utf-8") as f:
             return cls.from_json(json.load(f))
 
     # -- sampling -----------------------------------------------------------

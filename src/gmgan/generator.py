@@ -185,7 +185,7 @@ def _targets(sentences):
 
 
 def sample_sequence(init_feature, gen, gui, enc, rng, mode="sample",
-                    style_label=None, max_len=None):
+                    style_label=None):
     """Roll out encode-prefix -> guider step -> gated distribution -> draw,
     until EOS or max_len, drawing from rng (None for a greedy decode)."""
     if mode not in ("sample", "greedy"):
@@ -194,9 +194,8 @@ def sample_sequence(init_feature, gen, gui, enc, rng, mode="sample",
         raise ContractError("sampling needs an rng")
     init = ad.constant(np.reshape(init_feature, (1, -1)))
     labels = None if style_label is None else np.array([style_label])
-    steps = enc.profile.max_len if max_len is None else max_len
-    tokens, features, predictions = decode(init, gen, gui, enc, labels, steps,
-                                           rng, mode)
+    tokens, features, predictions = decode(init, gen, gui, enc, labels,
+                                           enc.profile.max_len, rng, mode)
     return GenerationTrace(tokens[0].tolist(), [f[0] for f in features],
                            [p[0] for p in predictions], init.values[0].copy())
 
@@ -242,7 +241,7 @@ def teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     s0 = initial_hidden(init_features, gen)
     h0 = ad.gather_rows(s0, order)
     with ad.no_grad():
-        gui_state = initial_state(gui, h0.detach(),
+        gui_state = initial_state(gui, h0,
                                   None if labels is None else labels[order])
         pred = guider_step(gui_state, ad.constant(feats), gui,
                            batch_sizes=sizes)[0]

@@ -158,18 +158,3 @@ def guider_loss_batch(step_features, lengths, c, params, init_state):
                           batch_sizes=sizes)
     direct, direction = dual_cosines(target, pred, anchor)
     return ad.scale(ad.tsum(ad.add(direct, direction)), -1.0 / len(step))
-
-
-def objective_cosines(features, params, init_state, c):
-    """Mean of each cosine term separately (diagnostics / acceptance).
-
-    features are the (1, feature_dim) tensors f_0..f_T of one sequence.
-    """
-    if c < 1 or len(features) <= c:
-        raise ContractError("need c >= 1 and at least c+1 features")
-    feats = np.concatenate([f.values for f in features])
-    target, anchor = feats[c:], feats[:-c]
-    with ad.no_grad():
-        pred = guider_step(init_state, ad.constant(anchor), params)[0]
-        direct, direction = dual_cosines(target, pred, anchor)
-    return float(direct.values.mean()), float(direction.values.mean())

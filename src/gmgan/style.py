@@ -41,13 +41,6 @@ class StyleClassifierParams(TokenCNN):
                          final_relu=False)
 
 
-def classifier_accuracy(classifier, labelled):
-    rows = pad_rows([list(s) for s, _ in labelled], classifier.profile.pad_width)
-    with ad.no_grad():
-        pred = classifier.apply_rows(rows).values.argmax(axis=1)
-    return float(np.mean(pred == np.array([l for _, l in labelled])))
-
-
 def _fit_cross_entropy(labelled, log_probs, opt, seed, domain, epochs,
                       batch_size):
     """Minimise the mean cross-entropy of `log_probs(sentences) -> (B, 2)`

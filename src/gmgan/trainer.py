@@ -10,7 +10,6 @@ constants), and generator losses never push gradients into the encoder
 through the guider's inputs.
 """
 
-import copy
 import json
 import math
 import zlib
@@ -144,13 +143,6 @@ class Models:
         return (self.generator_tensors() + self.guider.tensors()
                 + self.discriminator.tensors())
 
-    def clone(self):
-        """Independent copy for paired runs; embedding sharing is preserved
-        because deepcopy memoizes the shared tensor."""
-        for _, t in self.all_tensors():
-            t.zero_grad()
-        return copy.deepcopy(self)
-
 
 class Optimizers:
     def __init__(self, models, config):
@@ -229,13 +221,14 @@ def _guider_phase(sentences, models, optimizers, config, epoch):
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def validation_mle_loss(sentences, models, batch_size=64):
-    """mle_loss over all sentences, computed in chunks; each chunk's mean is
-    weighted by its scored tokens, so the result matches one pooled batch."""
+def validation_mle_loss(sentences, models):
+    """mle_loss over all sentences, computed in chunks of 64; each chunk's
+    mean is weighted by its scored tokens, so the result matches one pooled
+    batch."""
     total, count = 0.0, 0
     with ad.no_grad():
-        for i in range(0, len(sentences), batch_size):
-            chunk = sentences[i:i + batch_size]
+        for i in range(0, len(sentences), 64):
+            chunk = sentences[i:i + 64]
             n_tokens = sum(int(scored_tokens(s).sum()) for s in chunk)
             total += mle_loss(chunk, models.encoder, models.generator,
                               models.guider).item() * n_tokens
@@ -244,8 +237,7 @@ def validation_mle_loss(sentences, models, batch_size=64):
 
 
 def pretrain_mle(train_sentences, val_sentences, models, config,
-                 optimizers=None, start_epoch=0, epochs=None,
-                 include_guider=True, log=None):
+                 optimizers=None, start_epoch=0, epochs=None, log=None):
     """Alternate generator MLE passes and guider dual-cosine passes.
 
     Returns the per-epoch history. Deterministic: batch order comes from
@@ -266,21 +258,17 @@ def pretrain_mle(train_sentences, val_sentences, models, config,
                                     rng):
             batch = [train_sentences[i] for i in idx]
             gen_losses.append(mle_step(batch, models, optimizers))
-        guider_loss_val = None
-        if include_guider:
-            guider_loss_val = _guider_phase(train_sentences, models,
-                                            optimizers, config, epoch)
         entry = {"epoch": epoch,
                  "train_loss": float(np.mean(gen_losses)),
-                 "guider_loss": guider_loss_val,
+                 "guider_loss": _guider_phase(train_sentences, models,
+                                              optimizers, config, epoch),
                  "val_loss": validation_mle_loss(val_sentences, models)}
         history.append(entry)
         if log is not None:
             log.write(json.dumps({"stage": "mle", **entry}) + "\n")
-    if include_guider:
-        for j in range(config.guider_extra_epochs):
-            _guider_phase(train_sentences, models, optimizers, config,
-                          start_epoch + epochs + j)
+    for j in range(config.guider_extra_epochs):
+        _guider_phase(train_sentences, models, optimizers, config,
+                      start_epoch + epochs + j)
     models.feature_norm = mean_feature_norm(train_sentences, models.encoder)
     models.pretrained = True
     return history

@@ -1,6 +1,12 @@
-"""Shared test utilities: the central finite-difference gradient oracle."""
+"""Shared test utilities: the central finite-difference gradient oracle, the
+ops of the composed-op LSTM oracle, the one-token rollout of the bandit
+tests and the per-term dual-cosine means of criterion 6."""
 
 import numpy as np
+
+from gmgan import autodiff as ad
+from gmgan.generator import GenerationTrace, decode
+from gmgan.guider import dual_cosines, guider_step
 
 
 def jiggle_params(named_tensors, rng, scale=0.05, keep_zero_rows=("embedding", 0)):
@@ -73,12 +79,64 @@ def check_grads(f, tensors, tol, h=1e-5, max_coords=None, rng=None):
         else:
             coords = range(n)
         fd, stable = fd_gradient(f, t, h=h, coords=coords)
-        ad = t.grad
+        grad = t.grad
         for i in np.atleast_1d(np.asarray(list(coords))):
             if not stable.reshape(-1)[i]:
                 continue
-            e = rel_err(ad.reshape(-1)[i], fd.reshape(-1)[i])
+            e = rel_err(grad.reshape(-1)[i], fd.reshape(-1)[i])
             worst = max(worst, e)
             assert e < tol, "grad mismatch at coord %d: ad=%r fd=%r (rel %g)" % (
-                i, ad.reshape(-1)[i], fd.reshape(-1)[i], e)
+                i, grad.reshape(-1)[i], fd.reshape(-1)[i], e)
     return worst
+
+
+# The composed-op LSTM oracle's ops, in autodiff's own op form. The sigmoid
+# is autodiff's, so the oracle's `==` comparisons stay exact.
+
+def _op(a, values, name, grad_of):
+    out = ad._fresh(values, name)
+    tp = ad._track(a)
+    if tp:
+        tp.record(out, lambda g: a.accumulate_grad(grad_of(g)))
+    return out
+
+
+def sigmoid(a):
+    y = ad._sigmoid(a.values)
+    return _op(a, y, "sigmoid", lambda g: g * y * (1.0 - y))
+
+
+def tanh(a):
+    y = np.tanh(a.values)
+    return _op(a, y, "tanh", lambda g: g * (1.0 - y * y))
+
+
+def slice_cols(a, start, stop):
+    def grad_of(g):
+        full = np.zeros_like(a.values)
+        full[:, start:stop] = g
+        return full
+    return _op(a, np.ascontiguousarray(a.values[:, start:stop]),
+               "slice_cols", grad_of)
+
+
+def one_token_trace(init_feature, models, rng):
+    """A one-step sampled rollout from one initial feature, traced as
+    sample_sequence traces its row."""
+    init = ad.constant(np.reshape(init_feature, (1, -1)))
+    tokens, features, predictions = decode(
+        init, models.generator, models.guider, models.encoder, None, 1, rng,
+        "sample")
+    return GenerationTrace(tokens[0].tolist(), [f[0] for f in features],
+                           [p[0] for p in predictions], init.values[0].copy())
+
+
+def objective_cosines(features, params, init_state, c):
+    """Mean of each dual-cosine term over one sequence, whose (1, F)
+    feature tensors f_0..f_T the guider reads from init_state."""
+    feats = np.concatenate([f.values for f in features])
+    target, anchor = feats[c:], feats[:-c]
+    with ad.no_grad():
+        pred = guider_step(init_state, ad.constant(anchor), params)[0]
+        direct, direction = dual_cosines(target, pred, anchor)
+    return float(direct.values.mean()), float(direction.values.mean())

@@ -12,7 +12,7 @@ from gmgan.errors import ContractError, DimensionError, TapeError
 from gmgan.generator import GeneratorParams, initial_hidden, mle_loss
 from gmgan.guider import GuiderParams, guider_step, initial_state
 from gmgan.trainer import Models, TrainConfig
-from helpers import check_grads, rel_err
+from helpers import check_grads, rel_err, sigmoid, slice_cols, tanh
 
 
 def t(values, grad=False):
@@ -209,10 +209,10 @@ def test_bias_broadcast_gradient():
     a = t(rng.normal(size=(4, 3)), grad=True)
     b = t(rng.normal(size=3), grad=True)
     with ad.tape():
-        loss = ad.tsum(ad.tanh(ad.add(a, b)))
+        loss = ad.tsum(ad.exp(ad.add(a, b)))
     ad.backward(loss)
     def forward():
-        return float(np.tanh(a.values + b.values).sum())
+        return float(np.exp(a.values + b.values).sum())
     check_grads(forward, [a, b], tol=1e-6)
 
 
@@ -423,12 +423,12 @@ def oracle_lstm_cell(x, hidden, cell, w_x, w_h, b, pre=None):
     z = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(hidden, w_h)), b)
     if pre is not None:
         pre.append((hidden, z))
-    i = ad.sigmoid(ad.slice_cols(z, 0, h_dim))
-    f = ad.sigmoid(ad.slice_cols(z, h_dim, 2 * h_dim))
-    o = ad.sigmoid(ad.slice_cols(z, 2 * h_dim, 3 * h_dim))
-    g = ad.tanh(ad.slice_cols(z, 3 * h_dim, 4 * h_dim))
+    i = sigmoid(slice_cols(z, 0, h_dim))
+    f = sigmoid(slice_cols(z, h_dim, 2 * h_dim))
+    o = sigmoid(slice_cols(z, 2 * h_dim, 3 * h_dim))
+    g = tanh(slice_cols(z, 3 * h_dim, 4 * h_dim))
     new_cell = ad.add(ad.mul(f, cell), ad.mul(i, g))
-    new_hidden = ad.mul(o, ad.tanh(new_cell))
+    new_hidden = ad.mul(o, tanh(new_cell))
     return new_hidden, new_cell
 
 
@@ -798,7 +798,7 @@ def test_sigmoid_equals_masked_formula():
     expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     expected[~pos] = ex / (1.0 + ex)
-    assert np.array_equal(ad.sigmoid(t(x)).values, expected)
+    assert np.array_equal(ad._sigmoid(x), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,14 +1054,6 @@ def test_walked_tape_is_freed_without_the_cyclic_gc():
     assert held < 2 * 8 * 10 ** 6   # x.grad; the products and their grads went
 
 
-def test_detach_blocks_gradient():
-    x = t(np.ones(3), grad=True)
-    with ad.tape():
-        loss = ad.tsum(ad.mul(x.detach(), x))
-    ad.backward(loss)
-    assert np.array_equal(x.grad, np.ones(3))  # only the tracked use
-
-
 def test_no_grad_suspends_recording():
     x = t(np.ones(3), grad=True)
     with ad.tape():
@@ -1109,16 +1101,17 @@ def test_every_op_matches_finite_differences_randomized():
         c = t(rng.normal(size=(4, 2)), grad=True)
         v = t(rng.normal(size=(1, 4)), grad=True)
         builders = {
-            "add": (lambda: ad.tsum(ad.tanh(ad.add(a, b))),
-                    lambda: float(np.tanh(a.values + b.values).sum()), [a, b]),
-            "sub": (lambda: ad.tsum(ad.tanh(ad.sub(a, b))),
-                    lambda: float(np.tanh(a.values - b.values).sum()), [a, b]),
+            "add": (lambda: ad.tsum(ad.exp(ad.scale(ad.add(a, b), 0.3))),
+                    lambda: float(np.exp(0.3 * (a.values + b.values)).sum()),
+                    [a, b]),
+            "sub": (lambda: ad.tsum(ad.exp(ad.scale(ad.sub(a, b), 0.3))),
+                    lambda: float(np.exp(0.3 * (a.values - b.values)).sum()),
+                    [a, b]),
             "mul": (lambda: ad.tsum(ad.mul(a, b)),
                     lambda: float((a.values * b.values).sum()), [a, b]),
-            "matmul": (lambda: ad.tsum(ad.tanh(ad.matmul(a, c))),
-                       lambda: float(np.tanh(a.values @ c.values).sum()), [a, c]),
-            "sigmoid": (lambda: ad.tsum(ad.sigmoid(a)),
-                        lambda: float((1 / (1 + np.exp(-a.values))).sum()), [a]),
+            "matmul": (lambda: ad.tsum(ad.exp(ad.scale(ad.matmul(a, c), 0.3))),
+                       lambda: float(np.exp(0.3 * (a.values @ c.values)).sum()),
+                       [a, c]),
             "exp": (lambda: ad.tsum(ad.exp(ad.scale(a, 0.3))),
                     lambda: float(np.exp(0.3 * a.values).sum()), [a]),
             "softmax": (lambda: ad.tsum(ad.mul(ad.softmax(a), b)),
@@ -1127,10 +1120,9 @@ def test_every_op_matches_finite_differences_randomized():
                        lambda: float(a.values[[0, 2, 2]].sum()), [a]),
             "pick": (lambda: ad.tsum(ad.pick(a, [0, 1, 2], [3, 0, 1])),
                      lambda: float(a.values[[0, 1, 2], [3, 0, 1]].sum()), [a]),
-            "slice": (lambda: ad.tsum(ad.tanh(ad.slice_cols(a, 1, 3))),
-                      lambda: float(np.tanh(a.values[:, 1:3]).sum()), [a]),
-            "concat": (lambda: ad.tsum(ad.tanh(ad.concat([a, b], axis=1))),
-                       lambda: float(np.tanh(np.concatenate(
+            "concat": (lambda: ad.tsum(ad.exp(ad.scale(
+                           ad.concat([a, b], axis=1), 0.3))),
+                       lambda: float(np.exp(0.3 * np.concatenate(
                            [a.values, b.values], axis=1)).sum()), [a, b]),
             "cosine": (lambda: ad.tsum(ad.row_cosine(v, t(np.ones((1, 4))))),
                        lambda: float(v.values.sum() /

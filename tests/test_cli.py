@@ -61,6 +61,44 @@ def test_malformed_config_exits_2(tmp_path, capsys, overrides):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("role,content", [
+    ("config", b"\xff\xfe{}"),
+    ("corpus", b"the cat sees a dog\n\xff\n"),
+    ("eval-samples", b"the cat sees a dog\n\xff\n"),
+    ("grammar", b'{"start": "S", "rules": ['),
+    ("vocab", b'{"tokens": ["cat", '),
+    ("vocab", b'["cat", "dog"]'),
+    ("eval-grammar", b'{"start": "S", "rules": ['),
+    ("rule-without-rhs", b'{"rules": [{"lhs": "S", "weight": 1.0}]}'),
+], ids=["config-not-utf8", "corpus-not-utf8", "eval-samples-not-utf8",
+        "grammar-truncated", "vocab-truncated", "vocab-not-an-object",
+        "eval-grammar-truncated",
+        "rule-without-rhs"])
+def test_malformed_input_file_exits_2_naming_it(tmp_path, capsys, role,
+                                                content):
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(content)
+    good = tmp_path / "good.txt"
+    good.write_text("the cat sees a dog\nthe dog sees a cat\n",
+                    encoding="utf-8")
+    if role.startswith("eval"):
+        argv = ["eval", "--references", str(good), "--samples",
+                str(bad if role == "eval-samples" else good)]
+        argv += ["--grammar", str(bad)] if role == "eval-grammar" else []
+    else:
+        paths = {"corpus": {"corpus": bad}, "vocab": {"corpus": good,
+                                                      "vocab": bad}}.get(
+            role, {"grammar": bad})
+        cfg = bad if role == "config" else write_config(tmp_path, paths={
+            **{k: str(v) for k, v in paths.items()},
+            "out_dir": str(tmp_path / "out")})
+        argv = ["train", "--config", str(cfg), "--stage", "mle"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(bad) in err
+
+
 def test_non_finite_learning_rate_exits_2_before_training(tmp_path, capsys):
     # JSON's NaN parses to a float; it must not reach the first epoch
     cfg = write_config(tmp_path, lr_generator=float("nan"))
@@ -125,6 +163,26 @@ def test_train_log_opens_with_header(tmp_path, monkeypatch):
 def test_adversarial_without_pretrain_exits_2(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--stage", "adversarial"]) == 2
+
+
+def test_adversarial_stage_refuses_style_checkpoint(tmp_path, capsys):
+    # refused on loading, before any data is sampled or log opened
+    from gmgan.checkpoint import save_models
+    vocab = desk_style_grammar().vocabulary()
+    models = cli.Models(len(vocab), TrainConfig(
+        profile=ModelProfile(**TINY_PROFILE), max_len=12, style_mode=True),
+        style_labels=2)
+    models.pretrained = True
+    ckpt = tmp_path / "style.gmg"
+    save_models(str(ckpt), models, vocab)
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--stage", "adversarial",
+                 "--pretrained", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ("is a style checkpoint: the adversarial stage does not take "
+            "style checkpoints" in err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_full_pipeline_and_reproducibility(tmp_path):
@@ -338,6 +396,19 @@ def test_generate_label_on_plain_checkpoint_exits_2(tmp_path):
     assert main(["generate", "--checkpoint", ckpt, "--label", "1",
                  "--input", str(src), "--num", "1",
                  "--out", str(tmp_path / "o.txt")]) == 2
+
+
+def test_generate_input_on_plain_checkpoint_exits_2(untrained_checkpoint,
+                                                    tmp_path, capsys):
+    src = tmp_path / "src.txt"
+    src.write_text("the cat sees a dog\n", encoding="utf-8")
+    out = tmp_path / "o.txt"
+    assert main(["generate", "--checkpoint", untrained_checkpoint,
+                 "--input", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "is not a style checkpoint" in err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

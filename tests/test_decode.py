@@ -22,7 +22,7 @@ from gmgan.encoder import (EncoderParams, ModelProfile, encode_batch, pad_rows,
                            prefix_features)
 from gmgan.errors import ContractError, DimensionError
 from gmgan.generator import (GenerationTrace, GeneratorParams, _draw,
-                             gated_logits, initial_hidden, mle_loss,
+                             decode, gated_logits, initial_hidden, mle_loss,
                              sample_sequence, scored_tokens,
                              teacher_force_trace, teacher_forced_log_probs)
 from gmgan.guider import GuiderParams, guider_step, initial_state
@@ -95,7 +95,7 @@ def oracle_teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
     dec_h = s0
     dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
     with ad.no_grad():
-        gui_state = initial_state(gui, s0.detach(), labels)
+        gui_state = initial_state(gui, ad.constant(s0.values), labels)
     cols = []
     rows_t = np.full_like(full_rows, PAD)
     for t in range(t_max):
@@ -107,7 +107,8 @@ def oracle_teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
             f_t = ad.constant(known[t])
         with ad.no_grad():
             pred, gui_state = guider_step(gui_state, f_t, gui)
-        logp = ad.log_softmax(gated_logits(dec_h, pred.detach(), gen))
+        logp = ad.log_softmax(gated_logits(dec_h, ad.constant(pred.values),
+                                           gen))
         cols.append(ad.reshape(ad.pick(logp, np.arange(n), tgt[:, t]), (n, 1)))
         emb = ad.gather_rows(gen.embedding, tgt[:, t])
         dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
@@ -344,8 +345,8 @@ def test_teacher_forcing_refuses_mid_sentence_eos_and_overlong_input():
         teacher_force_trace([], enc, gen, gui)
     with pytest.raises(DimensionError):
         teacher_force_trace([4] * (TINY.max_len + 1), enc, gen, gui)
-    with pytest.raises(DimensionError):
-        sample_sequence(np.zeros(TINY.feature_dim), gen, gui, enc,
-                        np.random.default_rng(0), max_len=0)
+    with pytest.raises(DimensionError):   # a decode runs 1..max_len steps
+        decode(ad.constant(np.zeros((1, TINY.feature_dim))), gen, gui, enc,
+               None, 0, np.random.default_rng(0), "sample")
     with pytest.raises(ContractError):   # sampling draws from an rng
         sample_sequence(np.zeros(TINY.feature_dim), gen, gui, enc, None)

@@ -6,8 +6,8 @@ from gmgan import guider as gui_mod
 from gmgan.encoder import ModelProfile
 from gmgan.errors import ContractError, DimensionError
 from gmgan.guider import (GuiderParams, guider_loss_batch, guider_step,
-                          initial_state, objective_cosines)
-from helpers import check_grads, rel_err
+                          initial_state)
+from helpers import check_grads, objective_cosines, rel_err
 from test_rewards import np_cos
 
 TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
@@ -290,12 +290,6 @@ def test_predict_ahead_oracle_indexing(monkeypatch):
                         lookup_step(seq, lambda k: seq[min(k + 2, 4)]))
     loss = gui_mod.guider_loss_batch(feats, lengths, 1, None, zero_init(1))
     assert loss.item() > -2.0 + 1e-6
-
-
-def test_objective_cosines_needs_lookahead_room():
-    feats = [feature(np.random.default_rng(17)) for _ in range(2)]
-    with pytest.raises(ContractError):
-        objective_cosines(feats, tiny_guider(), zero_init(), c=2)
 
 
 def test_objective_cosines_range():

@@ -61,15 +61,16 @@ MODULES = {path.stem for path in SRC.glob("*.py")} | {"ad"}
 
 
 def _scopes(tree):
-    """(name, node) of each top-level function and method; other top-level
-    statements are named <module>."""
+    """(name, node) of each top-level function and method; a class's bases
+    and other statements are named by the class, other top-level
+    statements <module>."""
     for top in tree.body:
         if isinstance(top, ast.FunctionDef):
             yield top.name, top
         elif isinstance(top, ast.ClassDef):
-            for f in top.body:
-                if isinstance(f, ast.FunctionDef):
-                    yield "%s.%s" % (top.name, f.name), f
+            for f in top.body + top.bases + top.decorator_list:
+                yield ("%s.%s" % (top.name, f.name)
+                       if isinstance(f, ast.FunctionDef) else top.name), f
         else:
             yield "<module>", top
 
@@ -96,8 +97,7 @@ def test_one_dual_cosine_and_one_sampling_loop():
     # dual cosine, and only sampling runs the decode loop
     assert _callers("row_cosine") == {"guider.py:dual_cosines"}
     assert _callers("dual_cosines") == {
-        "guider.py:guider_loss_batch", "guider.py:objective_cosines",
-        "rewards.py:feature_matching_reward"}
+        "guider.py:guider_loss_batch", "rewards.py:feature_matching_reward"}
     assert _callers("decode") == {"generator.py:sample_sequence"}
     # rewards.py takes no norm, dot product or cosine of its own
     rewards = list(ast.walk(ast.parse(
@@ -146,15 +146,6 @@ def test_style_labels_live_in_the_guider_state():
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"
-# options with no program caller, each kept for a test that needs it
-UNCALLED_OPTIONS = {
-    ("sample_sequence", "max_len"):
-        "criterion 7's three-arm bandit samples one-token sentences",
-    ("pretrain_mle", "include_guider"):
-        "the reference run of test_trainer's run_gmgan equivalence test",
-    ("validation_mle_loss", "batch_size"):
-        "the chunk-weighting test needs chunks smaller than its corpus",
-}
 # options and methods removed because no program caller used them
 REMOVED = {
     "conv1d": {"apply_relu"}, "init_matrix": {"scale_override"},
@@ -162,8 +153,9 @@ REMOVED = {
     "Adam": {"beta1", "beta2", "eps"}, "build_vocabulary": {"min_freq"},
     "load_corpus": {"min_freq"}, "train_style_classifier": {"lr"},
     "train_latent_probe": {"epochs", "lr", "batch_size"},
-    "sample_sequence": {"seed"}, "teacher_force_trace": {"label"},
+    "sample_sequence": {"seed", "max_len"}, "teacher_force_trace": {"label"},
     "GrammarSpec": {"nonterminals"}, "BleuReport": {"from_json"},
+    "pretrain_mle": {"include_guider"}, "validation_mle_loss": {"batch_size"},
 }
 
 
@@ -233,54 +225,91 @@ def test_every_option_has_a_program_caller():
             uncalled |= {(key, param) for param, i in defaulted
                          if not any(param in kw or i is not None and n > i
                                     for n, kw in callers.get(key, []))}
-    assert uncalled == set(UNCALLED_OPTIONS)
+    assert not uncalled, uncalled
     assert set(REMOVED) <= set(signatures)
     back = {key: REMOVED[key] & signatures[key] for key in REMOVED}
     assert not any(back.values()), back
 
 
-# autodiff functions that no program code calls, each kept for the tests
-AUTODIFF_TEST_ONLY = {
-    "sigmoid": "the composed-op LSTM oracle of tests/test_autodiff.py",
-    "tanh": "the composed-op LSTM oracle of tests/test_autodiff.py",
-    "slice_cols": "the composed-op LSTM oracle of tests/test_autodiff.py",
-    "set_debug_checks": "only tests switch the NaN/Inf checks on",
+# public names with no reference in a program path, each with its reason
+UNREFERENCED = {
+    "autodiff.set_debug_checks": "the public switch of the NaN/Inf checks, "
+                                 "which only tests turn on",
+}
+# names removed because only tests used them; a method named like a numpy
+# attribute (Tensor.size) takes numpy's uses for its own, so only this list
+# keeps it out
+REMOVED_NAMES = {
+    "autodiff.sigmoid", "autodiff.tanh", "autodiff.slice_cols",
+    "autodiff.Tensor.detach", "autodiff.Tensor.size",
+    "guider.objective_cosines", "style.classifier_accuracy",
+    "trainer.Models.clone",
 }
 
 
-def _autodiff_calls(path):
-    """Names of the autodiff functions a file calls: as `ad.f` or
-    `autodiff.f`, or bare where autodiff defines or imports them."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    bare = {a.asname or a.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and (node.module or "").split(".")[-1] == "autodiff"
-            for a in node.names}
+def _references(path, tree):
+    """(key, scope) of each reference a file makes. A top-level name is
+    keyed (module, name): bare where it is defined or imported, or as an
+    attribute of its module (`ad.exp`). Any other attribute, and each
+    dotted part of a string (the benchmark names what it wraps), is keyed
+    (None, name), as a method is."""
+    imported, modules = {}, {}
     for node in ast.walk(tree):
-        f = node.func if isinstance(node, ast.Call) else None
-        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                and f.value.id in ("ad", "autodiff")):
-            yield f.attr
-        elif isinstance(f, ast.Name) and (path.name == "autodiff.py"
-                                          or f.id in bare):
-            yield f.id
+        if isinstance(node, ast.ImportFrom):
+            parts = ["gmgan"] * (node.level > 0) + [
+                p for p in (node.module or "").split(".") if p]
+            for a in node.names:
+                if parts == ["gmgan"]:                # `from . import x`
+                    modules[a.asname or a.name] = a.name
+                elif parts[0] == "gmgan":
+                    imported[a.asname or a.name] = (parts[-1], a.name)
+    own = path.stem if path.parent == SRC else None
+    for scope, body in _scopes(tree):
+        for node in ast.walk(body):
+            if isinstance(node, ast.Name) and (own or node.id in imported):
+                yield imported.get(node.id, (own, node.id)), scope
+            elif isinstance(node, ast.Attribute):
+                yield (modules.get(getattr(node.value, "id", None)),
+                       node.attr), scope
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                yield from (((None, p), scope) for p in node.value.split("."))
 
 
-def test_every_autodiff_function_has_a_program_caller():
-    # autodiff keeps an op only where the models need it, and every
-    # classifier loss is the one cross_entropy
-    tree = ast.parse((SRC / "autodiff.py").read_text(encoding="utf-8"))
-    public = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
-              and not f.name.startswith("_")}
-    called = {name for path in sorted(SRC.glob("*.py"))
-              + sorted(PERFBENCH.glob("*.py"))
-              for name in _autodiff_calls(path)}
-    assert public - called == set(AUTODIFF_TEST_ONLY)
+def test_every_public_name_has_a_program_reference():
+    # src holds only what a program path uses: each public top-level
+    # function and class, and each non-dunder method, is referenced outside
+    # its own body somewhere in the package or the benchmark
+    defined, used = {}, {}
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = path.stem if path.parent == SRC else None
+        for key, scope in _references(path, tree):
+            used.setdefault(key, set()).add("%s.%s" % (own, scope))
+        for top in tree.body if own else []:
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and not top.name.startswith("_")):
+                defined["%s.%s" % (own, top.name)] = (own, top.name)
+        defined.update(("%s.%s" % (own, scope), (None, scope.split(".")[1]))
+                       for scope, _ in (_scopes(tree) if own else [])
+                       if "." in scope and not scope.endswith("__"))
+    unreferenced = {name for name, key in defined.items()
+                    if all(where == name or where.startswith(name + ".")
+                           for where in used.get(key, ()))}
+    assert unreferenced == set(UNREFERENCED)
+    assert not set(defined) & REMOVED_NAMES
+
+
+def test_every_classifier_loss_is_the_one_cross_entropy():
+    # pick serves only cross_entropy and teacher forcing; autodiff has no
+    # log of its own (numpy's log and the training log keep the name, so
+    # only autodiff's definitions are read) and the discriminator no
+    # clamped sigmoid
     assert _callers("pick") == {"autodiff.py:cross_entropy",
                                 "generator.py:teacher_forced_log_probs"}
-    # numpy's log and the training log keep the name, so only autodiff's
-    # own definition is checked
-    assert "log" not in public
+    tree = ast.parse((SRC / "autodiff.py").read_text(encoding="utf-8"))
+    assert "log" not in {f.name for f in tree.body
+                         if isinstance(f, ast.FunctionDef)}
     gone = {"_clamped", "_CLAMP", "soft_argmax_embedding"}
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}

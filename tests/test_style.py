@@ -6,10 +6,9 @@ import pytest
 from gmgan import autodiff as ad
 from gmgan import encoder, generator, style, trainer
 from gmgan.corpus import EOS, desk_style_grammar, sample_grammar_styled, style_oracle
-from gmgan.encoder import ModelProfile, encode_batch, sentence_rows
+from gmgan.encoder import ModelProfile, encode_batch, pad_rows, sentence_rows
 from gmgan.errors import ContractError
-from gmgan.style import (LatentProbe, check_binary_labels,
-                         classifier_accuracy, probe_entropy,
+from gmgan.style import (LatentProbe, check_binary_labels, probe_entropy,
                          run_style_transfer, soft_argmax,
                          soft_transfer_rollout, train_style_classifier,
                          transfer_greedy, unigram_precision)
@@ -63,7 +62,10 @@ def test_classifier_learns_lexicon_split():
     g, vocab, labelled, config = style_setup(n=120)
     clf = train_style_classifier(labelled, len(vocab), TINY, seed=3,
                                  epochs=4, batch_size=16)
-    assert classifier_accuracy(clf, labelled) > 0.9
+    rows = pad_rows([list(s) for s, _ in labelled], TINY.pad_width)
+    with ad.no_grad():
+        pred = clf.apply_rows(rows).values.argmax(axis=1)
+    assert np.mean(pred == [label for _, label in labelled]) > 0.9
 
 
 def test_soft_rollout_produces_gradients():

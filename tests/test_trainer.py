@@ -1,3 +1,4 @@
+import copy
 import platform
 import subprocess
 import sys
@@ -13,13 +14,13 @@ from gmgan import encoder, generator, style, trainer
 from gmgan.corpus import BOS, EOS, PAD, UNK, desk_grammar, sample_grammar
 from gmgan.encoder import ModelProfile, prefix_features, sentence_rows
 from gmgan.errors import ContractError
-from gmgan.generator import LOGIT_MASK, gated_logits, sample_sequence
+from gmgan.generator import LOGIT_MASK, gated_logits
 from gmgan.guider import guider_loss_batch, initial_state
 from gmgan.trainer import (Models, Optimizers, TrainConfig, mle_step,
                            policy_gradient_step, pretrain_mle, rollout_traces,
-                           run_gmgan, sample_from_noise, stream_rng,
-                           validation_mle_loss)
-from helpers import check_grads
+                           run_gmgan, sample_from_noise, shuffled_batches,
+                           stream_rng, validation_mle_loss)
+from helpers import check_grads, one_token_trace
 
 TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
 
@@ -92,10 +93,11 @@ def test_stream_rng_deterministic_and_separated():
     assert not np.array_equal(a, c)
 
 
-def test_models_clone_is_independent_and_keeps_sharing():
+def test_deepcopied_models_are_independent_and_keep_sharing():
+    # paired runs start from deep copies of one pretrained model
     _, vocab, _ = tiny_corpus()
     models = Models(len(vocab), tiny_config())
-    twin = models.clone()
+    twin = copy.deepcopy(models)
     assert twin.generator.embedding is twin.encoder.embedding
     twin.encoder.embedding.values[4, 0] += 1.0
     assert models.encoder.embedding.values[4, 0] != twin.encoder.embedding.values[4, 0]
@@ -279,9 +281,8 @@ def test_single_step_gradient_is_q_times_logp_grad():
     _, vocab, _ = tiny_corpus()
     config = tiny_config()
     models = Models(len(vocab), config)
-    trace = sample_sequence(np.abs(np.random.default_rng(1).normal(
-        size=TINY.feature_dim)), models.generator, models.guider,
-        models.encoder, np.random.default_rng(5), max_len=1)
+    trace = one_token_trace(np.abs(np.random.default_rng(1).normal(
+        size=TINY.feature_dim)), models, np.random.default_rng(5))
     assert trace.length == 1
     q = 0.7
     token = trace.tokens[0]
@@ -350,9 +351,6 @@ def test_three_arm_bandit_reinforce():
 
     def p_best():
         with ad.no_grad():
-            trace = sample_sequence(init, models.generator, models.guider,
-                                    models.encoder, None, mode="greedy",
-                                    max_len=1)
             from gmgan.generator import teacher_forced_log_probs
             logp = teacher_forced_log_probs(
                 [[4]], models.encoder, models.generator, models.guider,
@@ -362,9 +360,7 @@ def test_three_arm_bandit_reinforce():
     p0 = p_best()
     p_final = None
     for step in range(500):
-        traces = [sample_sequence(init, models.generator, models.guider,
-                                  models.encoder, rng=rng, max_len=1)
-                  for _ in range(8)]
+        traces = [one_token_trace(init, models, rng) for _ in range(8)]
         advs = [np.array([1.0 if t.tokens[0] == 4 else 0.0]) for t in traces]
         policy_gradient_step(traces, advs, models, opt)
         p_final = p_best()
@@ -393,15 +389,21 @@ def test_gmgan_with_zero_mix_matches_pretrain_continuation():
     base = Models(len(vocab), config)
     pretrain_mle(train, val, base, config)
 
-    run_a = base.clone()
+    run_a = copy.deepcopy(base)
     opt_a = Optimizers(run_a, config)
     hist_a = run_gmgan(train, val, run_a, config, optimizers=opt_a)
 
-    run_b = base.clone()
+    # the reference: two more MLE epochs without guider phases
+    run_b = copy.deepcopy(base)
     opt_b = Optimizers(run_b, config)
-    hist_b = pretrain_mle(train, val, run_b, config, optimizers=opt_b,
-                          start_epoch=config.mle_epochs, epochs=2,
-                          include_guider=False)
+    hist_b = []
+    for epoch in range(config.mle_epochs, config.mle_epochs + 2):
+        rng = stream_rng(config.seed, "mle_batch", epoch)
+        losses = [mle_step([train[i] for i in idx], run_b, opt_b)
+                  for idx in shuffled_batches(len(train), config.batch_size,
+                                              rng)]
+        hist_b.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
+                       "val_loss": validation_mle_loss(val, run_b)})
 
     for ea, eb in zip(hist_a, hist_b):
         assert ea["epoch"] == eb["epoch"]
@@ -445,15 +447,14 @@ def test_validation_loss_matches_mle_loss_on_single_batch():
     with ad.no_grad():
         direct = mle_loss(sents, models.encoder, models.generator,
                           models.guider).item()
-    assert abs(validation_mle_loss(sents, models, batch_size=64) - direct) < 1e-12
+    assert abs(validation_mle_loss(sents, models) - direct) < 1e-12
     # UNKs are not scored, so chunks must be weighted by their scored tokens
-    # for several chunks to agree with one pooled batch
-    with_unk = [list(s) for s in sents]
+    # for several chunks (of 64 sentences) to agree with one pooled batch
+    with_unk = [list(s) for s in tiny_corpus(n=100)[2]]
     for s in with_unk[::2]:
         s[0] = UNK
     with_unk[1][:2] = [UNK, UNK]
     with ad.no_grad():
         pooled = mle_loss(with_unk, models.encoder, models.generator,
                           models.guider).item()
-    assert abs(validation_mle_loss(with_unk, models, batch_size=3)
-               - pooled) < 1e-12
+    assert abs(validation_mle_loss(with_unk, models) - pooled) < 1e-12
