@@ -18,7 +18,7 @@ from .checkpoint import load_models, save_models
 from .corpus import (EOS, UNK, GrammarSpec, Vocabulary, load_corpus,
                      read_token_lines, save_corpus, sample_grammar,
                      sample_grammar_styled, style_oracle)
-from .errors import CheckpointError, ContractError, TrainingDiverged
+from .errors import CheckpointError, ContractError
 from .generator import teacher_force_trace
 from .metrics import bleu_report, strip_eos, validity_rate
 from .rewards import feature_matching_reward
@@ -181,6 +181,10 @@ def _make_evaluator(grammar, vocab, val_sentences, config):
 
 def cmd_train(args):
     config, paths, data = load_run_config(args.config)
+    if args.pretrained and args.stage != "adversarial":
+        raise ConfigError("--pretrained applies only to --stage adversarial")
+    if args.out_dir and "out_dir" in paths:
+        raise ConfigError("--out-dir and paths.out_dir are both set")
     config = dataclasses.replace(config, seed=_seed(config.seed, "seed"))
     if args.stage == "style" and not config.style_mode:
         config = dataclasses.replace(config, style_mode=True)
@@ -206,7 +210,7 @@ def cmd_train(args):
         optimizers = optimizers or Optimizers(models, config)
     train, val, vocab, grammar, labelled = _load_training_data(config, paths,
                                                                data, vocab)
-    out_dir = paths.get("out_dir", args.out_dir)
+    out_dir = args.out_dir or paths.get("out_dir")
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     log = _open_log(paths, out_dir, config)
@@ -379,7 +383,7 @@ def main(argv=None):
     except (ConfigError, ContractError, CheckpointError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (TrainingDiverged, FloatingPointError) as e:
+    except FloatingPointError as e:
         print("numerical failure: %s" % e, file=sys.stderr)
         return 3
 

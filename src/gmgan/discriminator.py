@@ -39,9 +39,4 @@ def bce_loss(real_batch, fake_batch, params):
 
 def train_step(real_batch, fake_batch, params, optimizer):
     """One Adam step on the discriminator; returns the scalar loss value."""
-    with ad.tape():
-        loss = bce_loss(real_batch, fake_batch, params)
-        ad.backward(loss)
-    optimizer.step()
-    optimizer.zero_grad()
-    return loss.item()
+    return optimizer.minimize(lambda: bce_loss(real_batch, fake_batch, params))

@@ -15,7 +15,3 @@ class TapeError(RuntimeError):
 
 class CheckpointError(RuntimeError):
     """Checkpoint file is corrupt, truncated, or from an unknown version."""
-
-
-class TrainingDiverged(RuntimeError):
-    """A training loss became non-finite."""

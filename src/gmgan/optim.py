@@ -1,6 +1,9 @@
-"""Adam optimizer over named parameter groups."""
+"""Adam optimizer over named parameter groups; `Adam.minimize` is every
+training step."""
 
 import numpy as np
+
+from . import autodiff as ad
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -46,9 +49,18 @@ class Adam:
             v += (1.0 - BETA2) * g * g
             p.values -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
-    def zero_grad(self):
+    def minimize(self, loss_fn):
+        """One training step: records `loss_fn()` on a fresh tape,
+        backpropagates it, updates this group and clears its gradients;
+        returns the loss value. A non-finite loss raises FloatingPointError
+        (from `ad.backward`) before any parameter or moment moves."""
+        with ad.tape():
+            loss = loss_fn()
+            ad.backward(loss)
+        self.step()
         for _, p in self.named_params:
             p.zero_grad()
+        return loss.item()
 
     def state_arrays(self):
         """Named arrays for checkpointing (moments plus the step counter)."""

@@ -20,8 +20,8 @@ from .generator import gated_logits, initial_hidden, mle_loss, sample_sequence
 from .guider import guider_step, initial_state
 from .metrics import ngrams, strip_eos
 from .optim import Adam
-from .trainer import (Optimizers, check_finite, guider_update, mle_step,
-                      shuffled_batches, stream_rng)
+from .trainer import (Optimizers, guider_update, mle_step, shuffled_batches,
+                      stream_rng)
 
 
 def check_binary_labels(labelled):
@@ -49,14 +49,9 @@ def _fit_cross_entropy(labelled, log_probs, opt, seed, domain, epochs,
     for epoch in range(epochs):
         rng = stream_rng(seed, domain, epoch)
         for idx in shuffled_batches(len(labelled), batch_size, rng):
-            labels = np.array([labelled[i][1] for i in idx])
-            with ad.tape():
-                logp = log_probs([labelled[i][0] for i in idx])
-                loss = ad.cross_entropy(logp, labels)
-                check_finite(loss)
-                ad.backward(loss)
-            opt.step()
-            opt.zero_grad()
+            opt.minimize(lambda: ad.cross_entropy(
+                log_probs([labelled[i][0] for i in idx]),
+                np.array([labelled[i][1] for i in idx])))
 
 
 def train_style_classifier(labelled, vocab_size, profile, seed, epochs=4,
@@ -249,6 +244,8 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
             log.write(json.dumps(entry) + "\n")
 
     probe = train_latent_probe(labelled_train, models, config.seed)
+    for _, t in classifier.tensors() + probe.tensors():
+        t.requires_grad = False      # fitted: the joint losses only read them
     models.feature_norm = mean_feature_norm(sentences, models.encoder)
     models.pretrained = True
 
@@ -259,8 +256,8 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
                                     rng):
             batch = [sentences[i] for i in idx]
             labs = np.array([labels_all[i] for i in idx])
-            flipped = 1 - labs
-            with ad.tape():
+
+            def joint_loss():
                 # the sources, encoded once; all three losses train the
                 # encoder through these features
                 feats = encode_batch(sentence_rows(batch,
@@ -269,20 +266,18 @@ def run_style_transfer(labelled_train, labelled_val, models, config,
                 rec = mle_loss(batch, models.encoder, models.generator,
                                models.guider, labels=labs,
                                init_features=feats)
-                cls_loss = soft_transfer_rollout(feats, flipped, models,
+                cls_loss = soft_transfer_rollout(feats, 1 - labs, models,
                                                  classifier, config)
                 ent = probe_entropy(feats, probe)
-                total = ad.add(
+                stats["rec"].append(rec.item())
+                stats["cls"].append(cls_loss.item())
+                stats["ent"].append(ent.item())
+                return ad.add(
                     ad.add(ad.scale(rec, config.weight_reconstruction),
                            ad.scale(cls_loss, config.weight_classifier)),
                     ad.scale(ent, -config.weight_entropy))
-                check_finite(total)
-                ad.backward(total)
-            optimizers.generator.step()
-            optimizers.zero_all()
-            stats["rec"].append(rec.item())
-            stats["cls"].append(cls_loss.item())
-            stats["ent"].append(ent.item())
+
+            optimizers.generator.minimize(joint_loss)
         _style_guider_phase(labelled_train, models, optimizers, config,
                             config.mle_epochs + epoch)
         entry = {"stage": "style_joint", "epoch": epoch,

@@ -4,10 +4,13 @@ feature-matching rewards, and the full adversarial loop.
 Parameter groups are disjoint: the generator group owns the encoder, the
 shared embedding, the decoder side and the initial-state projection; the
 guider group owns the guider LSTM and head; the discriminator owns itself.
-The guider trains only on its own dual-cosine objective and is held fixed
-while the generator updates (its predictions enter generator losses as
-constants), and generator losses never push gradients into the encoder
-through the guider's inputs.
+Every update is one `Adam.minimize` on one group, which clears only that
+group's gradients, so no loss may reach a tensor of another group. The
+guider trains only on its own dual-cosine objective and runs under
+`no_grad` while the generator updates (its predictions enter generator
+losses as constants), and generator losses never push gradients into the
+encoder through the guider's inputs. The style classifier and latent probe
+are frozen by `requires_grad` once fitted.
 """
 
 import json
@@ -23,7 +26,7 @@ from .discriminator import DiscriminatorParams, score_batch, train_step
 from .encoder import (EncoderParams, ModelProfile, draw_initial_noise,
                       encode_batch, get_profile, mean_feature_norm,
                       prefix_features, sentence_rows)
-from .errors import ContractError, TrainingDiverged
+from .errors import ContractError
 from .generator import (GeneratorParams, initial_hidden, mle_loss,
                         sample_sequence, scored_tokens,
                         teacher_forced_log_probs)
@@ -154,19 +157,6 @@ class Optimizers:
                                   lr=config.lr_discriminator,
                                   frozen_rows={"discriminator.embedding": [PAD]})
 
-    def zero_all(self):
-        self.generator.zero_grad()
-        self.guider.zero_grad()
-        self.discriminator.zero_grad()
-
-
-def check_finite(loss):
-    """The loss value; raises TrainingDiverged when it is not finite."""
-    val = loss.item()
-    if not math.isfinite(val):
-        raise TrainingDiverged("loss became %r" % (val,))
-    return val
-
 
 def shuffled_batches(n, batch_size, rng):
     """Index batches covering range(n) once, in an rng-drawn order."""
@@ -176,14 +166,8 @@ def shuffled_batches(n, batch_size, rng):
 
 def mle_step(batch, models, optimizers, labels=None):
     """One generator update on the teacher-forced MLE loss; returns the loss."""
-    with ad.tape():
-        loss = mle_loss(batch, models.encoder, models.generator, models.guider,
-                        labels=labels)
-        val = check_finite(loss)
-        ad.backward(loss)
-    optimizers.generator.step()
-    optimizers.zero_all()
-    return val
+    return optimizers.generator.minimize(lambda: mle_loss(
+        batch, models.encoder, models.generator, models.guider, labels=labels))
 
 
 def guider_update(batch, models, optimizers, c, labels=None):
@@ -199,16 +183,12 @@ def guider_update(batch, models, optimizers, c, labels=None):
     # feats[-1] are its whole feature
     rows = sentence_rows(batch, models.profile.pad_width)
     feats = prefix_features(rows, models.encoder, lengths.max() + 1)
-    with ad.tape():   # label_init, in style mode, trains with the guider
-        with ad.no_grad():
-            hidden = initial_hidden(ad.constant(feats[-1]), models.generator)
-        init = initial_state(models.guider, hidden, labels)
-        loss = guider_loss_batch(feats, lengths, c, models.guider, init)
-        val = check_finite(loss)
-        ad.backward(loss)
-    optimizers.guider.step()
-    optimizers.zero_all()
-    return val
+    hidden = initial_hidden(ad.constant(feats[-1]), models.generator)
+    # off the tape, hidden is a constant; label_init, in style mode, trains
+    # with the guider
+    return optimizers.guider.minimize(lambda: guider_loss_batch(
+        feats, lengths, c, models.guider,
+        initial_state(models.guider, hidden, labels)))
 
 
 def _guider_phase(sentences, models, optimizers, config, epoch):
@@ -342,8 +322,9 @@ def policy_gradient_step(traces, advantages, models, optimizers,
     token_batch = [t.tokens for t in traces]
     init_feats = ad.constant(np.stack([t.init_feature for t in traces]))
 
-    stats = {}
-    with ad.tape():
+    stats = {"skipped": False}
+
+    def loss():
         logp, rows, steps = teacher_forced_log_probs(
             token_batch, models.encoder, models.generator, models.guider,
             init_features=init_feats)
@@ -355,20 +336,16 @@ def policy_gradient_step(traces, advantages, models, optimizers,
         pg = ad.scale(ad.tsum(ad.mul(logp, ad.constant(weights))),
                       -1.0 / lengths.sum())
         stats["pg_loss"] = pg.item()
-        if mle_batch is not None and lam < 1.0:
-            mle = mle_loss(mle_batch, models.encoder, models.generator,
-                           models.guider)
-            stats["mle_loss"] = mle.item()
-            total = ad.add(ad.scale(mle, 1.0 - lam), ad.scale(pg, lam))
-        else:
-            total = pg
-        check_finite(total)
-        ad.backward(total)
-    assert all(t.grad is None or not t.grad.any()
-               for _, t in models.guider.tensors()), "guider must stay frozen"
-    optimizers.generator.step()
-    optimizers.zero_all()
-    stats["skipped"] = False
+        if mle_batch is None or lam >= 1.0:
+            return pg
+        mle = mle_loss(mle_batch, models.encoder, models.generator,
+                       models.guider)
+        stats["mle_loss"] = mle.item()
+        return ad.add(ad.scale(mle, 1.0 - lam), ad.scale(pg, lam))
+
+    optimizers.generator.minimize(loss)
+    assert all(t.grad is None for _, t in models.guider.tensors()), \
+        "guider must stay frozen"
     return stats
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gmgan import autodiff as ad
-from gmgan.corpus import (BOS, EOS, PAD, desk_grammar, desk_style_grammar,
+from gmgan.corpus import (BOS, EOS, desk_grammar, desk_style_grammar,
                           sample_grammar, sample_grammar_styled, style_oracle,
                           unigram_entropy)
 from gmgan.checkpoint import read_checkpoint, save_models, write_checkpoint
@@ -27,8 +27,8 @@ from gmgan.rewards import (discounted_cumulative, feature_matching_reward,
                            q_values)
 from gmgan.style import evaluate_transfer, run_style_transfer
 from gmgan.trainer import (Models, Optimizers, TrainConfig,
-                           policy_gradient_step, pretrain_mle, rollout_traces,
-                           run_gmgan, sample_from_noise)
+                           policy_gradient_step, pretrain_mle, run_gmgan,
+                           sample_from_noise)
 from helpers import (fd_gradient, jiggle_params, objective_cosines,
                      one_token_trace, rel_err)
 from test_rewards import make_trace, np_cos

@@ -185,6 +185,27 @@ def test_adversarial_stage_refuses_style_checkpoint(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_pretrained_outside_the_adversarial_stage_exits_2(tmp_path, capsys):
+    # the mle stage would otherwise train from scratch and ignore the flag
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--stage", "mle",
+                 "--pretrained", str(tmp_path / "nonexistent.gmg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--pretrained" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_flag_and_config_out_dir_together_exit_2(tmp_path, capsys):
+    # the config's out_dir would otherwise win and the flag write nothing
+    cfg = write_config(tmp_path)
+    flag_dir = tmp_path / "flag_out"
+    assert main(["train", "--config", str(cfg), "--stage", "mle",
+                 "--out-dir", str(flag_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--out-dir" in err
+    assert not flag_dir.exists() and not (tmp_path / "out").exists()
+
+
 def test_full_pipeline_and_reproducibility(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--stage", "all"]) == 0
@@ -315,11 +336,8 @@ def test_gmg_seed_env_override(tmp_path, monkeypatch):
 
 
 def test_training_divergence_exits_3(tmp_path, monkeypatch):
-    from gmgan import cli
-    from gmgan.errors import TrainingDiverged
-
     def explode(*args, **kwargs):
-        raise TrainingDiverged("loss became nan")
+        raise FloatingPointError("loss is not finite")
 
     monkeypatch.setattr(cli, "pretrain_mle", explode)
     cfg = write_config(tmp_path)

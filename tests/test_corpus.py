@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmgan.corpus import (BOS, EOS, PAD, UNK, GrammarSpec, Vocabulary,
+from gmgan.corpus import (EOS, PAD, UNK, GrammarSpec, Vocabulary,
                           desk_grammar, desk_style_grammar, grammar_validity,
                           load_corpus, sample_grammar, sample_grammar_styled,
                           save_corpus, style_oracle, unigram_entropy)

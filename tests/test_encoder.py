@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gmgan import autodiff as ad
-from gmgan import encoder as enc_mod
-from gmgan.corpus import BOS, EOS, PAD, UNK, Vocabulary
+from gmgan.corpus import BOS, EOS, PAD, UNK
 from gmgan.encoder import (EncoderParams, ModelProfile, TokenCNN,
                            draw_initial_noise, encode_batch,
                            get_profile, mean_feature_norm, pad_rows,

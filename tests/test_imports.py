@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gmgan"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gmgan"
 
 
 def test_no_private_or_function_level_relative_imports():
@@ -315,3 +316,41 @@ def test_every_classifier_loss_is_the_one_cross_entropy():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: gone & set(_names(t)) for name, t in trees.items()
             if gone & set(_names(t))} == {}
+
+
+def test_every_update_is_one_minimize():
+    # a training step records its loss, backpropagates it, steps its group
+    # and clears that group's gradients in one place, so no loss leaves a
+    # gradient behind and no caller repeats backward's non-finite check
+    calls, back = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        back |= {"check_finite", "TrainingDiverged", "zero_all"} & set(
+            _names(tree))
+        for scope, body in _scopes(tree):
+            calls |= {"%s:%s" % (path.name, scope) for node in ast.walk(body)
+                      if isinstance(node, ast.Call)
+                      and (getattr(node.func, "attr", None)
+                           or getattr(node.func, "id", None))
+                      in ("tape", "backward", "step")}
+    assert calls == {"optim.py:Adam.minimize"}
+    assert not back, back
+
+
+def test_every_import_is_read():
+    # an import nothing reads is a dependency with no use; an import kept
+    # for its side effects says so with `# noqa: F401`
+    unread = []
+    for path in (sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+                 + sorted(PERFBENCH.glob("*.py"))):
+        text = path.read_text(encoding="utf-8")
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unread += ["%s:%d %s" % (path.name, node.lineno, name)
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and "noqa: F401" not in lines[node.lineno - 1]
+                   for name in [a.asname or a.name.split(".")[0]
+                                for a in node.names]
+                   if name not in read]
+    assert not unread, unread

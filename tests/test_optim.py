@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 from gmgan import autodiff as ad
 from gmgan.optim import Adam
@@ -52,3 +55,26 @@ def test_state_arrays_round_trip():
     assert opt2.t == opt.t
     assert np.array_equal(opt2.m["p"], opt.m["p"])
     assert np.array_equal(opt2.v["p"], opt.v["p"])
+
+
+def test_minimize_steps_and_clears_its_group():
+    p = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    q = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    opt, by_hand = Adam([("p", p)], lr=0.1), Adam([("p", q)], lr=0.1)
+    loss = opt.minimize(lambda: ad.tsum(ad.mul(p, p)))
+    q.grad = 2.0 * np.array([1.0, -2.0])
+    by_hand.step()
+    assert loss == 5.0 and opt.t == 1 and p.grad is None
+    assert np.array_equal(p.values, q.values)
+
+
+def test_minimize_refuses_a_non_finite_loss_before_any_update():
+    p = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    opt = Adam([("p", p)], lr=0.1)
+    opt.minimize(lambda: ad.tsum(ad.mul(p, p)))
+    before = [a.copy() for a in (p.values, opt.m["p"], opt.v["p"])]
+    with pytest.raises(FloatingPointError):
+        opt.minimize(lambda: ad.scale(ad.tsum(p), math.inf))
+    assert opt.t == 1 and p.grad is None
+    for old, new in zip(before, (p.values, opt.m["p"], opt.v["p"])):
+        assert np.array_equal(old, new)

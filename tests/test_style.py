@@ -134,6 +134,19 @@ def test_run_style_transfer_smoke_and_history():
     assert models.pretrained
 
 
+def test_run_style_transfer_freezes_its_scorers_and_leaves_no_gradient():
+    # the fitted classifier and probe take no gradient from the joint
+    # losses, and every step clears the group it updates
+    g, vocab, labelled, config = style_setup(n=24)
+    models = Models(len(vocab), config, style_labels=2)
+    clf, probe, _ = run_style_transfer(labelled[:16], labelled[16:], models,
+                                       config)
+    scorers = clf.tensors() + probe.tensors()
+    assert not any(t.requires_grad for _, t in scorers)
+    assert [n for n, t in models.all_tensors() + scorers
+            if t.grad is not None] == []
+
+
 def test_run_style_requires_style_models():
     g, vocab, labelled, config = style_setup(n=8)
     plain = Models(len(vocab), config)  # no label machinery

@@ -11,15 +11,16 @@ import pytest
 import gmgan
 from gmgan import autodiff as ad
 from gmgan import encoder, generator, style, trainer
-from gmgan.corpus import BOS, EOS, PAD, UNK, desk_grammar, sample_grammar
+from gmgan.corpus import EOS, PAD, UNK, desk_grammar, sample_grammar
+from gmgan.discriminator import train_step
 from gmgan.encoder import ModelProfile, prefix_features, sentence_rows
 from gmgan.errors import ContractError
-from gmgan.generator import LOGIT_MASK, gated_logits
+from gmgan.generator import LOGIT_MASK
 from gmgan.guider import guider_loss_batch, initial_state
-from gmgan.trainer import (Models, Optimizers, TrainConfig, mle_step,
-                           policy_gradient_step, pretrain_mle, rollout_traces,
-                           run_gmgan, sample_from_noise, shuffled_batches,
-                           stream_rng, validation_mle_loss)
+from gmgan.trainer import (Models, Optimizers, TrainConfig, guider_update,
+                           mle_step, policy_gradient_step, pretrain_mle,
+                           rollout_traces, run_gmgan, sample_from_noise,
+                           shuffled_batches, stream_rng, validation_mle_loss)
 from helpers import check_grads, one_token_trace
 
 TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
@@ -339,6 +340,29 @@ def test_policy_step_moves_generator_not_guider():
         assert np.array_equal(guider_before[n], t.values), n
     assert any(not np.array_equal(gen_before[n], t.values)
                for n, t in models.generator.tensors())
+
+
+def test_no_training_step_leaves_a_gradient():
+    # each step clears the group it updates, and no loss reaches a tensor of
+    # another group, so between steps no tensor holds a gradient
+    _, vocab, sents = tiny_corpus(n=16)
+    config = tiny_config()
+    models = Models(len(vocab), config)
+    opt = Optimizers(models, config)
+    traces = rollout_traces(sents[:4], models, np.random.default_rng(3))
+    steps = {
+        "mle": lambda: mle_step(sents[:8], models, opt),
+        "guider": lambda: guider_update(sents[:8], models, opt, config.c),
+        "policy": lambda: policy_gradient_step(
+            traces, [np.linspace(1.0, 0.5, t.length) for t in traces],
+            models, opt, mle_batch=sents[8:], lam=0.5),
+        "discriminator": lambda: train_step(
+            sents[:4], [t.sentence(config.max_len) for t in traces],
+            models.discriminator, opt.discriminator)}
+    for name, step in steps.items():
+        step()
+        assert [n for n, t in models.all_tensors()
+                if t.grad is not None] == [], name
 
 
 def test_three_arm_bandit_reinforce():
