@@ -230,21 +230,12 @@ def _checked_grads(nodes):
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 
-def _broadcast_check(a, b):
-    """Allow equal shapes, or a 2-D lhs with a 1-D row-vector rhs."""
-    if a.shape == b.shape:
-        return False
-    if len(a.shape) == 2 and b.shape == (a.shape[1],):
-        return True
-    raise DimensionError("incompatible shapes %r and %r" % (a.shape, b.shape))
-
-
-def _reduce_to(g, broadcast):
-    return g.sum(axis=0) if broadcast else g
-
-
 def add(a, b):
-    bcast = _broadcast_check(a, b)
+    """a + b of equal shapes, or of a 2-D a and a row vector b (a bias)."""
+    bcast = a.shape != b.shape
+    if bcast and not (len(a.shape) == 2 and b.shape == (a.shape[1],)):
+        raise DimensionError("incompatible shapes %r and %r"
+                             % (a.shape, b.shape))
     out = _fresh(a.values + b.values, "add")
     tp = _track(a, b)
     if tp:
@@ -252,27 +243,16 @@ def add(a, b):
             if a.requires_grad:
                 a.accumulate_grad(g)
             if b.requires_grad:
-                b.accumulate_grad(_reduce_to(g, bcast))
-        tp.record(out, bw)
-    return out
-
-
-def sub(a, b):
-    bcast = _broadcast_check(a, b)
-    out = _fresh(a.values - b.values, "sub")
-    tp = _track(a, b)
-    if tp:
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(-_reduce_to(g, bcast))
+                b.accumulate_grad(g.sum(axis=0) if bcast else g)
         tp.record(out, bw)
     return out
 
 
 def mul(a, b):
-    bcast = _broadcast_check(a, b)
+    """Elementwise a * b of equal shapes."""
+    if a.shape != b.shape:
+        raise DimensionError("incompatible shapes %r and %r"
+                             % (a.shape, b.shape))
     out = _fresh(a.values * b.values, "mul")
     tp = _track(a, b)
     if tp:
@@ -280,7 +260,7 @@ def mul(a, b):
             if a.requires_grad:
                 a.accumulate_grad(g * b.values)
             if b.requires_grad:
-                b.accumulate_grad(_reduce_to(g * a.values, bcast))
+                b.accumulate_grad(g * a.values)
         tp.record(out, bw)
     return out
 
@@ -472,31 +452,26 @@ def cross_entropy(logp, labels):
 ZERO_NORM_EPS = 1e-12
 
 
-def row_cosine(a, b):
-    """Row-wise cosine of two (B, n) tensors -> (B,); zero-norm rows give 0."""
-    if a.values.ndim != 2 or a.shape != b.shape:
+def row_cosine(target, b):
+    """Row-wise cosine of a (B, n) target array and a (B, n) tensor -> (B,);
+    zero-norm rows give 0. Only b is differentiated: the target is data."""
+    if target.ndim != 2 or target.shape != b.shape:
         raise DimensionError(
-            "row_cosine expects equal-shape 2-D tensors, got %r and %r"
-            % (a.shape, b.shape))
-    av, bv = a.values, b.values
-    na = np.linalg.norm(av, axis=1)
+            "row_cosine expects equal-shape 2-D operands, got %r and %r"
+            % (target.shape, b.shape))
+    bv = b.values
+    nt = np.linalg.norm(target, axis=1)
     nb = np.linalg.norm(bv, axis=1)
-    valid = (na >= ZERO_NORM_EPS) & (nb >= ZERO_NORM_EPS)
-    denom = np.where(valid, na * nb, 1.0)
-    c = np.where(valid, (av * bv).sum(axis=1) / denom, 0.0)
+    valid = (nt >= ZERO_NORM_EPS) & (nb >= ZERO_NORM_EPS)
+    denom = np.where(valid, nt * nb, 1.0)
+    c = np.where(valid, (target * bv).sum(axis=1) / denom, 0.0)
     out = _fresh(c, "row_cosine")
-    tp = _track(a, b)
+    tp = _track(b)
     if tp:
         def bw(g):
-            gv = (g * valid)[:, None]
-            if a.requires_grad:
-                a.accumulate_grad(gv * (bv / denom[:, None]
-                                        - c[:, None] * av / np.where(
-                                            valid, na * na, 1.0)[:, None]))
-            if b.requires_grad:
-                b.accumulate_grad(gv * (av / denom[:, None]
-                                        - c[:, None] * bv / np.where(
-                                            valid, nb * nb, 1.0)[:, None]))
+            b.accumulate_grad((g * valid)[:, None] * (
+                target / denom[:, None]
+                - c[:, None] * bv / np.where(valid, nb * nb, 1.0)[:, None]))
         tp.record(out, bw)
     return out
 

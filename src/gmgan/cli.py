@@ -191,9 +191,7 @@ def cmd_train(args):
     vocab = None
     if args.stage == "adversarial":
         if not args.pretrained:
-            print("error: --stage adversarial requires --pretrained",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("--stage adversarial requires --pretrained")
         # the checkpoint comes first: its vocabulary encodes the data
         models, vocab, optimizers, _ = load_models(args.pretrained)
         if models.guider.num_labels:
@@ -201,8 +199,7 @@ def cmd_train(args):
                               "stage does not take style checkpoints"
                               % args.pretrained)
         if not models.pretrained:
-            print("error: checkpoint was not pretrained", file=sys.stderr)
-            return 2
+            raise ConfigError("checkpoint was not pretrained")
         config = dataclasses.replace(models.config, **{
             k: getattr(config, k) for k in
             ("seed", "rl_epochs", "g_steps", "d_steps", "ablation", "rl_mix",
@@ -281,11 +278,9 @@ def cmd_eval(args):
     samples = read_token_lines(args.samples)
     references = read_token_lines(args.references)
     if len(samples) < 2:
-        print("error: self-BLEU needs at least 2 samples", file=sys.stderr)
-        return 2
+        raise ConfigError("self-BLEU needs at least 2 samples")
     if not references:
-        print("error: empty reference file", file=sys.stderr)
-        return 2
+        raise ConfigError("empty reference file")
     report = bleu_report(samples, references)
     print(report.table())
     payload = report.to_json()
@@ -311,12 +306,10 @@ def cmd_inspect_rewards(args):
                           "take style checkpoints" % args.checkpoint)
     words = args.sentence.split()
     if not words:
-        print("error: empty sentence", file=sys.stderr)
-        return 2
+        raise ConfigError("empty sentence")
     ids = vocab.encode(words, models.profile.max_len)
     if all(t in (UNK, EOS) for t in ids):
-        print("error: sentence is entirely out of vocabulary", file=sys.stderr)
-        return 2
+        raise ConfigError("sentence is entirely out of vocabulary")
     trace = teacher_force_trace(ids, models.encoder, models.generator,
                                 models.guider)
     r_g = feature_matching_reward(trace, models.config.c)

@@ -122,18 +122,20 @@ class GenerationTrace:
         return toks
 
 
-def _draw(probs, rng, mode):
-    if mode == "greedy":
+def _draw(probs, rng):
+    """A token drawn from probs by rng; the argmax when rng is None."""
+    if rng is None:
         return int(np.argmax(probs))
     cum = np.cumsum(probs)
     return int(min(np.searchsorted(cum, rng.random() * cum[-1], side="right"),
                    len(probs) - 1))
 
 
-def decode(init_feats, gen, gui, enc, labels, steps, rng, mode):
+def decode(init_feats, gen, gui, enc, labels, steps, rng):
     """The plan-ahead sampling loop over a batch, forward-only: encode each
     row's prefix, step the guider, gate the decoder's logits, draw each
-    row's token with `_draw` and advance the decoder on them.
+    row's token with `_draw` (greedy when rng is None) and advance the
+    decoder on them.
 
     The prefix matrix starts as BOS + PAD and receives each step's tokens.
     It runs at most `steps` (1..max_len, else DimensionError) steps and
@@ -157,7 +159,7 @@ def decode(init_feats, gen, gui, enc, labels, steps, rng, mode):
             f_t = encode_batch(rows, enc)
             pred, gui_state = guider_step(gui_state, f_t, gui)
             probs = ad.softmax(gated_logits(dec_h, pred, gen)).values
-            tok = np.array([_draw(p, rng, mode) for p in probs])
+            tok = np.array([_draw(p, rng) for p in probs])
             features.append(f_t.values)
             predictions.append(pred.values)
             rows[:, t + 1] = tok
@@ -184,18 +186,13 @@ def _targets(sentences):
     return tgt
 
 
-def sample_sequence(init_feature, gen, gui, enc, rng, mode="sample",
-                    style_label=None):
+def sample_sequence(init_feature, gen, gui, enc, rng, style_label=None):
     """Roll out encode-prefix -> guider step -> gated distribution -> draw,
     until EOS or max_len, drawing from rng (None for a greedy decode)."""
-    if mode not in ("sample", "greedy"):
-        raise ContractError("mode must be sample or greedy")
-    if rng is None and mode == "sample":
-        raise ContractError("sampling needs an rng")
     init = ad.constant(np.reshape(init_feature, (1, -1)))
     labels = None if style_label is None else np.array([style_label])
     tokens, features, predictions = decode(init, gen, gui, enc, labels,
-                                           enc.profile.max_len, rng, mode)
+                                           enc.profile.max_len, rng)
     return GenerationTrace(tokens[0].tolist(), [f[0] for f in features],
                            [p[0] for p in predictions], init.values[0].copy())
 

@@ -108,9 +108,9 @@ def dual_cosines(target, pred, anchor):
     """The dual cosine's two (B,) terms: the (B, F) prediction tensor against
     the target array, and its movement from the anchor array against the
     target's. Zero-norm rows give 0."""
-    moved = ad.sub(pred, ad.constant(anchor))
-    return (ad.row_cosine(ad.constant(target), pred),
-            ad.row_cosine(ad.constant(target - anchor), moved))
+    moved = ad.add(pred, ad.constant(-anchor))   # IEEE x - y is x + (-y)
+    return (ad.row_cosine(target, pred),
+            ad.row_cosine(target - anchor, moved))
 
 
 def guider_loss_batch(step_features, lengths, c, params, init_state):

@@ -94,20 +94,15 @@ class NgramTables:
         return lengths[below]
 
 
-def bleu(candidate, references, k):
+def bleu(candidate, tables, k):
     """Geometric mean of clipped n-gram precisions (n = 1..k) with a brevity
     penalty against the closest-length reference; zero precisions are smoothed
     to a tiny epsilon so degenerate candidates stay comparable.
 
-    `references` is a list of non-empty token lists, or an `NgramTables`
-    built from such a list for orders up to at least k (or a leave-one-out
-    view of one from `NgramTables.without`). Callers that score many
-    candidates against the same references build the tables once and pass
-    them; the scores are the same either way."""
+    `tables` are the `NgramTables` of the references for orders up to at
+    least k, or a leave-one-out view of them from `NgramTables.without`."""
     if not candidate:
         raise ContractError("candidate must be non-empty")
-    tables = (references if isinstance(references, NgramTables)
-              else NgramTables(references, k))
     if not 1 <= k <= tables.k:
         raise ContractError("k must be >= 1 and within the tables' orders")
     log_sum = 0.0
@@ -130,28 +125,22 @@ def bleu(candidate, references, k):
     return score
 
 
-def test_bleu(samples, references, k):
-    """Mean BLEU of each sample against the whole reference set.
-
-    `references` is a list of token lists, or the `NgramTables` of those
-    lists without their EOS for orders up to at least k."""
-    if not samples or not references:
-        raise ContractError("samples and references must be non-empty")
-    tables = (references if isinstance(references, NgramTables)
-              else NgramTables([strip_eos(r) for r in references], k))
+def test_bleu(samples, tables, k):
+    """Mean BLEU of each sample against the whole reference set, given as
+    the `NgramTables` of the references without their EOS for orders up to
+    at least k."""
+    if not samples:
+        raise ContractError("samples must be non-empty")
     return sum(bleu(strip_eos(s), tables, k) for s in samples) / len(samples)
 
 
-def self_bleu(samples, k, tables=None):
-    """Mean leave-one-out BLEU of each sample against the other samples.
-
-    `tables`, when given, are the `NgramTables` of these samples without
-    their EOS for orders up to at least k."""
+def self_bleu(samples, k, tables):
+    """Mean leave-one-out BLEU of each sample against the other samples;
+    `tables` are the `NgramTables` of these samples without their EOS for
+    orders up to at least k."""
     if len(samples) < 2:
         raise ContractError("self-BLEU needs at least two samples")
     stripped = [strip_eos(s) for s in samples]
-    if tables is None:
-        tables = NgramTables(stripped, k)
     total = 0.0
     for i, s in enumerate(stripped):
         total += bleu(s, tables.without(i), k)

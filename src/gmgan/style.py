@@ -154,8 +154,7 @@ def soft_transfer_rollout(init_feats, target_labels, models, classifier,
         soft_cls = ad.mul(ad.matmul(soft, classifier.embedding), alive_mask)
         cls_steps.append(ad.reshape(soft_cls, (n, 1, prof.embed_dim)))
         picked = logits.values.argmax(axis=1)
-        if t + 1 < width:
-            enc_prefix[:, t + 1, :] = soft_gen.values
+        enc_prefix[:, t + 1, :] = soft_gen.values
         dec_h, dec_c = ad.lstm_cell(soft_gen, dec_h, dec_c,
                                     models.generator.dec_w_x,
                                     models.generator.dec_w_h,
@@ -176,7 +175,7 @@ def transfer_greedy(source, target_label, models):
     with ad.no_grad():
         init = encode_batch(rows, models.encoder).values
     trace = sample_sequence(init, models.generator, models.guider,
-                            models.encoder, rng=None, mode="greedy",
+                            models.encoder, rng=None,
                             style_label=int(target_label))
     return trace.sentence(models.profile.max_len)
 

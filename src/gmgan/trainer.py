@@ -198,7 +198,7 @@ def _guider_phase(sentences, models, optimizers, config, epoch):
               for idx in shuffled_batches(len(sentences), config.batch_size,
                                           rng)]
     losses = [loss for loss in losses if loss is not None]
-    return float(np.mean(losses)) if losses else float("nan")
+    return float(np.mean(losses)) if losses else None
 
 
 def validation_mle_loss(sentences, models):
@@ -295,7 +295,8 @@ def sample_from_noise(models, n, seed, mode="sample"):
         noise = draw_initial_noise(rng, models.profile.feature_dim,
                                    scale=models.feature_norm)
         trace = sample_sequence(noise, models.generator, models.guider,
-                                models.encoder, rng=rng, mode=mode)
+                                models.encoder,
+                                rng=None if mode == "greedy" else rng)
         sentences.append(trace.sentence(models.profile.max_len))
     return sentences
 

@@ -125,8 +125,7 @@ def one_token_trace(init_feature, models, rng):
     sample_sequence traces its row."""
     init = ad.constant(np.reshape(init_feature, (1, -1)))
     tokens, features, predictions = decode(
-        init, models.generator, models.guider, models.encoder, None, 1, rng,
-        "sample")
+        init, models.generator, models.guider, models.encoder, None, 1, rng)
     return GenerationTrace(tokens[0].tolist(), [f[0] for f in features],
                            [p[0] for p in predictions], init.values[0].copy())
 

@@ -160,6 +160,23 @@ def test_train_log_opens_with_header(tmp_path, monkeypatch):
     assert sum(json.loads(l)["stage"] == "header" for l in log) == 1
 
 
+def test_train_log_is_strict_json_when_no_sentence_reaches_c(tmp_path):
+    # with every sentence shorter than the lookahead the guider phase has
+    # no term: its loss logs as null, not as NaN, which JSON does not have
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat\n" * 40, encoding="utf-8")
+    cfg = write_config(tmp_path, c=8, paths={
+        "corpus": str(corpus), "out_dir": str(tmp_path / "out")})
+    assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 0
+
+    def refuse(name):
+        raise ValueError("%s is not JSON" % name)
+
+    log = (tmp_path / "out" / "train.log.jsonl").read_text().splitlines()
+    entries = [json.loads(line, parse_constant=refuse) for line in log]
+    assert [e["guider_loss"] for e in entries if e["stage"] == "mle"] == [None]
+
+
 def test_adversarial_without_pretrain_exits_2(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--stage", "adversarial"]) == 2

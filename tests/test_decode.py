@@ -65,9 +65,9 @@ def oracle_decode(init_t, gen, gui, enc, label, steps, choose):
                            init_t.values[0].copy())
 
 
-def oracle_sample(init, gen, gui, enc, rng, mode, label):
+def oracle_sample(init, gen, gui, enc, rng, label):
     def choose(t, logits):
-        return _draw(ad.softmax(logits).values[0], rng, mode)
+        return _draw(ad.softmax(logits).values[0], rng)
     return oracle_decode(ad.constant(init.reshape(1, -1)), gen, gui, enc,
                          label, enc.profile.max_len, choose)
 
@@ -154,18 +154,20 @@ def test_sampled_traces_equal_oracle(profile, vocab_size, n, mode, labelled):
     enc, gen, gui = build(profile, vocab_size, labelled, seed=21)
     noise = np.random.default_rng(22)
     rng_new, rng_old = np.random.default_rng(23), np.random.default_rng(23)
+    if mode == "greedy":   # a greedy decode is one without an rng
+        rng_new = rng_old = None
     ends = set()
     for k in range(n):
         init = noise.normal(size=profile.feature_dim)
         label = k % 2 if labelled else None
-        got = sample_sequence(init, gen, gui, enc, rng=rng_new, mode=mode,
+        got = sample_sequence(init, gen, gui, enc, rng=rng_new,
                               style_label=label)
-        want = oracle_sample(init, gen, gui, enc, rng_old, mode, label)
+        want = oracle_sample(init, gen, gui, enc, rng_old, label)
         assert_traces_equal(got, want)
         ends.add("eos-only" if got.tokens == [EOS]
                  else "max-len" if got.tokens[-1] != EOS else "eos")
-    assert rng_new.random() == rng_old.random()
     if mode == "sample":
+        assert rng_new.random() == rng_old.random()
         assert ends == {"eos-only", "max-len", "eos"}
 
 
@@ -188,11 +190,11 @@ def test_stopping_rules_equal_oracle(stop):
     else:
         gen.action_mask.values[EOS] = -1e30   # EOS can never be drawn
     init = np.random.default_rng(42).normal(size=TINY.feature_dim)
-    for mode in ("sample", "greedy"):
-        got = sample_sequence(init, gen, gui, enc, np.random.default_rng(5),
-                              mode=mode)
-        want = oracle_sample(init, gen, gui, enc, np.random.default_rng(5),
-                             mode, None)
+    for greedy in (False, True):
+        def rng():
+            return None if greedy else np.random.default_rng(5)
+        got = sample_sequence(init, gen, gui, enc, rng())
+        want = oracle_sample(init, gen, gui, enc, rng(), None)
         assert_traces_equal(got, want)
         assert got.length == (1 if stop == "eos-only" else TINY.max_len)
         assert (got.tokens[-1] == EOS) == (stop == "eos-only")
@@ -347,6 +349,4 @@ def test_teacher_forcing_refuses_mid_sentence_eos_and_overlong_input():
         teacher_force_trace([4] * (TINY.max_len + 1), enc, gen, gui)
     with pytest.raises(DimensionError):   # a decode runs 1..max_len steps
         decode(ad.constant(np.zeros((1, TINY.feature_dim))), gen, gui, enc,
-               None, 0, np.random.default_rng(0), "sample")
-    with pytest.raises(ContractError):   # sampling draws from an rng
-        sample_sequence(np.zeros(TINY.feature_dim), gen, gui, enc, None)
+               None, 0, np.random.default_rng(0))

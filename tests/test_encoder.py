@@ -79,7 +79,8 @@ def test_encoder_gradient_vs_finite_differences():
     w = np.random.default_rng(2).normal(size=TINY.feature_dim)
 
     with ad.tape():
-        loss = ad.tsum(ad.mul(encode_batch(rows, params), ad.constant(w)))
+        loss = ad.tsum(ad.mul(encode_batch(rows, params),
+                              ad.constant(w[None])))
     ad.backward(loss)
 
     def forward():
@@ -93,7 +94,7 @@ def test_encoder_gradient_vs_finite_differences():
 
 def test_stop_gradient_blocks_parameters():
     params = tiny_params()
-    probe = ad.Tensor(np.ones(TINY.feature_dim), requires_grad=True)
+    probe = ad.Tensor(np.ones((1, TINY.feature_dim)), requires_grad=True)
     with ad.tape():
         with ad.no_grad():
             f = encode_batch(pad_rows([[BOS, 4, 5]], TINY.pad_width), params)

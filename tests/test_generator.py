@@ -122,10 +122,10 @@ def test_degenerate_vocab_forces_eos():
 def test_greedy_determinism():
     enc, gen, gui = tiny_models()
     init = np.abs(np.random.default_rng(6).normal(size=TINY.feature_dim))
-    # a greedy decode draws nothing: no rng, or any rng, gives one result
-    t1 = sample_sequence(init, gen, gui, enc, None, mode="greedy")
-    t2 = sample_sequence(init, gen, gui, enc, np.random.default_rng(2),
-                         mode="greedy")
+    # a greedy decode is one without an rng: it draws nothing, so two
+    # decodes give one result
+    t1 = sample_sequence(init, gen, gui, enc, None)
+    t2 = sample_sequence(init, gen, gui, enc, None)
     assert t1.tokens == t2.tokens
     assert all(np.array_equal(a, b)
                for a, b in zip(t1.predictions, t2.predictions))
@@ -147,8 +147,9 @@ def test_peaked_distribution_matches_argmax():
     e = np.exp(logits - logits.max())
     probs = e / e.sum()
     rng = np.random.default_rng(8)
-    hits = sum(gen_mod._draw(probs, rng, "sample") == 5 for _ in range(10000))
+    hits = sum(gen_mod._draw(probs, rng) == 5 for _ in range(10000))
     assert hits >= 9999
+    assert gen_mod._draw(probs, None) == 5   # no rng: the argmax
 
 
 def test_trace_ends_at_max_len():
@@ -224,5 +225,5 @@ def test_memorizes_two_token_grammar():
     assert loss_val < 0.01
     greedy = sample_sequence(
         encode_batch(pad_rows([[BOS, a, b, EOS]], TINY.pad_width), enc).values,
-        gen, gui, enc, None, mode="greedy")
+        gen, gui, enc, None)
     assert greedy.tokens == [a, b, EOS]

@@ -59,7 +59,7 @@ def test_gradient_through_three_steps():
         pred = None
         for f in feats:
             pred, state = guider_step(state, ad.constant(f), params)
-        return ad.tsum(ad.mul(pred, ad.constant(w)))
+        return ad.tsum(ad.mul(pred, ad.constant(w[None])))
 
     with ad.tape():
         loss = graph()
@@ -159,10 +159,9 @@ def test_matching_terms_scale_invariance_per_term():
     preds = rng.normal(size=(3, 6))
     c = 2
     moved, predicted = feats[c:] - feats[:3], preds - feats[:3]
-    base = ad.row_cosine(ad.constant(moved), ad.constant(predicted)).values
+    base = ad.row_cosine(moved, ad.constant(predicted)).values
     for alpha in (0.5, 3.0):
-        scaled = ad.row_cosine(ad.constant(alpha * moved),
-                               ad.constant(predicted)).values
+        scaled = ad.row_cosine(alpha * moved, ad.constant(predicted)).values
         assert np.max(np.abs(base - scaled)) < 1e-12
 
 

@@ -125,6 +125,12 @@ def _names(node):
             yield n.asname or n.name
 
 
+def test_only_the_report_builds_bleu_tables():
+    # bleu, test_bleu and self_bleu score against tables they are given,
+    # so each reference set is tabulated once, where the report is made
+    assert _callers("NgramTables") == {"metrics.py:bleu_report"}
+
+
 def test_style_labels_live_in_the_guider_state():
     # a row's style label is part of its guider state: only guider.py
     # builds a state or reads the label embeddings, no call hands
@@ -154,7 +160,8 @@ REMOVED = {
     "Adam": {"beta1", "beta2", "eps"}, "build_vocabulary": {"min_freq"},
     "load_corpus": {"min_freq"}, "train_style_classifier": {"lr"},
     "train_latent_probe": {"epochs", "lr", "batch_size"},
-    "sample_sequence": {"seed", "max_len"}, "teacher_force_trace": {"label"},
+    "sample_sequence": {"seed", "max_len", "mode"},
+    "decode": {"mode"}, "_draw": {"mode"}, "teacher_force_trace": {"label"},
     "GrammarSpec": {"nonterminals"}, "BleuReport": {"from_json"},
     "pretrain_mle": {"include_guider"}, "validation_mle_loss": {"batch_size"},
 }
@@ -244,7 +251,7 @@ REMOVED_NAMES = {
     "autodiff.sigmoid", "autodiff.tanh", "autodiff.slice_cols",
     "autodiff.Tensor.detach", "autodiff.Tensor.size",
     "guider.objective_cosines", "style.classifier_accuracy",
-    "trainer.Models.clone",
+    "trainer.Models.clone", "autodiff.sub",
 }
 
 

@@ -25,53 +25,71 @@ def words(text):
     return text.split()
 
 
+# the scorers take reference tables; these build them as a caller does
+def ref_bleu(candidate, references, k):
+    return bleu(candidate, NgramTables(references, k), k)
+
+
+def mean_ref_bleu(samples, references, k):
+    return mean_test_bleu(
+        samples, NgramTables([strip_eos(r) for r in references], k), k)
+
+
+def loo_bleu(samples, k):
+    return self_bleu(samples, k,
+                     NgramTables([strip_eos(s) for s in samples], k))
+
+
 # ---------------------------------------------------------------------------
 # bleu
 # ---------------------------------------------------------------------------
 
 def test_perfect_match_scores_one():
     s = words("a small cat sees the dog")
-    assert bleu(s, [s], 4) == pytest.approx(1.0, abs=1e-12)
+    assert ref_bleu(s, [s], 4) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_clipped_unigram_precision():
-    score = bleu(words("the the the"), [words("the cat sat")], 1)
+    score = ref_bleu(words("the the the"), [words("the cat sat")], 1)
     assert score == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_brevity_penalty_hand_case():
-    score = bleu(words("a b c d"), [words("a b c d e")], 2)
+    score = ref_bleu(words("a b c d"), [words("a b c d e")], 2)
     assert score == pytest.approx(0.7788007830714049, abs=1e-6)
 
 
 def test_brevity_uses_closest_reference():
     cand = words("a b c d")
     refs = [words("a b c d e f g h"), words("a b c d e")]
-    assert bleu(cand, refs, 1) == pytest.approx(math.exp(1 - 5 / 4), abs=1e-12)
+    assert ref_bleu(cand, refs, 1) == pytest.approx(math.exp(1 - 5 / 4),
+                                                    abs=1e-12)
     # a same-length reference removes the penalty entirely
     refs.append(words("a b c x"))
-    assert bleu(cand, refs, 1) == pytest.approx(1.0, abs=1e-12)
+    assert ref_bleu(cand, refs, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_overlap_is_smoothed_not_zero_division():
-    score = bleu(words("x y z"), [words("a b c")], 2)
+    score = ref_bleu(words("x y z"), [words("a b c")], 2)
     assert 0.0 < score < 1e-4
 
 
 def test_empty_inputs_rejected():
     with pytest.raises(ContractError):
-        bleu([], [words("a")], 2)
+        ref_bleu([], [words("a")], 2)
     with pytest.raises(ContractError):
-        bleu(words("a"), [], 2)
+        ref_bleu(words("a"), [], 2)
     with pytest.raises(ContractError):
-        bleu(words("a"), [[]], 2)
+        ref_bleu(words("a"), [[]], 2)
+    with pytest.raises(ContractError):
+        mean_test_bleu([], NgramTables([words("a")], 2), 2)
 
 
 def test_reference_order_invariance():
     cand = words("the cat sees a dog")
     refs = [words("the cat sees the bird"), words("a dog runs"),
             words("the dog sees a cat")]
-    assert bleu(cand, refs, 3) == bleu(cand, refs[::-1], 3)
+    assert ref_bleu(cand, refs, 3) == ref_bleu(cand, refs[::-1], 3)
 
 
 def test_candidate_in_references_saturates():
@@ -80,7 +98,7 @@ def test_candidate_in_references_saturates():
     for _ in range(20):
         cand = [vocab[i] for i in rng.integers(0, 8, size=rng.integers(2, 9))]
         refs = [[vocab[i] for i in rng.integers(0, 8, size=6)], cand]
-        assert bleu(cand, refs, 3) == pytest.approx(1.0, abs=1e-12)
+        assert ref_bleu(cand, refs, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -89,48 +107,49 @@ def test_candidate_in_references_saturates():
 
 def test_test_bleu_copy_case_and_delegation():
     refs = [words("the cat sees a dog"), words("a bird likes the barn")]
-    assert mean_test_bleu(refs, refs, 3) == pytest.approx(1.0, abs=1e-12)
+    assert mean_ref_bleu(refs, refs, 3) == pytest.approx(1.0, abs=1e-12)
     single = [words("the cat sees a dog")]
-    assert mean_test_bleu(single, refs, 3) == pytest.approx(
-        bleu(single[0], refs, 3), abs=1e-15)
+    assert mean_ref_bleu(single, refs, 3) == pytest.approx(
+        ref_bleu(single[0], refs, 3), abs=1e-15)
 
 
 def test_test_bleu_decomposition():
     samples = [words("the cat sees a dog"), words("a dog sees the cat"),
                words("the bird paints a barn")]
     refs = [words("the cat sees a dog"), words("some birds paint the barn")]
-    got = mean_test_bleu(samples, refs, 2)
-    expected = float(np.mean([bleu(s, refs, 2) for s in samples]))
+    got = mean_ref_bleu(samples, refs, 2)
+    expected = float(np.mean([ref_bleu(s, refs, 2) for s in samples]))
     assert got == pytest.approx(expected, abs=1e-15)
 
 
 def test_self_bleu_identical_samples():
     s = words("the cat sees a dog")
-    assert self_bleu([s, list(s), list(s)], 3) == pytest.approx(1.0, abs=1e-12)
+    assert loo_bleu([s, list(s), list(s)], 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_self_bleu_disjoint_vocabularies():
     samples = [words("a b c"), words("d e f"), words("g h i")]
-    assert self_bleu(samples, 2) < 1e-4
+    assert loo_bleu(samples, 2) < 1e-4
 
 
 def test_self_bleu_matches_hand_leave_one_out():
     samples = [words("a b c d"), words("a b x y"), words("p q r s")]
-    got = self_bleu(samples, 2)
-    expected = float(np.mean([bleu(samples[0], samples[1:], 2),
-                              bleu(samples[1], [samples[0], samples[2]], 2),
-                              bleu(samples[2], samples[:2], 2)]))
+    got = loo_bleu(samples, 2)
+    expected = float(np.mean([
+        ref_bleu(samples[0], samples[1:], 2),
+        ref_bleu(samples[1], [samples[0], samples[2]], 2),
+        ref_bleu(samples[2], samples[:2], 2)]))
     assert got == pytest.approx(expected, abs=1e-15)
 
 
 def test_self_bleu_needs_two_samples():
     with pytest.raises(ContractError):
-        self_bleu([words("a b")], 2)
+        loo_bleu([words("a b")], 2)
 
 
 def test_eos_is_stripped_in_aggregates():
     a, b = [4, 5, 6, EOS], [4, 5, 6]
-    assert mean_test_bleu([a], [b], 2) == pytest.approx(1.0, abs=1e-12)
+    assert mean_ref_bleu([a], [b], 2) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +201,10 @@ def test_sample_order_invariance_of_aggregates():
     samples = [words("the cat sees a dog"), words("a dog sees the cat"),
                words("some birds like the barn")]
     refs = [words("the cat sees a dog")]
-    assert mean_test_bleu(samples, refs, 2) == pytest.approx(
-        mean_test_bleu(samples[::-1], refs, 2), abs=1e-15)
-    assert self_bleu(samples, 2) == pytest.approx(
-        self_bleu(samples[::-1], 2), abs=1e-15)
+    assert mean_ref_bleu(samples, refs, 2) == pytest.approx(
+        mean_ref_bleu(samples[::-1], refs, 2), abs=1e-15)
+    assert loo_bleu(samples, 2) == pytest.approx(
+        loo_bleu(samples[::-1], 2), abs=1e-15)
 
 
 def test_validity_rate_counts():
@@ -284,13 +303,12 @@ def test_bleu_equals_quadratic_oracle_on_random_corpora():
             tables = NgramTables(refs, k)
             for s in samples:
                 assert bleu(s, tables, k) == oracle_bleu(s, refs, k)
-                assert bleu(s, refs, k) == oracle_bleu(s, refs, k)
                 seen["tie"] += has_length_tie(s, refs)
                 seen["one_token"] += len(s) == 1
                 seen["k_beyond_length"] += k > len(s)
-            assert mean_test_bleu(samples, refs, k) == oracle_test_bleu(
+            assert mean_ref_bleu(samples, refs, k) == oracle_test_bleu(
                 samples, refs, k)
-            assert self_bleu(samples, k) == oracle_self_bleu(samples, k)
+            assert loo_bleu(samples, k) == oracle_self_bleu(samples, k)
         seen["duplicates"] += len({tuple(s) for s in samples}) < len(samples)
         seen["loo_tie"] += any(has_length_tie(s, samples[:i] + samples[i + 1:])
                                for i, s in enumerate(samples))
@@ -345,10 +363,10 @@ def test_reference_tables_are_built_once_per_call(monkeypatch):
     samples, refs = random_corpus(rng, 40), random_corpus(rng, 30)
     for k in (1, 4):
         calls.clear()
-        mean_test_bleu(samples, refs, k)
+        mean_ref_bleu(samples, refs, k)
         assert calls["ngrams"] <= k * (len(samples) + len(refs))
         calls.clear()
-        self_bleu(samples, k)
+        loo_bleu(samples, k)
         assert calls["ngrams"] <= 3 * k * len(samples)
     # a report builds one reference table and one sample table, each for
     # its highest order; the references here use words the samples lack
@@ -361,6 +379,6 @@ def test_reference_tables_are_built_once_per_call(monkeypatch):
     assert calls["ngrams"] - calls["ref_ngrams"] <= (
         max(self_ks) + sum(test_ks) + sum(self_ks)) * len(samples)
     monkeypatch.undo()
-    assert report.test_bleu == {k: mean_test_bleu(samples, refs, k)
+    assert report.test_bleu == {k: mean_ref_bleu(samples, refs, k)
                                 for k in test_ks}
-    assert report.self_bleu == {k: self_bleu(samples, k) for k in self_ks}
+    assert report.self_bleu == {k: loo_bleu(samples, k) for k in self_ks}
