@@ -200,10 +200,13 @@ def cmd_train(args):
                               % args.pretrained)
         if not models.pretrained:
             raise ConfigError("checkpoint was not pretrained")
+        # the run config sets what only this stage reads; the rest is the
+        # checkpoint's
         config = dataclasses.replace(models.config, **{
             k: getattr(config, k) for k in
             ("seed", "rl_epochs", "g_steps", "d_steps", "ablation", "rl_mix",
-             "eval_samples")})
+             "eval_samples", "gamma", "discount_convention", "baseline",
+             "baseline_momentum", "rollout_batch")})
         optimizers = optimizers or Optimizers(models, config)
     train, val, vocab, grammar, labelled = _load_training_data(config, paths,
                                                                data, vocab)

@@ -80,12 +80,6 @@ class Vocabulary:
             out.append(self.token_of(i))
         return out
 
-    def save(self, path):
-        payload = {"tokens": self.id_to_token, "specials": dict(SPECIAL_TOKENS)}
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=1)
-            f.write("\n")
-
     @classmethod
     def load(cls, path):
         with _reading(path), open(path, encoding="utf-8") as f:
@@ -236,8 +230,10 @@ class GrammarSpec:
                 return None
             sym = stack.pop()
             if sym == STYLE_SLOT:
-                if self.style_lexicons is None:
-                    raise ContractError("grammar uses STYLE without lexicons")
+                if self.style_lexicons is None or label is None:
+                    raise ContractError("grammar uses STYLE, which needs style "
+                                        "lexicons and a style label (--stage "
+                                        "style)")
                 lex = self.style_lexicons[label]
                 out.append(lex[int(rng.integers(len(lex)))])
             elif sym in self._choices:

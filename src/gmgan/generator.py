@@ -91,9 +91,6 @@ def gated_logits(dec_hidden, guider_pred, params):
     projected to (masked) vocabulary logits. Shapes (B, H)/(B, F) -> (B, V)."""
     out_feat = ad.add(ad.matmul(dec_hidden, params.out_w), params.out_b)
     gate = ad.add(ad.matmul(guider_pred, params.gate_w), params.gate_b)
-    if out_feat.shape != gate.shape:
-        raise DimensionError("decoder feature %r vs gate %r"
-                             % (out_feat.shape, gate.shape))
     logits = ad.matmul(ad.mul(out_feat, gate), params.vocab_w)
     return ad.add(logits, params.action_mask)
 

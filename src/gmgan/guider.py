@@ -131,8 +131,6 @@ def guider_loss_batch(step_features, lengths, c, params, init_state):
     init_state holds B rows (and, in style mode, their labels) in the
     caller's order.
     """
-    if c < 1:
-        raise ContractError("lookahead c must be >= 1")
     lengths = np.asarray(lengths)
     feats = np.asarray(step_features)
     n = len(lengths)

@@ -17,8 +17,6 @@ class Adam:
     """
 
     def __init__(self, named_params, lr, frozen_rows=None):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
         self.named_params = list(named_params)
         names = [n for n, _ in self.named_params]
         if len(set(names)) != len(names):

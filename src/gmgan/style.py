@@ -57,7 +57,6 @@ def _fit_cross_entropy(labelled, log_probs, opt, seed, domain, epochs,
 def train_style_classifier(labelled, vocab_size, profile, seed, epochs=4,
                            batch_size=32):
     """Fit the sentence-level style classifier; the caller freezes it."""
-    check_binary_labels(labelled)
     classifier = StyleClassifierParams(vocab_size, profile,
                                        stream_rng(seed, "classifier_init"))
     opt = Adam(classifier.tensors(), lr=3e-3,
@@ -114,8 +113,6 @@ def soft_argmax(logits, temperature):
     """Differentiable token selection: the temperature-sharpened distribution
     over tokens. Times an embedding table it gives the expected embedding,
     which converges to the argmax token's as temperature -> 0."""
-    if temperature <= 0:
-        raise ContractError("temperature must be positive")
     return ad.softmax(ad.scale(logits, 1.0 / temperature))
 
 

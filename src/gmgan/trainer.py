@@ -364,12 +364,11 @@ def _mix_value(config, epoch_index):
 def run_gmgan(train_sentences, val_sentences, models, config,
               optimizers=None, evaluator=None, log=None,
               checkpoint_fn=None):
-    """Adversarial fine-tuning: per epoch one corpus sweep of generator
-    updates (MLE blended with policy gradient by the ramp schedule), then
-    discriminator steps on fresh fake samples; metrics recorded per epoch.
+    """Adversarial fine-tuning of pretrained models: per epoch one corpus
+    sweep of generator updates (MLE blended with policy gradient by the
+    ramp schedule), then discriminator steps on fresh fake samples; metrics
+    recorded per epoch.
     """
-    if not models.pretrained:
-        raise ContractError("run_gmgan requires a pretrained model")
     optimizers = optimizers or Optimizers(models, config)
     baseline = RewardBaseline(config.baseline_momentum) if config.baseline else None
     history = []

@@ -202,6 +202,46 @@ def test_adversarial_stage_refuses_style_checkpoint(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_adversarial_stage_refuses_checkpoint_before_pretraining(
+        untrained_checkpoint, tmp_path, capsys):
+    # refused on loading, before any data is sampled or log opened
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--stage", "adversarial",
+                 "--pretrained", untrained_checkpoint]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not pretrained" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_adversarial_stage_reads_its_reward_settings_from_the_run_config(
+        tmp_path):
+    # the reward and rollout settings only this stage reads come from the
+    # run config; the model's shape and MLE settings from the checkpoint
+    assert main(["train", "--config", str(write_config(tmp_path)),
+                 "--stage", "mle"]) == 0
+    stage = {"gamma": 0.9, "discount_convention": "absolute",
+             "baseline": False, "baseline_momentum": 0.5, "rollout_batch": 2}
+    cfg = write_config(tmp_path, c=3, **stage)
+    assert main(["train", "--config", str(cfg), "--stage", "adversarial",
+                 "--pretrained", str(tmp_path / "out" / "mle.gmg")]) == 0
+    log = (tmp_path / "out" / "train.log.jsonl").read_text().splitlines()
+    header = [json.loads(l) for l in log
+              if json.loads(l)["stage"] == "header"][-1]["config"]
+    assert {k: header[k] for k in stage} == stage
+    assert header["c"] == 2
+
+
+def test_style_grammar_outside_the_style_stage_exits_2(tmp_path, capsys):
+    grammar = tmp_path / "style_grammar.json"
+    desk_style_grammar().save(grammar)
+    cfg = write_config(tmp_path, paths={"grammar": str(grammar),
+                                        "out_dir": str(tmp_path / "out")})
+    assert main(["train", "--config", str(cfg), "--stage", "mle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "style label (--stage style)" in err
+
+
 def test_pretrained_outside_the_adversarial_stage_exits_2(tmp_path, capsys):
     # the mle stage would otherwise train from scratch and ignore the flag
     cfg = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -70,9 +72,12 @@ def test_encode_decode_bijection_on_samples():
 
 
 def test_vocab_json_round_trip(tmp_path):
+    # the paths.vocab format that README documents
     vocab = desk_grammar().vocabulary()
     p = tmp_path / "v.json"
-    vocab.save(p)
+    p.write_text(json.dumps({"tokens": vocab.id_to_token,
+                             "specials": {"<pad>": 0, "<bos>": 1, "<eos>": 2,
+                                          "<unk>": 3}}), encoding="utf-8")
     loaded = Vocabulary.load(p)
     assert loaded.id_to_token == vocab.id_to_token
     assert loaded.token_to_id == vocab.token_to_id

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "gmgan"
 
@@ -361,3 +363,79 @@ def test_every_import_is_read():
                                 for a in node.names]
                    if name not in read]
     assert not unread, unread
+
+
+# each method whose bare name another gmgan class, a top-level gmgan
+# function, or an attribute of str, bytes, list, dict or numpy shares, with
+# a program scope that uses it on its own class's objects
+SHARED_NAME_CALLERS = {
+    "autodiff.Tape.record": "autodiff.py:add",
+    "autodiff.Tensor.item": "optim.py:Adam.minimize",
+    "autodiff.Tensor.shape": "encoder.py:TokenCNN.apply",
+    "checkpoint._Reader.take": "checkpoint.py:_unpack_sections",
+    "checkpoint._ZeroInit.normal": "autodiff.py:init_matrix",
+    "corpus.GrammarSpec.load": "cli.py:cmd_eval",
+    "corpus.GrammarSpec.save": "workloads.py:GenerateEval.setup",
+    "corpus.GrammarSpec.to_json": "corpus.py:GrammarSpec.save",
+    "corpus.Vocabulary.decode": "corpus.py:save_corpus",
+    "corpus.Vocabulary.encode": "corpus.py:load_corpus",
+    "corpus.Vocabulary.load": "cli.py:_load_training_data",
+    "encoder.TokenCNN.tensors": "trainer.py:Models.generator_tensors",
+    "generator.GeneratorParams.tensors": "trainer.py:Models.generator_tensors",
+    "guider.GuiderParams.tensors": "trainer.py:Optimizers.__init__",
+    "metrics.BleuReport.to_json": "cli.py:cmd_eval",
+    "style.LatentProbe.tensors": "style.py:train_latent_probe",
+}
+
+
+def test_every_shared_method_name_has_its_own_caller():
+    # the reference guard keys a method by its bare name, so a method named
+    # like another (`Vocabulary.encode` beside `str.encode`) passes on the
+    # other's uses; each such method names the program scope that uses it,
+    # and a new one needs an entry
+    shadowing = set().union(*map(dir, (str, bytes, list, dict, np.ndarray,
+                                       np.random.Generator, np)))
+    program = sorted(SRC.glob("*.py")) + sorted(
+        p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))
+    functions, methods, uses = set(), {}, {}
+    for path in program:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, body in _scopes(tree):
+            where = "%s:%s" % (path.name, scope)
+            uses.setdefault(where, set()).update(
+                n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute))
+            if path.parent != SRC or not isinstance(body, ast.FunctionDef):
+                continue
+            if "." not in scope:
+                functions.add(scope)
+            elif not scope.endswith("__"):
+                methods.setdefault(body.name, []).append(
+                    "%s.%s" % (path.stem, scope))
+    shared = {m for name, defs in methods.items() for m in defs
+              if len(defs) > 1 or name in functions | shadowing}
+    assert shared == set(SHARED_NAME_CALLERS)
+    wrong = {m: where for m, where in SHARED_NAME_CALLERS.items()
+             if m.split(".")[-1] not in uses.get(where, ())
+             or where == "%s.py:%s" % tuple(m.split(".", 1))}
+    assert not wrong, wrong
+
+
+# run settings that TrainConfig validates for every run and every loaded
+# checkpoint, under the names the program passes them by
+SETTINGS = {"c", "gamma", "convention", "discount_convention", "mode",
+            "ablation", "temperature", "soft_argmax_temperature", "lr"}
+
+
+def test_run_settings_are_checked_only_in_the_config():
+    # a setting is refused once, where it enters the program: no other
+    # branch that raises tests one
+    checks = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, body in _scopes(tree):
+            checks += ["%s:%d" % (path.name, node.lineno)
+                       for node in ast.walk(body) if isinstance(node, ast.If)
+                       and any(isinstance(s, ast.Raise) for s in node.body)
+                       and SETTINGS & set(_names(node.test))
+                       and scope != "TrainConfig.__post_init__"]
+    assert not checks, checks

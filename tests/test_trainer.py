@@ -60,6 +60,10 @@ def test_config_validation():
     with pytest.raises(ContractError):
         tiny_config(gamma=1.0)
     with pytest.raises(ContractError):
+        tiny_config(gamma=-0.1)
+    with pytest.raises(ContractError):
+        tiny_config(discount_convention="both")
+    with pytest.raises(ContractError):
         tiny_config(lr_generator=0.0)
     with pytest.raises(ContractError):
         tiny_config(c=7)
@@ -397,14 +401,6 @@ def test_three_arm_bandit_reinforce():
 # ---------------------------------------------------------------------------
 # adversarial loop
 # ---------------------------------------------------------------------------
-
-def test_gmgan_requires_pretraining():
-    _, vocab, sents = tiny_corpus(n=8)
-    config = tiny_config()
-    models = Models(len(vocab), config)
-    with pytest.raises(ContractError):
-        run_gmgan(sents, sents, models, config)
-
 
 def test_gmgan_with_zero_mix_matches_pretrain_continuation():
     _, vocab, sents = tiny_corpus(n=32)
