@@ -2,18 +2,20 @@
 
 Define-by-run: operations executed while a tape is active append one node
 (output, backward closure) to a flat list, which is therefore already in
-topological order. backward() walks the list once in reverse and accumulates
-gradients additively into every upstream tensor that requires them.
+topological order. backward() walks the list once in reverse, accumulates
+gradients additively into every upstream tensor that requires them and
+drops each closure, with the arrays it saved, once it has run. The list
+keeps every output and its gradient: perfbench's backward hook reads them.
 
-The network cells are fused nodes with hand-derived backwards: conv1d
-(gather, matmul, bias, ReLU) records one node, and lstm_cell records two
-entries, one per output. new_hidden's entry runs the whole cell backward and
-reads new_cell's gradient; new_cell's entry only makes sure that the first
-fires when the cell alone received a gradient. Every gradient receives its
-terms in the order the composed generic ops gave them, so results are equal
-to theirs bit for bit (tests/test_autodiff.py keeps those compositions as
-oracles; the sigmoid, tanh and column-slice ops that only they use live in
-tests/helpers.py).
+Three fused nodes have hand-derived backwards: conv1d (gather, matmul,
+bias, ReLU) and gated_head (the decoder's two affine maps, their product,
+the vocabulary product and the mask) record one node each, and lstm_cell
+two entries, one per output. new_hidden's entry runs the whole cell
+backward and reads new_cell's gradient; new_cell's entry only makes sure
+that the first fires when the cell alone received a gradient. Every
+gradient receives its terms in the order the composed generic ops gave
+them, so results are equal to theirs bit for bit (the tests keep those
+compositions as oracles).
 
 lstm_cell also runs T steps whose inputs are all known, as in teacher
 forcing: x then holds every step's rows, one input product covers every
@@ -194,7 +196,8 @@ def backward(loss):
 
     Gradients accumulate additively across uses of a tensor and across
     separate backward calls on different tapes. A single tape may only be
-    walked once; a second call raises TapeError.
+    walked once (a second call raises TapeError), so each node drops its
+    backward once it has run, and keeps its output and that one's gradient.
     """
     if loss.values.size != 1:
         raise ContractError("backward requires a scalar loss")
@@ -207,23 +210,18 @@ def backward(loss):
         raise TapeError("backward already ran on this tape")
     tp.consumed = True
     loss.accumulate_grad(np.ones_like(loss.values))
-    nodes = reversed(tp.nodes)
-    if DEBUG_CHECKS:
-        nodes = _checked_grads(nodes)
-    for out, backward_fn in nodes:
-        if out.grad is not None:
-            backward_fn(out.grad)
-
-
-def _checked_grads(nodes):
-    """The nodes, each checked as the walk reaches it: by then every later
-    node has added its part to the output gradient."""
-    for out, backward_fn in nodes:
-        if out.grad is not None and not np.all(np.isfinite(out.grad)):
+    nodes = tp.nodes
+    for i in range(len(nodes) - 1, -1, -1):
+        out, backward_fn = nodes[i]
+        nodes[i] = (out, None)
+        if out.grad is None:
+            continue
+        # every later node has added its part to out.grad by now
+        if DEBUG_CHECKS and not np.all(np.isfinite(out.grad)):
             raise FloatingPointError(
                 "%s output gradient is non-finite, shape %r"
                 % (backward_fn.__qualname__.split(".")[0], out.grad.shape))
-        yield out, backward_fn
+        backward_fn(out.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +229,8 @@ def _checked_grads(nodes):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    """a + b of equal shapes, or of a 2-D a and a row vector b (a bias)."""
-    bcast = a.shape != b.shape
-    if bcast and not (len(a.shape) == 2 and b.shape == (a.shape[1],)):
+    """Elementwise a + b of equal shapes."""
+    if a.shape != b.shape:
         raise DimensionError("incompatible shapes %r and %r"
                              % (a.shape, b.shape))
     out = _fresh(a.values + b.values, "add")
@@ -243,7 +240,7 @@ def add(a, b):
             if a.requires_grad:
                 a.accumulate_grad(g)
             if b.requires_grad:
-                b.accumulate_grad(g.sum(axis=0) if bcast else g)
+                b.accumulate_grad(g)
         tp.record(out, bw)
     return out
 
@@ -290,6 +287,52 @@ def matmul(a, b):
                 a.accumulate_grad(g @ bv.T)
             if b.requires_grad:
                 b.accumulate_grad(av.T @ g)
+        tp.record(out, bw)
+    return out
+
+
+def _affine_grads(g, x, w, b):
+    """The gradients of x @ w + b, given its output's: b's, x's, then w's,
+    the order of the composed add and matmul nodes."""
+    if b.requires_grad:
+        b.accumulate_grad(g.sum(axis=0))
+    if x.requires_grad:
+        x.accumulate_grad(g @ w.values.T)
+    if w.requires_grad:
+        w.accumulate_grad(x.values.T @ g)
+
+
+def linear(x, w, b):
+    """x @ w + b of a 2-D x, a 2-D w and a bias row b, as one node."""
+    if (x.values.ndim != 2 or w.values.ndim != 2
+            or x.shape[1:] + b.shape != w.shape):
+        raise DimensionError("linear operands %r, %r and %r are not (B, n), "
+                             "(n, m) and (m,)" % (x.shape, w.shape, b.shape))
+    out = _fresh(x.values @ w.values + b.values, "linear")
+    tp = _track(x, w, b)
+    if tp:
+        tp.record(out, lambda g: _affine_grads(g, x, w, b))
+    return out
+
+
+def gated_head(h, pred, out_w, out_b, gate_w, gate_b, vocab_w, mask):
+    """((h @ out_w + out_b) * (pred @ gate_w + gate_b)) @ vocab_w + mask of
+    2-D h and pred with equal row counts and a constant mask row."""
+    feat = h.values @ out_w.values + out_b.values
+    gate = pred.values @ gate_w.values + gate_b.values
+    if feat.shape != gate.shape:
+        raise DimensionError("gated_head features %r and gates %r differ"
+                             % (feat.shape, gate.shape))
+    out = _fresh((feat * gate) @ vocab_w.values + mask, "gated_head")
+    tp = _track(h, pred, out_w, out_b, gate_w, gate_b, vocab_w)
+    if tp:
+        def bw(g):
+            # the composed nodes' order: vocab product, gate, feature
+            if vocab_w.requires_grad:
+                vocab_w.accumulate_grad((feat * gate).T @ g)
+            g = g @ vocab_w.values.T
+            _affine_grads(g * feat, pred, gate_w, gate_b)
+            _affine_grads(g * gate, h, out_w, out_b)
         tp.record(out, bw)
     return out
 

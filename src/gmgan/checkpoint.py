@@ -171,9 +171,10 @@ class _ZeroInit:
         return np.zeros(size)
 
 
-def load_models(path):
+def load_models(path, optimizer_state=True):
     """Rebuild Models (and optimizer state, when present) from a checkpoint.
-    Draws nothing from the init stream.
+    Draws nothing from the init stream. With optimizer_state False the
+    optimizer sections are checked but no optimizer is built.
 
     Returns (models, vocab, optimizers_or_None, config_blob).
     """
@@ -185,36 +186,37 @@ def load_models(path):
     models = Models(len(vocab), config, style_labels=style_labels,
                     init_rng=_ZeroInit())
     for name, t in models.all_tensors():
-        arr = _section(sections, name)
-        if arr.shape != t.values.shape:
-            raise CheckpointError("section %r has shape %r, expected %r"
-                                  % (name, arr.shape, t.values.shape))
-        t.values[...] = arr
-    meta = [_section(sections, "meta.%s" % n)
+        t.values[...] = _section(sections, name, t.values.shape)
+    meta = [_section(sections, "meta.%s" % n, (1,))
             for n in ("feature_norm", "pretrained")]
-    if any(arr.shape != (1,) for arr in meta):
-        raise CheckpointError("meta sections must hold one value each")
     models.feature_norm, models.pretrained = float(meta[0][0]), bool(meta[1][0])
 
     optimizers = None
     if any(name.startswith("optim.") for name in sections):
-        optimizers = Optimizers(models, config)
-        for group in ("generator", "guider", "discriminator"):
+        optimizers = Optimizers(models, config) if optimizer_state else None
+        for group, params in models.optimizer_groups().items():
             prefix = "optim.%s." % group
-            arrays = [(name[len(prefix):], arr)
-                      for name, arr in sections.items()
-                      if name.startswith(prefix)]
-            try:
-                getattr(optimizers, group).load_state_arrays(arrays)
-            except (KeyError, ValueError) as e:
-                raise CheckpointError("%s optimizer state is incomplete or "
-                                      "misshapen: %s" % (group, e)) from e
+            table = {"step": _section(sections, prefix + "step", (1,))}
+            step = table["step"][0]
+            if not (step >= 0 and float(step).is_integer()):
+                raise CheckpointError("section %r holds %r, not an integer "
+                                      ">= 0" % (prefix + "step", step))
+            for name, t in params:
+                for key in (name + ".m", name + ".v"):
+                    table[key] = _section(sections, prefix + key,
+                                          t.values.shape)
+            if optimizers is not None:
+                getattr(optimizers, group).load_state_arrays(table)
     return models, vocab, optimizers, blob
 
 
-def _section(sections, name):
+def _section(sections, name, shape):
+    """The named section; CheckpointError unless it is there in `shape`."""
     if name not in sections:
         raise CheckpointError("checkpoint missing section %r" % name)
+    if sections[name].shape != shape:
+        raise CheckpointError("section %r has shape %r, expected %r"
+                              % (name, sections[name].shape, shape))
     return sections[name]
 
 

@@ -254,7 +254,7 @@ def cmd_generate(args):
     seed = _seed(args.seed, "--seed")
     if args.num < 1:
         raise ConfigError("--num must be >= 1, got %d" % args.num)
-    models, vocab, _, _ = load_models(args.checkpoint)
+    models, vocab, _, _ = load_models(args.checkpoint, optimizer_state=False)
     if ((args.label is not None or args.input is not None)
             and not models.guider.num_labels):
         raise ConfigError("%s is not a style checkpoint: generate takes no "
@@ -303,7 +303,7 @@ def cmd_eval(args):
 
 
 def cmd_inspect_rewards(args):
-    models, vocab, _, _ = load_models(args.checkpoint)
+    models, vocab, _, _ = load_models(args.checkpoint, optimizer_state=False)
     if models.guider.num_labels:
         raise ConfigError("%s is a style checkpoint: inspect-rewards does not "
                           "take style checkpoints" % args.checkpoint)

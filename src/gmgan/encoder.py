@@ -132,7 +132,7 @@ class TokenCNN:
             x = ad.conv1d(x, kernel, bias, w, s)
         batch = x.shape[0]
         flat = ad.reshape(x, (batch, x.shape[1] * x.shape[2]))
-        out = ad.add(ad.matmul(flat, self.mlp_w), self.mlp_b)
+        out = ad.linear(flat, self.mlp_w, self.mlp_b)
         return ad.relu(out) if self.final_relu else out
 
     def apply_rows(self, rows):

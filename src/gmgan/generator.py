@@ -83,16 +83,16 @@ class GeneratorParams:
 def initial_hidden(init_features, params):
     """Project (B, F) initial features to the shared decoder/guider hidden
     state (B, H)."""
-    return ad.add(ad.matmul(init_features, params.init_w), params.init_b)
+    return ad.linear(init_features, params.init_w, params.init_b)
 
 
 def gated_logits(dec_hidden, guider_pred, params):
     """Decoder feature gated element-wise by the transformed prediction, then
-    projected to (masked) vocabulary logits. Shapes (B, H)/(B, F) -> (B, V)."""
-    out_feat = ad.add(ad.matmul(dec_hidden, params.out_w), params.out_b)
-    gate = ad.add(ad.matmul(guider_pred, params.gate_w), params.gate_b)
-    logits = ad.matmul(ad.mul(out_feat, gate), params.vocab_w)
-    return ad.add(logits, params.action_mask)
+    projected to (masked) vocabulary logits, as one `ad.gated_head` node.
+    Shapes (B, H)/(B, F) -> (B, V)."""
+    return ad.gated_head(dec_hidden, guider_pred, params.out_w, params.out_b,
+                         params.gate_w, params.gate_b, params.vocab_w,
+                         params.action_mask.values)
 
 
 @dataclass

@@ -100,7 +100,7 @@ def guider_step(state, f, params, batch_sizes=None):
     new_h, new_c = ad.lstm_cell(x, state.hidden, state.cell,
                                 params.w_x, params.w_h, params.b,
                                 batch_sizes=batch_sizes)
-    pred = ad.add(ad.matmul(new_h, params.head_w), params.head_b)
+    pred = ad.linear(new_h, params.head_w, params.head_b)
     return pred, GuiderState(new_h, new_c, state.labels)
 
 

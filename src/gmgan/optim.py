@@ -69,22 +69,10 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays):
-        """Restores what `state_arrays` gave, copying the moments in. Raises
-        KeyError for a missing array and ValueError, before changing any
-        state, for a step that is not one integer >= 0 or a moment whose
-        shape is not its parameter's."""
+        """Restores what `state_arrays` gave, copying the moments in; the
+        caller has checked the step and every moment's shape."""
         table = dict(arrays)
-        step = table["step"]
-        if step.shape != (1,) or not (step[0] >= 0
-                                      and float(step[0]).is_integer()):
-            raise ValueError("step must be one integer >= 0, got %r"
-                             % (step.tolist(),))
-        for name, p in self.named_params:
-            for key in (name + ".m", name + ".v"):
-                if table[key].shape != p.values.shape:
-                    raise ValueError("%s has shape %r, expected %r"
-                                     % (key, table[key].shape, p.values.shape))
-        self.t = int(step[0])
+        self.t = int(table["step"][0])
         for name, _ in self.named_params:
             self.m[name][...] = table[name + ".m"]
             self.v[name][...] = table[name + ".v"]

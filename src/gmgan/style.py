@@ -79,7 +79,7 @@ class LatentProbe:
         return [("probe.w", self.w), ("probe.b", self.b)]
 
     def log_probs(self, feats):
-        return ad.log_softmax(ad.add(ad.matmul(feats, self.w), self.b))
+        return ad.log_softmax(ad.linear(feats, self.w, self.b))
 
 
 def train_latent_probe(labelled, models, seed):

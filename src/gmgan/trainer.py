@@ -143,17 +143,22 @@ class Models:
         return self.encoder.tensors() + self.generator.tensors()
 
     def all_tensors(self):
-        return (self.generator_tensors() + self.guider.tensors()
-                + self.discriminator.tensors())
+        return sum(self.optimizer_groups().values(), [])
+
+    def optimizer_groups(self):
+        """Each optimizer group's named tensors, by group name."""
+        return {"generator": self.generator_tensors(),
+                "guider": self.guider.tensors(),
+                "discriminator": self.discriminator.tensors()}
 
 
 class Optimizers:
     def __init__(self, models, config):
-        frozen = {"encoder.embedding": [PAD]}
-        self.generator = Adam(models.generator_tensors(),
-                              lr=config.lr_generator, frozen_rows=frozen)
-        self.guider = Adam(models.guider.tensors(), lr=config.lr_guider)
-        self.discriminator = Adam(models.discriminator.tensors(),
+        groups = models.optimizer_groups()
+        self.generator = Adam(groups["generator"], lr=config.lr_generator,
+                              frozen_rows={"encoder.embedding": [PAD]})
+        self.guider = Adam(groups["guider"], lr=config.lr_guider)
+        self.discriminator = Adam(groups["discriminator"],
                                   lr=config.lr_discriminator,
                                   frozen_rows={"discriminator.embedding": [PAD]})
 

@@ -1,6 +1,6 @@
 """Shared test utilities: the central finite-difference gradient oracle, the
-ops of the composed-op LSTM oracle, the one-token rollout of the bandit
-tests and the per-term dual-cosine means of criterion 6."""
+ops of the composed-op oracles of the fused nodes, the one-token rollout of
+the bandit tests and the per-term dual-cosine means of criterion 6."""
 
 import numpy as np
 
@@ -90,8 +90,9 @@ def check_grads(f, tensors, tol, h=1e-5, max_coords=None, rng=None):
     return worst
 
 
-# The composed-op LSTM oracle's ops, in autodiff's own op form. The sigmoid
-# is autodiff's, so the oracle's `==` comparisons stay exact.
+# The ops of the composed-op oracles of the fused nodes, in autodiff's own
+# op form. The sigmoid is autodiff's, so the oracles' `==` comparisons stay
+# exact.
 
 def _op(a, values, name, grad_of):
     out = ad._fresh(values, name)
@@ -118,6 +119,34 @@ def slice_cols(a, start, stop):
         return full
     return _op(a, np.ascontiguousarray(a.values[:, start:stop]),
                "slice_cols", grad_of)
+
+
+def add_row(a, b):
+    """a + b of a 2-D a and a bias row b; b's gradient sums over the rows."""
+    out = ad._fresh(a.values + b.values, "add_row")
+    tp = ad._track(a, b)
+    if tp:
+        def bw(g):
+            if a.requires_grad:
+                a.accumulate_grad(g)
+            if b.requires_grad:
+                b.accumulate_grad(g.sum(axis=0))
+        tp.record(out, bw)
+    return out
+
+
+def oracle_linear(x, w, b):
+    """ad.linear from generic ops: a matmul node, then a bias-row node."""
+    return add_row(ad.matmul(x, w), b)
+
+
+def oracle_gated_head(h, pred, out_w, out_b, gate_w, gate_b, vocab_w, mask):
+    """ad.gated_head from generic ops, seven nodes: two affine maps, their
+    elementwise product, the vocabulary product and the constant mask."""
+    feat = oracle_linear(h, out_w, out_b)
+    gate = oracle_linear(pred, gate_w, gate_b)
+    logits = ad.matmul(ad.mul(feat, gate), vocab_w)
+    return add_row(logits, ad.constant(mask))
 
 
 def one_token_trace(init_feature, models, rng):

@@ -1,6 +1,8 @@
+import ast
 import functools
 import gc
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from gmgan.errors import ContractError, DimensionError, TapeError
 from gmgan.generator import GeneratorParams, initial_hidden, mle_loss
 from gmgan.guider import GuiderParams, guider_step, initial_state
 from gmgan.trainer import Models, TrainConfig
-from helpers import check_grads, rel_err, sigmoid, slice_cols, tanh
+from helpers import (add_row, check_grads, oracle_gated_head, oracle_linear,
+                     rel_err, sigmoid, slice_cols, tanh)
 
 
 def t(values, grad=False):
@@ -187,10 +190,16 @@ def test_elementwise_hand_product():
 def test_elementwise_shape_error():
     with pytest.raises(DimensionError):
         ad.add(t([1.0, 2.0]), t([1.0, 2.0, 3.0]))
-    # add takes a bias row; mul takes equal shapes only
-    assert ad.add(t(np.ones((2, 3))), t(np.ones(3))).shape == (2, 3)
-    with pytest.raises(DimensionError):
-        ad.mul(t(np.ones((2, 3))), t(np.ones(3)))
+    # add and mul take equal shapes only: a bias row goes through linear
+    for op in (ad.add, ad.mul):
+        with pytest.raises(DimensionError):
+            op(t(np.ones((2, 3))), t(np.ones(3)))
+    assert ad.linear(t(np.ones((2, 4))), t(np.ones((4, 3))),
+                     t(np.ones(3))).shape == (2, 3)
+    for x, w, b in [((2, 4), (5, 3), (3,)), ((2, 4), (4, 3), (2,)),
+                    ((4,), (4, 3), (3,)), ((2, 4), (4, 3), (1, 3))]:
+        with pytest.raises(DimensionError):
+            ad.linear(t(np.ones(x)), t(np.ones(w)), t(np.ones(b)))
 
 
 @pytest.mark.parametrize("kind", ["mul", "add"])
@@ -211,13 +220,14 @@ def test_elementwise_gradients(kind):
 def test_bias_broadcast_gradient():
     rng = np.random.default_rng(3)
     a = t(rng.normal(size=(4, 3)), grad=True)
-    b = t(rng.normal(size=3), grad=True)
+    w = t(rng.normal(size=(3, 5)), grad=True)
+    b = t(rng.normal(size=5), grad=True)
     with ad.tape():
-        loss = ad.tsum(ad.exp(ad.add(a, b)))
+        loss = ad.tsum(ad.exp(ad.scale(ad.linear(a, w, b), 0.3)))
     ad.backward(loss)
     def forward():
-        return float(np.exp(a.values + b.values).sum())
-    check_grads(forward, [a, b], tol=1e-6)
+        return float(np.exp(0.3 * (a.values @ w.values + b.values)).sum())
+    check_grads(forward, [a, w, b], tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +435,7 @@ def oracle_lstm_cell(x, hidden, cell, w_x, w_h, b, pre=None):
     """lstm_cell built from generic ops, 17 nodes per batched step; `pre`,
     when given, collects each step's (hidden, pre-activation z)."""
     h_dim = hidden.shape[1]
-    z = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(hidden, w_h)), b)
+    z = add_row(ad.add(ad.matmul(x, w_x), ad.matmul(hidden, w_h)), b)
     if pre is not None:
         pre.append((hidden, z))
     i = sigmoid(slice_cols(z, 0, h_dim))
@@ -448,7 +458,7 @@ def oracle_conv1d(x, kernel, bias, width, stride):
     flat = ad.reshape(x, (batch * length, in_ch))
     windows = ad.reshape(ad.gather_rows(flat, idx),
                          (batch * n_win, width * in_ch))
-    out = ad.relu(ad.add(ad.matmul(windows, kernel), bias))
+    out = ad.relu(oracle_linear(windows, kernel, bias))
     return ad.reshape(out, (batch, n_win, kernel.shape[1]))
 
 
@@ -794,6 +804,63 @@ def test_fused_conv1d_equals_composed_ops_at_desk_size():
         assert np.array_equal(fg, og)
 
 
+def _head_grads(head_fn, data, names, frozen, *consts):
+    """head_fn's output on tensors made from data[names], then consts, and
+    every input's gradient under the loss sum(out * proj); the names in
+    frozen take none."""
+    ts = [t(data[k], grad=k not in frozen) for k in names]
+    with ad.tape():
+        out = head_fn(*ts, *consts)
+        ad.backward(ad.tsum(ad.mul(out, t(data["proj"]))))
+    return out.values, [x.grad for x in ts]
+
+
+def _assert_equal_heads(fused, oracle):
+    assert np.array_equal(fused[0], oracle[0])
+    for fg, og in zip(fused[1], oracle[1]):
+        assert (fg is None and og is None) or np.array_equal(fg, og)
+
+
+@pytest.mark.parametrize("batch,n,m", [(1, 5, 6), (7, 5, 6),
+                                       (352, 64, 128),   # DESK guider head
+                                       (32, 256, 128)])  # DESK encoder MLP
+@pytest.mark.parametrize("frozen", [(), ("x",), ("w", "b")])
+def test_linear_equals_composed_ops(batch, n, m, frozen):
+    rng = np.random.default_rng(61 + n)
+    data = {"x": rng.normal(size=(batch, n)),
+            "w": rng.normal(scale=0.5, size=(n, m)), "b": rng.normal(size=m),
+            "proj": rng.normal(size=(batch, m))}
+    names = ("x", "w", "b")
+    _assert_equal_heads(_head_grads(ad.linear, data, names, frozen),
+                        _head_grads(oracle_linear, data, names, frozen))
+
+
+@pytest.mark.parametrize("batch,h,f,v", [(1, 6, 5, 9), (7, 6, 5, 9),
+                                         (1, 64, 128, 60),
+                                         (352, 64, 128, 60)])  # DESK sizes
+@pytest.mark.parametrize("frozen", [("pred",), (), ("h", "out_w")])
+def test_gated_head_equals_composed_ops(batch, h, f, v, frozen):
+    # the guider's prediction is a constant on every program path
+    rng = np.random.default_rng(67 + batch)
+    mask = np.zeros(v)
+    mask[:3] = -1e30
+    data = {"h": rng.normal(size=(batch, h)),
+            "pred": rng.normal(size=(batch, f)),
+            "out_w": rng.normal(scale=0.3, size=(h, f)),
+            "out_b": rng.normal(size=f),
+            "gate_w": rng.normal(scale=0.3, size=(f, f)),
+            "gate_b": rng.normal(size=f),
+            "vocab_w": rng.normal(scale=0.3, size=(f, v)),
+            "proj": rng.normal(size=(batch, v))}
+    names = ("h", "pred", "out_w", "out_b", "gate_w", "gate_b", "vocab_w")
+    _assert_equal_heads(
+        _head_grads(ad.gated_head, data, names, frozen, mask),
+        _head_grads(oracle_gated_head, data, names, frozen, mask))
+    with pytest.raises(DimensionError):   # rows that numpy would broadcast
+        ad.gated_head(*(t(np.concatenate([data[k]] * 2) if k == "h"
+                          else data[k]) for k in names), mask)
+
+
 def test_sigmoid_equals_masked_formula():
     x = np.concatenate([np.random.default_rng(5).normal(scale=8.0, size=500),
                         [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0,
@@ -823,6 +890,12 @@ def test_fused_cells_record_one_node_each():
         with ad.tape() as tp:
             ad.conv1d(x, kernel, t(np.zeros(2), grad=True), 3, 2)
         assert len(tp.nodes) == 1
+    h, f = t(rng.normal(size=(2, 4)), grad=True), t(rng.normal(size=(2, 3)))
+    w, b = t(rng.normal(size=(3, 3)), grad=True), t(np.zeros(3), grad=True)
+    with ad.tape() as tp:
+        ad.linear(h, t(np.ones((4, 3))), b)
+        ad.gated_head(h, f, t(np.ones((4, 3))), b, w, b, w, np.zeros(3))
+    assert len(tp.nodes) == 2
 
 
 def test_desk_mle_batch_tape_size():
@@ -1041,22 +1114,35 @@ def test_backward_off_tape_raises():
 
 
 def test_walked_tape_is_freed_without_the_cyclic_gc():
-    # the node list is still there for whoever reads it right after
-    # backward; once the block ends the graph goes with the last reference
-    x = t(np.ones(10 ** 6), grad=True)
+    # backward drops each node's saved arrays as it walks, here conv1d's
+    # window matrix, the largest array the graph allocates; the node list
+    # keeps every output and its gradient for whoever reads them right
+    # after, and once the block ends the graph goes with the last reference
+    rng = np.random.default_rng(0)
+    x = t(rng.normal(size=(1, 125000, 8)), grad=True)         # 10**6 values
+    kernel = t(rng.normal(size=(4 * 8, 2)), grad=True)
+    window_bytes = 8 * (125000 - 3) * 4 * 8
     gc.disable()
     tracemalloc.start()
     try:
         with ad.tape() as tp:
-            loss = ad.tsum(ad.mul(ad.mul(x, x), x))
+            y = ad.conv1d(x, kernel, t(np.zeros(2), grad=True), 4, 1)
+            loss = ad.tsum(ad.mul(y, y))
+            largest_after_forward = max(
+                tr.size for tr in tracemalloc.take_snapshot().traces)
             ad.backward(loss)
+            largest = max(tr.size for tr in tracemalloc.take_snapshot().traces)
             assert len(tp.nodes) == 3
-        del loss
+            assert all(out.grad is not None for out, _ in tp.nodes)
+        del loss, y
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert held < 2 * 8 * 10 ** 6   # x.grad; the products and their grads went
+    assert largest_after_forward >= window_bytes
+    assert largest < window_bytes
+    # x.grad and the cached window layout; the outputs and their grads went
+    assert held < 2 * x.values.nbytes
 
 
 def test_no_grad_suspends_recording():
@@ -1105,6 +1191,11 @@ def test_every_op_matches_finite_differences_randomized():
         b = t(rng.normal(size=(3, 4)), grad=True)
         c = t(rng.normal(size=(4, 2)), grad=True)
         v = t(rng.normal(size=(1, 4)), grad=True)
+        w = t(rng.normal(size=(4, 2)), grad=True)
+        u = t(rng.normal(size=(2, 5)), grad=True)
+        wb, ub = t(rng.normal(size=2), grad=True), t(rng.normal(size=2),
+                                                     grad=True)
+        mask = rng.normal(size=5)
         builders = {
             "add": (lambda: ad.tsum(ad.exp(ad.scale(ad.add(a, b), 0.3))),
                     lambda: float(np.exp(0.3 * (a.values + b.values)).sum()),
@@ -1116,6 +1207,9 @@ def test_every_op_matches_finite_differences_randomized():
                        [a, c]),
             "exp": (lambda: ad.tsum(ad.exp(ad.scale(a, 0.3))),
                     lambda: float(np.exp(0.3 * a.values).sum()), [a]),
+            "relu": (lambda: ad.tsum(ad.mul(ad.relu(a), b)),
+                     lambda: float((np.maximum(a.values, 0.0)
+                                    * b.values).sum()), [a]),
             "softmax": (lambda: ad.tsum(ad.mul(ad.softmax(a), b)),
                         lambda: _softmax_weighted_sum(a.values, b.values), [a]),
             "gather": (lambda: ad.tsum(ad.gather_rows(a, [0, 2, 2])),
@@ -1129,6 +1223,18 @@ def test_every_op_matches_finite_differences_randomized():
             "cosine": (lambda: ad.tsum(ad.row_cosine(np.ones((1, 4)), v)),
                        lambda: float(v.values.sum() /
                                      (np.linalg.norm(v.values) * 2.0)), [v]),
+            "linear": (lambda: ad.tsum(ad.exp(ad.scale(ad.linear(a, c, wb),
+                                                       0.3))),
+                       lambda: float(np.exp(0.3 * (a.values @ c.values
+                                                   + wb.values)).sum()),
+                       [a, c, wb]),
+            "gated_head": (lambda: ad.tsum(ad.exp(ad.scale(ad.gated_head(
+                               a, b, c, wb, w, ub, u, mask), 0.03))),
+                           lambda: float(np.exp(0.03 * (
+                               ((a.values @ c.values + wb.values)
+                                * (b.values @ w.values + ub.values))
+                               @ u.values + mask)).sum()),
+                           [a, b, c, wb, w, ub, u]),
         }
         for name, (build, fwd, params) in builders.items():
             for p in params:
@@ -1144,3 +1250,27 @@ def test_every_op_matches_finite_differences_randomized():
 def _softmax_weighted_sum(x, w):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return float((e / e.sum(axis=-1, keepdims=True) * w).sum())
+
+
+def test_every_recording_op_is_gradient_checked():
+    # every differentiable op stays gradient-checked, the next fused one
+    # too: each function of autodiff.py that records a node is named in a
+    # test that compares gradients with finite differences by check_grads
+    source = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
+    recording = {f.name for f in source.body
+                 if isinstance(f, ast.FunctionDef)
+                 and any(isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Attribute)
+                         and n.func.attr == "record" for n in ast.walk(f))}
+    assert {"add", "linear", "gated_head", "lstm_cell", "conv1d"} <= recording
+    checked = set()
+    for path in Path(__file__).parent.glob("test_*.py"):
+        for f in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(f, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call)
+                    and getattr(n.func, "id", None) == "check_grads"
+                    for n in ast.walk(f)):
+                checked |= {n.attr for n in ast.walk(f)
+                            if isinstance(n, ast.Attribute)
+                            and getattr(n.value, "id", None) == "ad"}
+    assert recording - checked == set()

@@ -58,7 +58,7 @@ def test_round_trip_random_parameter_sets(tmp_path):
                 arr, dtype="<f8").tobytes()
 
 
-def test_optimizer_state_round_trip(tmp_path):
+def test_optimizer_state_round_trip(tmp_path, monkeypatch, capsys):
     vocab, models = tiny_setup()
     opt = Optimizers(models, models.config)
     for _, t in models.generator_tensors():
@@ -74,6 +74,19 @@ def test_optimizer_state_round_trip(tmp_path):
         for name in mine.m:
             assert mine.m[name].tobytes() == theirs.m[name].tobytes()
             assert mine.v[name].tobytes() == theirs.v[name].tobytes()
+    # generate and inspect-rewards read no optimizer, so their loads check
+    # the optimizer sections and build none
+    assert load_models(path, optimizer_state=False)[2] is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an optimizer was built")
+    monkeypatch.setattr(trainer.Adam, "__init__", refuse)
+    assert main(["generate", "--checkpoint", str(path), "--num", "1",
+                 "--out", str(tmp_path / "x.txt")]) == 0
+    sentence = " ".join(vocab.id_to_token[i] for i in (5, 6, 7))
+    assert main(["inspect-rewards", "--checkpoint", str(path),
+                 "--sentence", sentence]) == 0
+    assert sentence.split()[0] in capsys.readouterr().out
 
 
 def test_load_draws_nothing_from_the_init_stream(tmp_path, monkeypatch):
@@ -393,8 +406,9 @@ def test_malformed_checkpoint_refused_with_exit_2(tmp_path, corrupt):
     path = tmp_path / "bad.gmg"
     _crc_valid_file(path, *corrupt(
         blob, [(name.encode("utf-8"), arr) for name, arr in sections.items()]))
-    with pytest.raises(CheckpointError):
-        load_models(path)
+    for optimizer_state in (True, False):
+        with pytest.raises(CheckpointError):
+            load_models(path, optimizer_state=optimizer_state)
     assert main(["generate", "--checkpoint", str(path), "--num", "1",
                  "--out", str(tmp_path / "x.txt")]) == 2
 

@@ -50,8 +50,8 @@ def test_all_ones_gate_equals_ungated_pipeline():
     state = rand_state(rng)
     pred = ad.constant(rng.normal(size=(1, TINY.feature_dim)))
     gated = step_distribution(state, pred, gen)
-    out_feat = ad.add(ad.matmul(state[0], gen.out_w), gen.out_b)
-    plain = ad.softmax(ad.add(ad.matmul(out_feat, gen.vocab_w), gen.action_mask))
+    out_feat = ad.linear(state[0], gen.out_w, gen.out_b)
+    plain = ad.softmax(ad.linear(out_feat, gen.vocab_w, gen.action_mask))
     assert np.array_equal(gated.values, plain.values)
 
 

@@ -382,7 +382,7 @@ SHARED_NAME_CALLERS = {
     "corpus.Vocabulary.load": "cli.py:_load_training_data",
     "encoder.TokenCNN.tensors": "trainer.py:Models.generator_tensors",
     "generator.GeneratorParams.tensors": "trainer.py:Models.generator_tensors",
-    "guider.GuiderParams.tensors": "trainer.py:Optimizers.__init__",
+    "guider.GuiderParams.tensors": "trainer.py:Models.optimizer_groups",
     "metrics.BleuReport.to_json": "cli.py:cmd_eval",
     "style.LatentProbe.tensors": "style.py:train_latent_probe",
 }
