@@ -33,7 +33,8 @@ matmul takes 2-D operands, lstm_cell (B, d) rows per step and conv1d
 DimensionError.
 
 Values are numpy float64 arrays. Tensors are immutable after construction
-except for gradient accumulation; a tape is single-threaded. With
+except for gradient accumulation and a constant that only no-grad code
+reads (the decode loop's prefix); a tape is single-threaded. With
 DEBUG_CHECKS on, an op that produces NaN/Inf raises FloatingPointError
 naming the op and the output shape, and so does backward when it reaches a
 node whose output gradient holds NaN/Inf.
@@ -171,16 +172,17 @@ def tape():
             t.nodes = []
 
 
-@contextmanager
-def no_grad():
-    """Suspend recording; ops inside run forward-only."""
-    global _ACTIVE_TAPE
-    prev = _ACTIVE_TAPE
-    _ACTIVE_TAPE = None
-    try:
-        yield
-    finally:
-        _ACTIVE_TAPE = prev
+class no_grad:
+    """Suspend recording; ops inside run forward-only. A class rather than
+    a generator context: the decode loop enters one at every step."""
+
+    def __enter__(self):
+        global _ACTIVE_TAPE
+        self.prev, _ACTIVE_TAPE = _ACTIVE_TAPE, None
+
+    def __exit__(self, *exc):
+        global _ACTIVE_TAPE
+        _ACTIVE_TAPE = self.prev
 
 
 def _track(*tensors):

@@ -6,8 +6,9 @@ letting one parameter set serve every prefix length. The PAD embedding row
 is zero and stays zero, so padding never influences the feature.
 
 Two paths compute features. `encode_batch` runs the network on a prefix
-matrix and may record gradients; sampling calls it once per step because
-its next prefix is not known until the step's token is drawn.
+matrix of ids or a prefix tensor of embeddings and may record gradients;
+the decode loop calls it once per step because its next prefix is not
+known until the step's input is chosen.
 `prefix_features` serves prefixes known in advance (teacher forcing, the
 guider's training targets): it computes each distinct conv window of the
 prefixes a batch reads once (all of them, or a packed subset), forward
@@ -166,9 +167,11 @@ def sentence_rows(sentences, pad_width):
     return pad_rows([[BOS] + list(s) for s in sentences], pad_width)
 
 
-def encode_batch(rows, params):
-    """Encode a (B, pad_width) id matrix to (B, feature_dim) features."""
-    return params.apply_rows(rows)
+def encode_batch(prefixes, params):
+    """Encode a (B, pad_width) id matrix, or a (B, pad_width, embed_dim)
+    embedding tensor, to (B, feature_dim) features."""
+    return (params.apply(prefixes) if isinstance(prefixes, ad.Tensor)
+            else params.apply_rows(prefixes))
 
 
 def _distinct_windows(ids, base):

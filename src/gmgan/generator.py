@@ -6,12 +6,13 @@ The decoder never consumes a BOS embedding; BOS only anchors the encoder's
 view of the empty prefix. PAD, BOS and UNK are masked out of the action
 space, so the usable vocabulary is the word set plus EOS.
 
-One batched loop, `decode`, samples (or greedily decodes) forward-only. A
-step's prefix holds the token drawn at the step before, so it encodes the
-prefix matrix with `encode_batch` at every step. `sample_sequence` calls it
-with one row per sentence, so that the benchmark's per-sentence counters
-(one `sample_sequence` call per sentence, one `guider_step` call per token)
-still describe the work done.
+One plan-ahead loop, `decode`, serves every rollout whose next input is
+chosen at the step before. It encodes a (B, pad_width, E) prefix tensor at
+every step; the caller's chooser turns the gated logits into the inputs.
+`sample_sequence` draws token ids, forward-only and one row per sentence,
+so that the benchmark's per-sentence counters (one `sample_sequence` call
+per sentence, one `guider_step` call per token) still describe the work
+done; `style.soft_transfer_rollout` feeds soft-argmax embeddings.
 
 Known sentences need no loop: the targets and every prefix feature are
 known before the first step, the features from one
@@ -128,46 +129,47 @@ def _draw(probs, rng):
                    len(probs) - 1))
 
 
-def decode(init_feats, gen, gui, enc, labels, steps, rng):
-    """The plan-ahead sampling loop over a batch, forward-only: encode each
-    row's prefix, step the guider, gate the decoder's logits, draw each
-    row's token with `_draw` (greedy when rng is None) and advance the
-    decoder on them.
+def decode(init_feats, gen, gui, enc, labels, steps, choose):
+    """The plan-ahead loop over a batch: encode each row's prefix, step the
+    guider, gate the decoder's logits, let `choose(logits, alive)` return
+    the (B, E) next inputs and a (B,) EOS flag, and advance the decoder on
+    those inputs; `alive` marks the rows not yet at EOS.
 
-    The prefix matrix starts as BOS + PAD and receives each step's tokens.
-    It runs at most `steps` (1..max_len, else DimensionError) steps and
-    stops once every row has emitted EOS, before the decoder step whose
-    output nothing reads. Returns the tokens (B, T), then the features
-    f_0..f_T and the T guider predictions as (B, F) arrays.
+    The prefix tensor, BOS then PAD's zero rows, receives each step's
+    inputs. The encoder and guider run under `no_grad`; everything else is
+    recorded on the active tape, if any. It runs at most `steps`
+    (1..max_len, else DimensionError) steps and stops once every row has
+    emitted EOS, before the decoder step whose output nothing reads.
+    Returns the final prefix tensor, then the features f_0..f_{T-1} and the
+    T guider predictions as (B, F) arrays.
     """
     n, prof = init_feats.shape[0], enc.profile
     if not 1 <= steps <= prof.max_len:
         raise DimensionError("cannot decode %d steps with max_len %d"
                              % (steps, prof.max_len))
+    dec_h = initial_hidden(init_feats, gen)
+    dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
     with ad.no_grad():
-        s0 = initial_hidden(init_feats, gen)
-        dec_h, dec_c = s0, ad.constant(np.zeros((n, prof.hidden_dim)))
-        gui_state = initial_state(gui, s0, labels)
-        rows = np.full((n, prof.pad_width), PAD, dtype=np.intp)
-        rows[:, 0] = BOS
-        alive = np.ones(n, dtype=bool)
-        features, predictions = [], []
-        for t in range(steps):
-            f_t = encode_batch(rows, enc)
+        gui_state = initial_state(gui, dec_h, labels)
+    # built once and written in place: nothing records it
+    prefix = ad.constant(np.zeros((n, prof.pad_width, prof.embed_dim)))
+    prefix.values[:, 0] = enc.embedding.values[BOS]
+    alive = np.ones(n, dtype=bool)
+    features, predictions = [], []
+    for t in range(steps):
+        with ad.no_grad():
+            f_t = encode_batch(prefix, enc)
             pred, gui_state = guider_step(gui_state, f_t, gui)
-            probs = ad.softmax(gated_logits(dec_h, pred, gen)).values
-            tok = np.array([_draw(p, rng) for p in probs])
-            features.append(f_t.values)
-            predictions.append(pred.values)
-            rows[:, t + 1] = tok
-            alive &= tok != EOS
-            if t + 1 == steps or not np.count_nonzero(alive):
-                break
-            emb = ad.gather_rows(gen.embedding, tok)  # PAD row embeds to zero
-            dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
-                                        gen.dec_w_x, gen.dec_w_h, gen.dec_b)
-        features.append(encode_batch(rows, enc).values)
-    return rows[:, 1:len(predictions) + 1], features, predictions
+        inputs, eos = choose(gated_logits(dec_h, pred, gen), alive)
+        features.append(f_t.values)
+        predictions.append(pred.values)
+        prefix.values[:, t + 1] = inputs.values
+        alive &= ~eos
+        if t + 1 == steps or not np.count_nonzero(alive):
+            break
+        dec_h, dec_c = ad.lstm_cell(inputs, dec_h, dec_c,
+                                    gen.dec_w_x, gen.dec_w_h, gen.dec_b)
+    return prefix, features, predictions
 
 
 def _targets(sentences):
@@ -186,11 +188,20 @@ def _targets(sentences):
 def sample_sequence(init_feature, gen, gui, enc, rng, style_label=None):
     """Roll out encode-prefix -> guider step -> gated distribution -> draw,
     until EOS or max_len, drawing from rng (None for a greedy decode)."""
+    tokens = []
+
+    def draw(logits, alive):
+        tok = np.array([_draw(p, rng) for p in ad.softmax(logits).values])
+        tokens.append(int(tok[0]))
+        return ad.gather_rows(gen.embedding, tok), tok == EOS
+
     init = ad.constant(np.reshape(init_feature, (1, -1)))
     labels = None if style_label is None else np.array([style_label])
-    tokens, features, predictions = decode(init, gen, gui, enc, labels,
-                                           enc.profile.max_len, rng)
-    return GenerationTrace(tokens[0].tolist(), [f[0] for f in features],
+    with ad.no_grad():
+        prefix, features, predictions = decode(
+            init, gen, gui, enc, labels, enc.profile.max_len, draw)
+        features.append(encode_batch(prefix, enc).values)
+    return GenerationTrace(tokens, [f[0] for f in features],
                            [p[0] for p in predictions], init.values[0].copy())
 
 

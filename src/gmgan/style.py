@@ -12,12 +12,11 @@ import json
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import BOS, EOS, PAD
+from .corpus import EOS, PAD
 from .encoder import (TokenCNN, encode_batch, mean_feature_norm, pad_rows,
                       sentence_rows)
 from .errors import ContractError
-from .generator import gated_logits, initial_hidden, mle_loss, sample_sequence
-from .guider import guider_step, initial_state
+from .generator import decode, mle_loss, sample_sequence
 from .metrics import ngrams, strip_eos
 from .optim import Adam
 from .trainer import (Optimizers, guider_update, mle_step, shuffled_batches,
@@ -120,47 +119,25 @@ def soft_transfer_rollout(init_feats, target_labels, models, classifier,
                           config):
     """Generate with soft tokens under the target label from the sources'
     (B, F) encoded features; returns the classifier cross-entropy toward
-    that label."""
-    n = init_feats.shape[0]
-    prof = models.profile
-    width = prof.pad_width
-    tau = config.soft_argmax_temperature
+    that label. A row's soft tokens are zero after its argmax is EOS."""
+    n, prof = init_feats.shape[0], models.profile
+    gen, tau = models.generator, config.soft_argmax_temperature
     target_labels = np.asarray(target_labels, dtype=np.intp)
-
-    dec_h = initial_hidden(init_feats, models.generator)
-    dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
-    with ad.no_grad():  # the guider gates the decoder as a constant
-        gui_state = initial_state(models.guider, dec_h, target_labels)
-
-    bos_emb = models.encoder.embedding.values[BOS]
-    enc_prefix = np.zeros((n, width, prof.embed_dim))
-    enc_prefix[:, 0, :] = bos_emb
-
     cls_steps = []
-    alive = np.ones(n)
-    for t in range(prof.max_len):
-        with ad.no_grad():
-            f_t = models.encoder.apply(ad.constant(enc_prefix))
-            pred, gui_state = guider_step(gui_state, f_t, models.guider)
-        logits = gated_logits(dec_h, pred, models.generator)
+
+    def soft_tokens(logits, alive):
         alive_mask = ad.constant(np.repeat(alive[:, None], prof.embed_dim,
                                            axis=1))
         soft = soft_argmax(logits, tau)
-        soft_gen = ad.mul(ad.matmul(soft, models.generator.embedding),
-                          alive_mask)
+        soft_gen = ad.mul(ad.matmul(soft, gen.embedding), alive_mask)
         soft_cls = ad.mul(ad.matmul(soft, classifier.embedding), alive_mask)
         cls_steps.append(ad.reshape(soft_cls, (n, 1, prof.embed_dim)))
-        picked = logits.values.argmax(axis=1)
-        enc_prefix[:, t + 1, :] = soft_gen.values
-        dec_h, dec_c = ad.lstm_cell(soft_gen, dec_h, dec_c,
-                                    models.generator.dec_w_x,
-                                    models.generator.dec_w_h,
-                                    models.generator.dec_b)
-        alive = alive * (picked != EOS)
-        if not alive.any():
-            break
-    pad_cols = width - len(cls_steps)
-    cls_steps.append(ad.constant(np.zeros((n, pad_cols, prof.embed_dim))))
+        return soft_gen, logits.values.argmax(axis=1) == EOS
+
+    decode(init_feats, gen, models.guider, models.encoder, target_labels,
+           prof.max_len, soft_tokens)
+    cls_steps.append(ad.constant(np.zeros((n, prof.pad_width - len(cls_steps),
+                                           prof.embed_dim))))
     cls_input = ad.concat(cls_steps, axis=1)
     return ad.cross_entropy(ad.log_softmax(classifier.apply(cls_input)),
                             target_labels)

@@ -5,7 +5,9 @@ the bandit tests and the per-term dual-cosine means of criterion 6."""
 import numpy as np
 
 from gmgan import autodiff as ad
-from gmgan.generator import GenerationTrace, decode
+from gmgan.corpus import EOS
+from gmgan.encoder import encode_batch
+from gmgan.generator import GenerationTrace, _draw, decode
 from gmgan.guider import dual_cosines, guider_step
 
 
@@ -152,10 +154,20 @@ def oracle_gated_head(h, pred, out_w, out_b, gate_w, gate_b, vocab_w, mask):
 def one_token_trace(init_feature, models, rng):
     """A one-step sampled rollout from one initial feature, traced as
     sample_sequence traces its row."""
+    tokens = []
+
+    def draw(logits, alive):
+        tok = np.array([_draw(p, rng) for p in ad.softmax(logits).values])
+        tokens.append(int(tok[0]))
+        return ad.gather_rows(models.generator.embedding, tok), tok == EOS
+
     init = ad.constant(np.reshape(init_feature, (1, -1)))
-    tokens, features, predictions = decode(
-        init, models.generator, models.guider, models.encoder, None, 1, rng)
-    return GenerationTrace(tokens[0].tolist(), [f[0] for f in features],
+    with ad.no_grad():
+        prefix, features, predictions = decode(
+            init, models.generator, models.guider, models.encoder, None, 1,
+            draw)
+        features.append(encode_batch(prefix, models.encoder).values)
+    return GenerationTrace(tokens, [f[0] for f in features],
                            [p[0] for p in predictions], init.values[0].copy())
 
 

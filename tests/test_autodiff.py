@@ -1150,7 +1150,12 @@ def test_no_grad_suspends_recording():
     with ad.tape():
         with ad.no_grad():
             y = ad.tsum(x)
+        after = ad.tsum(x)   # recording resumes after the block
+        with pytest.raises(KeyError), ad.no_grad():
+            raise KeyError
+        after_raise = ad.tsum(x)   # and after a block that raised
     assert y._tape is None and not y.requires_grad
+    assert after._tape is not None and after_raise._tape is not None
 
 
 def test_composite_loss_gradient():

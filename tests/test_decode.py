@@ -1,8 +1,10 @@
-"""The shared decode loop against the two loops it replaced.
+"""The shared decode loop against the three loops it replaced.
 
 `oracle_decode` (the per-sentence loop behind sampling, greedy decoding and
-reward traces) and `oracle_teacher_forced_log_probs` (the batched MLE and
-policy-gradient pass) are kept here as they were written before the merge.
+reward traces), `oracle_teacher_forced_log_probs` (the batched MLE and
+policy-gradient pass) and `oracle_soft_transfer_rollout` (the style
+transfer's soft-argmax rollout) are kept here as they were written before
+the merge. The soft rollout's loss and gradients are compared exactly.
 Every comparison of sampled traces and of log-probs is exact: tokens,
 features, predictions and the log-probs of real tokens (teacher forcing
 returns only the real pairs). Gradients are exact
@@ -12,6 +14,8 @@ except where teacher forcing now sums over all steps in one product
 `prefix_features`, whose products run over many rows, so its features and
 predictions are compared to 1e-14 relative.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +30,9 @@ from gmgan.generator import (GenerationTrace, GeneratorParams, _draw,
                              sample_sequence, scored_tokens,
                              teacher_force_trace, teacher_forced_log_probs)
 from gmgan.guider import GuiderParams, guider_step, initial_state
+from gmgan.style import (StyleClassifierParams, soft_argmax,
+                         soft_transfer_rollout)
+from gmgan.trainer import TrainConfig
 
 TINY = ModelProfile(6, 10, 8, (8, 10), (3, 3), (2, 2), max_len=12)
 DESK = ModelProfile(64, 128, 64, (64, 128), (5, 5), (2, 2), max_len=16)
@@ -114,6 +121,56 @@ def oracle_teacher_forced_log_probs(batch, enc, gen, gui, labels=None,
         dec_h, dec_c = ad.lstm_cell(emb, dec_h, dec_c,
                                     gen.dec_w_x, gen.dec_w_h, gen.dec_b)
     return ad.concat(cols, axis=1), tgt
+
+
+def oracle_soft_transfer_rollout(init_feats, target_labels, models,
+                                 classifier, config):
+    """The soft rollout with its own loop; returns the loss and the number
+    of steps taken."""
+    n = init_feats.shape[0]
+    prof = models.profile
+    width = prof.pad_width
+    tau = config.soft_argmax_temperature
+    target_labels = np.asarray(target_labels, dtype=np.intp)
+
+    dec_h = initial_hidden(init_feats, models.generator)
+    dec_c = ad.constant(np.zeros((n, prof.hidden_dim)))
+    with ad.no_grad():  # the guider gates the decoder as a constant
+        gui_state = initial_state(models.guider, dec_h, target_labels)
+
+    bos_emb = models.encoder.embedding.values[BOS]
+    enc_prefix = np.zeros((n, width, prof.embed_dim))
+    enc_prefix[:, 0, :] = bos_emb
+
+    cls_steps = []
+    alive = np.ones(n)
+    for t in range(prof.max_len):
+        with ad.no_grad():
+            f_t = models.encoder.apply(ad.constant(enc_prefix))
+            pred, gui_state = guider_step(gui_state, f_t, models.guider)
+        logits = gated_logits(dec_h, pred, models.generator)
+        alive_mask = ad.constant(np.repeat(alive[:, None], prof.embed_dim,
+                                           axis=1))
+        soft = soft_argmax(logits, tau)
+        soft_gen = ad.mul(ad.matmul(soft, models.generator.embedding),
+                          alive_mask)
+        soft_cls = ad.mul(ad.matmul(soft, classifier.embedding), alive_mask)
+        cls_steps.append(ad.reshape(soft_cls, (n, 1, prof.embed_dim)))
+        picked = logits.values.argmax(axis=1)
+        enc_prefix[:, t + 1, :] = soft_gen.values
+        dec_h, dec_c = ad.lstm_cell(soft_gen, dec_h, dec_c,
+                                    models.generator.dec_w_x,
+                                    models.generator.dec_w_h,
+                                    models.generator.dec_b)
+        alive = alive * (picked != EOS)
+        if not alive.any():
+            break
+    pad_cols = width - len(cls_steps)
+    cls_steps.append(ad.constant(np.zeros((n, pad_cols, prof.embed_dim))))
+    cls_input = ad.concat(cls_steps, axis=1)
+    loss = ad.cross_entropy(ad.log_softmax(classifier.apply(cls_input)),
+                            target_labels)
+    return loss, t + 1
 
 
 def build(profile, vocab_size, labelled, seed):
@@ -347,6 +404,86 @@ def test_teacher_forcing_refuses_mid_sentence_eos_and_overlong_input():
         teacher_force_trace([], enc, gen, gui)
     with pytest.raises(DimensionError):
         teacher_force_trace([4] * (TINY.max_len + 1), enc, gen, gui)
+
+    def never(logits, alive):
+        raise AssertionError("a refused decode chose an input")
     with pytest.raises(DimensionError):   # a decode runs 1..max_len steps
         decode(ad.constant(np.zeros((1, TINY.feature_dim))), gen, gui, enc,
-               None, 0, np.random.default_rng(0))
+               None, 0, never)
+
+
+def soft_rollout_case(batch, stop):
+    """Style models, a frozen classifier, sources and target labels at TINY.
+    At seed 82 the rows' argmax picks EOS at steps 4, 1, 1 and 2; "max-len"
+    masks EOS out, so every row runs all max_len steps."""
+    enc, gen, gui = build(TINY, 12, True, seed=82)
+    if stop == "max-len":
+        gen.action_mask.values[EOS] = -1e30
+    classifier = StyleClassifierParams(12, TINY, np.random.default_rng(83))
+    for _, t in classifier.tensors():
+        t.requires_grad = False
+    rng = np.random.default_rng(182)
+    sources = pad_rows([[BOS] + random_sentence(rng, 12, TINY.max_len)
+                        for _ in range(4)], TINY.pad_width)[:batch]
+    targets = rng.integers(2, size=4)[:batch]
+    models = SimpleNamespace(profile=TINY, encoder=enc, generator=gen,
+                             guider=gui)
+    return models, classifier, sources, targets
+
+
+@pytest.mark.parametrize("stop", ["eos", "max-len"])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_soft_rollout_equals_oracle(batch, stop):
+    models, classifier, sources, targets = soft_rollout_case(batch, stop)
+    config = TrainConfig()
+    tensors = (models.encoder.tensors() + models.generator.tensors()
+               + models.guider.tensors())
+    steps = []
+
+    def rollout():
+        feats = encode_batch(sources, models.encoder)   # the encoder trains
+        loss = soft_transfer_rollout(feats, targets, models, classifier,
+                                     config)
+        return loss.item(), loss
+
+    def oracle():
+        feats = encode_batch(sources, models.encoder)
+        loss, n = oracle_soft_transfer_rollout(feats, targets, models,
+                                               classifier, config)
+        steps.append(n)
+        return loss.item(), loss
+
+    got, got_grads = grads_after(rollout, tensors)
+    want, want_grads = grads_after(oracle, tensors)
+    assert (steps[0] == TINY.max_len) == (stop == "max-len")
+    assert got == want
+    for (name, _), a, b in zip(tensors, got_grads, want_grads):
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+    assert all(g is not None for (name, _), g in zip(tensors, got_grads)
+               if not name.startswith("guider."))
+
+
+@pytest.mark.parametrize("stop", ["eos", "max-len"])
+def test_soft_rollout_takes_no_decoder_step_that_nothing_reads(stop,
+                                                               monkeypatch):
+    # the decoder steps between emitted steps only: after the last one
+    # (every row at EOS, or max_len) no step reads its output
+    models, classifier, sources, targets = soft_rollout_case(4, stop)
+    config = TrainConfig()
+    with ad.no_grad():
+        steps = oracle_soft_transfer_rollout(
+            encode_batch(sources, models.encoder), targets, models,
+            classifier, config)[1]
+    calls, original = [], ad.lstm_cell
+
+    def counted(x, hidden, cell, w_x, *args, **kwargs):
+        calls.append(w_x is models.generator.dec_w_x)
+        return original(x, hidden, cell, w_x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "lstm_cell", counted)
+    with ad.tape():
+        soft_transfer_rollout(encode_batch(sources, models.encoder), targets,
+                              models, classifier, config)
+    assert sum(calls) == steps - 1
+    assert steps == (4 if stop == "eos" else TINY.max_len)

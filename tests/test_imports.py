@@ -47,17 +47,24 @@ def _functions_stepping_decoder(tree):
 
 
 def test_decoder_is_stepped_in_one_loop():
-    # sampling and greedy decoding share one decode loop; teacher forcing
+    # sampling, greedy decoding and the soft-argmax rollout share one decode
+    # loop, each passing its own chooser of the next inputs; teacher forcing
     # knows every input in advance and runs all its steps in one multi-step
     # call (a reward-inspection trace of a known sentence steps only the
-    # guider); the soft-argmax rollout feeds the decoder embeddings, not
-    # ids, and keeps its own loop
+    # guider)
     stepping = {path.name: _functions_stepping_decoder(
                     ast.parse(path.read_text(encoding="utf-8")))
                 for path in sorted(SRC.glob("*.py"))}
     assert {name: funcs for name, funcs in stepping.items() if funcs} == {
-        "generator.py": {"decode", "teacher_forced_log_probs"},
-        "style.py": {"soft_transfer_rollout"}}
+        "generator.py": {"decode", "teacher_forced_log_probs"}}
+    # the soft rollout leaves the loop's steps to decode
+    style = ast.parse((SRC / "style.py").read_text(encoding="utf-8"))
+    rollout = next(f for f in style.body if isinstance(f, ast.FunctionDef)
+                   and f.name == "soft_transfer_rollout")
+    assert not {"guider_step", "gated_logits", "initial_hidden"} & set(
+        _names(rollout))
+    assert not any(isinstance(n, (ast.For, ast.While))
+                   for n in ast.walk(rollout))
 
 
 MODULES = {path.stem for path in SRC.glob("*.py")} | {"ad"}
@@ -97,11 +104,12 @@ def _callers(name):
 
 def test_one_dual_cosine_and_one_sampling_loop():
     # the guider's loss, its diagnostics and the per-step rewards share one
-    # dual cosine, and only sampling runs the decode loop
+    # dual cosine, and only sampling and the soft rollout run the decode loop
     assert _callers("row_cosine") == {"guider.py:dual_cosines"}
     assert _callers("dual_cosines") == {
         "guider.py:guider_loss_batch", "rewards.py:feature_matching_reward"}
-    assert _callers("decode") == {"generator.py:sample_sequence"}
+    assert _callers("decode") == {"generator.py:sample_sequence",
+                                  "style.py:soft_transfer_rollout"}
     # rewards.py takes no norm, dot product or cosine of its own
     rewards = list(ast.walk(ast.parse(
         (SRC / "rewards.py").read_text(encoding="utf-8"))))
