@@ -3,8 +3,9 @@
 Layout: magic "GMG1" | version u32 | payload length u64 | crc32 u32 | payload.
 The payload holds a JSON config blob and little-endian float64 arrays; the
 CRC covers the payload, and load refuses on any magic/version/CRC mismatch.
-A read hands out read-only views of the one buffer that holds the file; a
-model load copies each section once into its tensor or optimizer moment.
+A read checks the CRC in fixed chunks before it parses anything, then reads
+each section straight into its destination: a model load into its tensor or
+optimizer moment, so no load holds the file's bytes a second time.
 Round-trips are bit-exact.
 """
 
@@ -24,6 +25,8 @@ from .trainer import Models, Optimizers, TrainConfig
 
 MAGIC = b"GMG1"
 VERSION = 1
+HEADER_BYTES = 20   # magic, version, payload length, crc32
+CRC_CHUNK = 1 << 16   # bytes read at a time to check the payload's CRC
 
 
 def _section_pieces(sections):
@@ -41,42 +44,46 @@ def _section_pieces(sections):
 
 
 class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
+    """The payload of an open checkpoint file, read in order; refuses any
+    read past the payload's declared end."""
+
+    def __init__(self, f, size):
+        self.f, self.left = f, size
+
+    def skip(self, n):
+        """Passes over the next n bytes unread; returns their file offset."""
+        if n > self.left:
+            raise CheckpointError("truncated checkpoint payload")
+        self.left -= n
+        return self.f.seek(n, os.SEEK_CUR) - n
 
     def take(self, n):
-        if self.pos + n > len(self.blob):
-            raise CheckpointError("truncated checkpoint payload")
-        piece = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return piece
+        self.f.seek(self.skip(n))
+        return self.f.read(n)
 
     def u32(self):
         return struct.unpack("<I", self.take(4))[0]
 
 
-def _unpack_sections(reader):
-    count = reader.u32()
-    sections = {}
-    for _ in range(count):
+def _section_table(reader):
+    """{name: (shape, file offset of its data)} of every section; the data
+    are skipped."""
+    table = {}
+    for _ in range(reader.u32()):
         raw_name = reader.take(reader.u32())
         try:
             name = str(raw_name, "utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError("section name %r is not UTF-8"
-                                  % bytes(raw_name)) from e
-        if name in sections:
+                                  % raw_name) from e
+        if name in table:
             raise CheckpointError("duplicate checkpoint section %r" % name)
         ndim = reader.u32()
-        shape = struct.unpack("<%dQ" % ndim, reader.take(8 * ndim)) if ndim else ()
+        shape = struct.unpack("<%dQ" % ndim, reader.take(8 * ndim))
         # Python ints: a product past 2**64 must not wrap to a small size;
-        # take() then refuses any size beyond the rest of the payload.
-        size = math.prod(shape)
-        # a view of the file's immutable bytes, so it is read-only
-        sections[name] = np.frombuffer(reader.take(8 * size),
-                                       dtype="<f8").reshape(shape)
-    return sections
+        # skip() then refuses any size beyond the rest of the payload.
+        table[name] = shape, reader.skip(8 * math.prod(shape))
+    return table
 
 
 def config_to_blob(config, vocab_tokens, style_labels=0):
@@ -113,33 +120,53 @@ def write_checkpoint(path, sections, config_blob):
             os.remove(tmp)
 
 
-def read_checkpoint(path):
-    """Returns (config_blob, sections dict of read-only views of the file's
-    bytes). Refuses corrupt files."""
+def read_checkpoint(path, place=None):
+    """Returns (config_blob, {name: array}); refuses corrupt files.
+
+    Nothing is parsed before the header and the CRC of the whole payload
+    check out; the CRC reads the payload through one CRC_CHUNK buffer. Then
+    the config and the section table are parsed, every size bounded by the
+    rest of the payload, and each section is read straight into its array
+    and refused unless finite. The arrays are `place(config_blob, {name:
+    shape})`, a C-contiguous float64 array of that shape for every section
+    name; without `place`, a fresh read-only array each."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 20 or raw[:4] != MAGIC:
-        raise CheckpointError("not a GMG1 checkpoint")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != VERSION:
-        raise CheckpointError("unsupported checkpoint version %d" % version)
-    length = struct.unpack("<Q", raw[8:16])[0]
-    crc = struct.unpack("<I", raw[16:20])[0]
-    payload = memoryview(raw)[20:]  # sliced below without copies
-    if len(payload) != length:
-        raise CheckpointError("checkpoint payload length mismatch")
-    if zlib.crc32(payload) != crc:
-        raise CheckpointError("checkpoint CRC mismatch")
-    reader = _Reader(payload)
-    try:
-        config_blob = json.loads(str(reader.take(reader.u32()), "utf-8"))
-    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
-        raise CheckpointError("checkpoint config is not UTF-8 JSON: %s"
-                              % e) from e
-    sections = _unpack_sections(reader)
-    if reader.pos != len(payload):
-        raise CheckpointError("%d bytes follow the last checkpoint section"
-                              % (len(payload) - reader.pos))
+        head = f.read(HEADER_BYTES)
+        if len(head) < HEADER_BYTES or head[:4] != MAGIC:
+            raise CheckpointError("not a GMG1 checkpoint")
+        version, length, crc = struct.unpack("<IQI", head[4:])
+        if version != VERSION:
+            raise CheckpointError("unsupported checkpoint version %d" % version)
+        if os.fstat(f.fileno()).st_size - HEADER_BYTES != length:
+            raise CheckpointError("checkpoint payload length mismatch")
+        chunk, running = bytearray(CRC_CHUNK), 0
+        while n := f.readinto(chunk):
+            running = zlib.crc32(memoryview(chunk)[:n], running)
+        if running != crc:
+            raise CheckpointError("checkpoint CRC mismatch")
+        f.seek(HEADER_BYTES)
+        reader = _Reader(f, length)
+        try:
+            config_blob = json.loads(str(reader.take(reader.u32()), "utf-8"))
+        except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+            raise CheckpointError("checkpoint config is not UTF-8 JSON: %s"
+                                  % e) from e
+        table = _section_table(reader)
+        if reader.left:
+            raise CheckpointError("%d bytes follow the last checkpoint "
+                                  "section" % reader.left)
+        shapes = {name: shape for name, (shape, _) in table.items()}
+        sections = (place(config_blob, shapes) if place else
+                    {name: np.empty(shape, "<f8")
+                     for name, shape in shapes.items()})
+        for name, (_, at) in table.items():
+            f.seek(at)
+            f.readinto(sections[name])
+            if not np.isfinite(sections[name]).all():
+                raise CheckpointError("non-finite values in %s" % name)
+    if place is None:
+        for arr in sections.values():
+            arr.flags.writeable = False
     return config_blob, sections
 
 
@@ -164,7 +191,7 @@ def save_models(path, models, vocab, optimizers=None):
 
 class _ZeroInit:
     """An init rng that draws nothing: every parameter it makes starts at
-    zero, for a load that then copies each one in from its section."""
+    zero, for a load that then reads each one in from its section."""
 
     @staticmethod
     def normal(loc, scale, size):
@@ -172,52 +199,63 @@ class _ZeroInit:
 
 
 def load_models(path, optimizer_state=True):
-    """Rebuild Models (and optimizer state, when present) from a checkpoint.
-    Draws nothing from the init stream. With optimizer_state False the
-    optimizer sections are checked but no optimizer is built.
+    """Rebuild Models (and optimizer state, when present) from a checkpoint,
+    reading each section straight into its tensor or Adam moment. Draws
+    nothing from the init stream. With optimizer_state False the optimizer
+    sections are checked, one at a time in one scratch array, and no
+    optimizer is built.
 
     Returns (models, vocab, optimizers_or_None, config_blob).
     """
-    blob, sections = read_checkpoint(path)
-    config, vocab, style_labels = _config_from_blob(blob)
-    bad = [name for name, arr in sections.items() if not np.isfinite(arr).all()]
-    if bad:
-        raise CheckpointError("non-finite values in %s" % ", ".join(bad))
-    models = Models(len(vocab), config, style_labels=style_labels,
-                    init_rng=_ZeroInit())
-    for name, t in models.all_tensors():
-        t.values[...] = _section(sections, name, t.values.shape)
-    meta = [_section(sections, "meta.%s" % n, (1,))
-            for n in ("feature_norm", "pretrained")]
-    models.feature_norm, models.pretrained = float(meta[0][0]), bool(meta[1][0])
+    built, steps = [], []   # steps: (section name, its Adam or None)
 
-    optimizers = None
-    if any(name.startswith("optim.") for name in sections):
-        optimizers = Optimizers(models, config) if optimizer_state else None
-        for group, params in models.optimizer_groups().items():
-            prefix = "optim.%s." % group
-            table = {"step": _section(sections, prefix + "step", (1,))}
-            step = table["step"][0]
-            if not (step >= 0 and float(step).is_integer()):
-                raise CheckpointError("section %r holds %r, not an integer "
-                                      ">= 0" % (prefix + "step", step))
-            for name, t in params:
-                for key in (name + ".m", name + ".v"):
-                    table[key] = _section(sections, prefix + key,
-                                          t.values.shape)
-            if optimizers is not None:
-                getattr(optimizers, group).load_state_arrays(table)
+    def place(blob, shapes):
+        config, vocab, style_labels = _config_from_blob(blob)
+        models = Models(len(vocab), config, style_labels=style_labels,
+                        init_rng=_ZeroInit())
+        into = {name: t.values for name, t in models.all_tensors()}
+        into.update(("meta." + n, np.empty(1))
+                    for n in ("feature_norm", "pretrained"))
+        want, optimizers = {}, None
+        if any(name.startswith("optim.") for name in shapes):
+            optimizers = Optimizers(models, config) if optimizer_state else None
+            for group, params in models.optimizer_groups().items():
+                prefix = "optim.%s." % group
+                opt = getattr(optimizers, group) if optimizers else None
+                steps.append((prefix + "step", opt))
+                if opt is not None:   # the step, then the live moments
+                    into.update((prefix + n, a) for n, a in opt.state_arrays())
+                    continue
+                into[prefix + "step"] = np.empty(1)
+                want.update((prefix + name + key, t.values.shape)
+                            for name, t in params for key in (".m", ".v"))
+        want.update((name, arr.shape) for name, arr in into.items())
+        for name, shape in want.items():
+            if name not in shapes:
+                raise CheckpointError("checkpoint missing section %r" % name)
+            if shapes[name] != shape:
+                raise CheckpointError("section %r has shape %r, expected %r"
+                                      % (name, shapes[name], shape))
+        # every other section is read into one scratch array and dropped
+        rest = {n: s for n, s in shapes.items() if n not in into}
+        scratch = np.empty(max(map(math.prod, rest.values()), default=0))
+        into.update((n, scratch[:math.prod(s)].reshape(s))
+                    for n, s in rest.items())
+        built.extend((models, vocab, optimizers))
+        return into
+
+    blob, sections = read_checkpoint(path, place)
+    models, vocab, optimizers = built
+    models.feature_norm = float(sections["meta.feature_norm"][0])
+    models.pretrained = bool(sections["meta.pretrained"][0])
+    for name, opt in steps:
+        step = sections[name][0]
+        if not (step >= 0 and float(step).is_integer()):
+            raise CheckpointError("section %r holds %r, not an integer >= 0"
+                                  % (name, step))
+        if opt is not None:
+            opt.t = int(step)
     return models, vocab, optimizers, blob
-
-
-def _section(sections, name, shape):
-    """The named section; CheckpointError unless it is there in `shape`."""
-    if name not in sections:
-        raise CheckpointError("checkpoint missing section %r" % name)
-    if sections[name].shape != shape:
-        raise CheckpointError("section %r has shape %r, expected %r"
-                              % (name, sections[name].shape, shape))
-    return sections[name]
 
 
 def _config_from_blob(blob):

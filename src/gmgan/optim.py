@@ -31,6 +31,10 @@ class Adam:
         self.t += 1
         b1t = 1.0 - BETA1 ** self.t
         b2t = 1.0 - BETA2 ** self.t
+        # one scratch pair for the step, in the operation order of
+        # p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS)
+        size = max(p.values.size for _, p in self.named_params)
+        pair = np.empty((2, size))
         for name, p in self.named_params:
             g = p.grad
             if g is None:
@@ -39,13 +43,15 @@ class Adam:
             if rows is not None:
                 g = g.copy()
                 g[rows] = 0.0
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self.m[name], self.v[name]
+            a, b = (half[:m.size].reshape(m.shape) for half in pair)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(1.0 - BETA1, g, out=a)
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.values -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+            v += np.multiply(np.multiply(1.0 - BETA2, g, out=a), g, out=a)
+            np.multiply(self.lr, np.divide(m, b1t, out=a), out=a)
+            np.add(np.sqrt(np.divide(v, b2t, out=b), out=b), EPS, out=b)
+            p.values -= np.divide(a, b, out=a)
 
     def minimize(self, loss_fn):
         """One training step: records `loss_fn()` on a fresh tape,
@@ -61,18 +67,10 @@ class Adam:
         return loss.item()
 
     def state_arrays(self):
-        """Named arrays for checkpointing (moments plus the step counter)."""
+        """Named arrays for checkpointing: the step counter, as a copy, and
+        the live moments, which a checkpoint load reads into."""
         out = [("step", np.array([float(self.t)]))]
         for name, _ in self.named_params:
             out.append((name + ".m", self.m[name]))
             out.append((name + ".v", self.v[name]))
         return out
-
-    def load_state_arrays(self, arrays):
-        """Restores what `state_arrays` gave, copying the moments in; the
-        caller has checked the step and every moment's shape."""
-        table = dict(arrays)
-        self.t = int(table["step"][0])
-        for name, _ in self.named_params:
-            self.m[name][...] = table[name + ".m"]
-            self.v[name][...] = table[name + ".v"]

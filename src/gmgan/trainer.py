@@ -124,7 +124,7 @@ class Models:
 
     The parameters are drawn from the seed's "init" stream, or from
     `init_rng` when given: a checkpoint load passes one that draws nothing
-    and leaves each parameter zero until its section is copied in."""
+    and leaves each parameter zero until its section is read in."""
 
     def __init__(self, vocab_size, config, style_labels=0, init_rng=None):
         self.config = config

@@ -1,6 +1,7 @@
 import json
 import stat
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -117,8 +118,9 @@ def test_read_sections_are_read_only(tmp_path):
             arr[...] = 0.0
 
 
-def test_loaded_state_is_writable_and_apart_from_the_file(tmp_path,
-                                                         monkeypatch):
+def test_loaded_state_is_writable_and_apart_from_the_file(tmp_path):
+    # every tensor and moment is read into memory of its own, apart from any
+    # file buffer and from each other, and trains on after the load
     vocab, models = tiny_setup()
     opt = Optimizers(models, models.config)
     for _, t in models.generator_tensors():
@@ -126,29 +128,83 @@ def test_loaded_state_is_writable_and_apart_from_the_file(tmp_path,
     opt.generator.step()
     path = tmp_path / "m.gmg"
     save_models(path, models, vocab, optimizers=opt)
-    reads = []
-
-    def kept_read(p):
-        reads.append(read_checkpoint(p))
-        return reads[-1]
-
-    monkeypatch.setattr(checkpoint, "read_checkpoint", kept_read)
+    before = path.read_bytes()
     loaded, _, opt2, _ = load_models(path)
-    sections = reads[0][1]   # the very arrays the load copied from
-    before = {name: arr.tobytes() for name, arr in sections.items()}
     state = [t.values for _, t in loaded.all_tensors()]
     for group in ("generator", "guider", "discriminator"):
         adam = getattr(opt2, group)
         state += list(adam.m.values()) + list(adam.v.values())
-    assert not any(np.shares_memory(a, s) for a in state
-                   for s in sections.values())
+    assert all(a.flags.writeable and a.flags.owndata for a in state)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(state)
+                   for b in state[:i])
+    vocab_w = loaded.generator.vocab_w.values.copy()
     for _, t in loaded.generator_tensors():   # one Adam step after the load
         t.grad = np.ones_like(t.values)
     opt2.generator.step()
     assert opt2.generator.t == 2
-    assert {name: arr.tobytes() for name, arr in sections.items()} == before
-    assert (loaded.generator.vocab_w.values.tobytes()
-            != before["generator.vocab.w"])
+    assert path.read_bytes() == before
+    assert not np.array_equal(loaded.generator.vocab_w.values, vocab_w)
+
+
+DESK = ModelProfile(64, 128, 64, (64, 128), (5, 5), (2, 2), max_len=16)
+MIB = 1 << 20
+
+
+def _traced(fn, *args, **kwargs):
+    """(fn's result, the bytes its call held at its peak beyond what it
+    kept) under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
+
+
+def test_a_load_holds_no_second_copy(tmp_path):
+    # each section is read straight into its tensor or moment; without
+    # optimizer state the moments pass through one scratch array
+    vocab = desk_grammar().vocabulary()
+    config = TrainConfig(seed=1, profile=DESK, max_len=16, c=2)
+    models = Models(len(vocab), config)
+    path = tmp_path / "desk.gmg"
+    save_models(path, models, vocab, optimizers=Optimizers(models, config))
+    largest = max(t.values.nbytes for _, t in models.all_tensors())
+    for optimizer_state, allowance in ((True, MIB), (False, largest + MIB)):
+        loaded, held = _traced(load_models, path,
+                               optimizer_state=optimizer_state)
+        assert held < allowance, (optimizer_state, held)
+        assert (loaded[2] is None) != optimizer_state
+        for (_, a), (_, b) in zip(models.all_tensors(),
+                                  loaded[0].all_tensors()):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_the_crc_is_checked_before_anything_is_parsed_or_allocated(
+        tmp_path, capsys):
+    # an invalid config under a wrong CRC is refused for its CRC
+    payload = struct.pack("<I", 9) + b"{not json" + struct.pack("<I", 0)
+    bad_crc = tmp_path / "crc.gmg"
+    bad_crc.write_bytes(MAGIC + struct.pack("<IQI", VERSION, len(payload),
+                                            zlib.crc32(payload) ^ 1)
+                        + payload)
+    # a header claiming a 2**62-byte payload sizes no read
+    huge = tmp_path / "huge.gmg"
+    huge.write_bytes(MAGIC + struct.pack("<IQI", VERSION, 2 ** 62, 0)
+                     + payload)
+    for path, named in ((bad_crc, "CRC"), (huge, "length mismatch")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=named):
+                read_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < MIB
+        assert main(["generate", "--checkpoint", str(path), "--num", "1",
+                     "--out", str(tmp_path / "x.txt")]) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_corrupt_crc_refused(tmp_path):

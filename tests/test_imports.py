@@ -380,7 +380,7 @@ SHARED_NAME_CALLERS = {
     "autodiff.Tape.record": "autodiff.py:add",
     "autodiff.Tensor.item": "optim.py:Adam.minimize",
     "autodiff.Tensor.shape": "encoder.py:TokenCNN.apply",
-    "checkpoint._Reader.take": "checkpoint.py:_unpack_sections",
+    "checkpoint._Reader.take": "checkpoint.py:_section_table",
     "checkpoint._ZeroInit.normal": "autodiff.py:init_matrix",
     "corpus.GrammarSpec.load": "cli.py:cmd_eval",
     "corpus.GrammarSpec.save": "workloads.py:GenerateEval.setup",
